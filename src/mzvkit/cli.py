@@ -21,7 +21,8 @@ from .finite import (
     zeta_natural_F,
 )
 from .groupring import groupring_identity_check
-from .indices import check_index, format_index
+from . import indices
+from .indices import format_index
 from .numeric import DEFAULT_DIGITS, configure_cache, eval_admissible, eval_combo
 from .regularization import (
     natural_regularize,
@@ -44,14 +45,11 @@ __all__ = ["build_parser", "main"]
 
 def parse_index(text):
     """Accepts the canonical form "(1,2,3)" as well as bare "1,2,3"."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    body = body.strip()
-    if not body:
-        return ()
+    text = text.strip()
+    if not text.startswith("("):
+        text = "(%s)" % text
     try:
-        return check_index(tuple(int(p) for p in body.split(",")))
+        return indices.parse_index(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

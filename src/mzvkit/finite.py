@@ -16,10 +16,10 @@ the weakly-ordered weighted direct sums.
 
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
-sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.
+sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  Both
+are numeric.chain_sums over residues mod p.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,6 +33,7 @@ from .indices import (
     weight,
     word_of_index,
 )
+from .numeric import chain_sums
 from .regularization import (
     MzvCombo,
     RegPoly,
@@ -158,24 +159,23 @@ def _check_prime(p):
     return p
 
 
+def _mod_div(p):
+    """x * m^-a in F_p, for 0 < |m| < p; chain_sums' ring operation."""
+    # a negative m indexes inverse[p + m], the inverse of the same residue
+    inverse = [0] + [pow(m, -1, p) for m in range(1, p)]
+
+    def div(x, m, a):
+        return x * pow(inverse[m], a, p) % p
+    return div
+
+
 def zeta_A_component(k, p):
     """Sum over 0 < m_1 < ... < m_n < p of the inverse power product in F_p."""
     k = check_index(k)
     _check_prime(p)
-    n = len(k)
-    if n == 0:
+    if not k:
         return ModPValue(p, 1 % p)
-    level = [0] * p
-    for m in range(1, p):
-        level[m] = pow(m, -k[0], p)
-    for a in k[1:]:
-        cum = 0
-        nxt = [0] * p
-        for m in range(1, p):
-            nxt[m] = cum * pow(m, -a, p) % p
-            cum = (cum + level[m]) % p
-        level = nxt
-    return ModPValue(p, sum(level) % p)
+    return ModPValue(p, sum(chain_sums(k, range(1, p), _mod_div(p), 1)) % p)
 
 
 def zeta_natural_A_component(k, p):
@@ -194,21 +194,4 @@ def zeta_natural_A_component(k, p):
                          "p=%d depth=%d" % (p, n))
     half = (p - 1) // 2
     values = list(range(1, half + 1)) + [-m for m in range(half, 0, -1)]
-    inv_fact = [0] * (n + 1)
-    for j in range(1, n + 1):
-        inv_fact[j] = pow(math.factorial(j), -1, p)
-    g = [0] * (n + 1)
-    g[0] = 1
-    for m in values:
-        mm = m % p
-        nxt = list(g)
-        for i in range(n):
-            base = g[i]
-            if base == 0:
-                continue
-            powprod = 1
-            for j in range(1, n - i + 1):
-                powprod = powprod * pow(mm, -k[i + j - 1], p) % p
-                nxt[i + j] = (nxt[i + j] + base * powprod * inv_fact[j]) % p
-        g = nxt
-    return ModPValue(p, g[n] % p)
+    return ModPValue(p, sum(chain_sums(k, values, _mod_div(p), 1, weak=True)) % p)

@@ -12,31 +12,98 @@ geometrically (one bit per term) instead of polynomially like the defining
 sum.  Admissibility guarantees each factor's innermost letter is B, which is
 what keeps the factors finite.
 
+Every truncated sum in the package (these factors, the signed direct sums
+below and the mod-p sums in `finite`) is a sum over chains of integers and
+runs through the one kernel `chain_sums`; only the coefficient ring differs.
+The factors are summed in fixed point: Python integers scaled by 2^P, P
+being the binary precision of the working digits D + 15 plus _GUARD_BITS.
+Each floor division loses less than one unit and a factor of depth n over
+N terms takes (n + 1) N of them, so the guard bits keep the rounding far
+below 10^-(D+15).  The sum is rounded to the working precision through
+`mpmath.libmp`, and every `BigReal` operation names its precision, so no
+code here reads mpmath's global (and thread-unsafe) precision.
+
 Truncated direct sums over signed integer tuples (ordered strictly or weakly
 by 1/m, the weak case weighted by inverse factorials of the tie run lengths)
 are computed in exact rational arithmetic.
 """
 
+import functools
 import json
 import math
 import os
 import threading
+import warnings
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    from_man_exp,
+    from_rational,
+    from_str,
+    ften,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow_int,
+    round_nearest,
+    to_str,
+)
 
 from .indices import check_index, format_index, is_admissible, word_of_index
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
-
-# mpmath's global precision switch is not thread safe; all precision-scoped
-# computation in this module runs under this lock
-_MP_LOCK = threading.RLock()
+_GUARD_BITS = 32
 
 
 def _workdigits(digits):
     return digits + _GUARD_DIGITS
+
+
+def _prec(digits):
+    """Binary working precision for the nominal precision `digits`."""
+    return dps_to_prec(_workdigits(digits))
+
+
+@functools.lru_cache(maxsize=256)
+def _power_of_ten(e, digits):
+    """10^e as a raw mpf, rounded at the working precision of `digits`."""
+    return mpf_pow_int(ften, e, _prec(digits), round_nearest)
+
+
+def chain_sums(k, values, div, one, weak=False):
+    """For each m in `values`, yield the sum over the chains that end at m.
+
+    A chain places the slots k_1..k_n (n >= 1) on entries m_1, .., m_n of
+    `values`, each strictly later in the list than the one before, or
+    weakly later when `weak` is set.  It contributes
+    one * m_1^-k_1 * .. * m_n^-k_n, times 1/r! for each maximal run of r
+    equal entries.  div(x, m, a) is x * m^-a in the coefficient ring; the
+    tie weights are applied as div(x, r, 1).
+    """
+    n = len(k)
+    # g[i]: sum over the chains of the slots k_1..k_i that end before m
+    g = [one] + [0] * n
+    for m in values:
+        g[n] = 0
+        # descending i, so each g[i] read still excludes the chains ending at m
+        for i in reversed(range(n)):
+            t = g[i]
+            if not t:
+                continue
+            t = div(t, m, k[i])
+            g[i + 1] += t
+            if weak:
+                for j in range(i + 1, n):
+                    t = div(div(t, m, k[j]), j - i + 1, 1)
+                    g[j + 1] += t
+        yield g[n]
 
 
 class BigReal:
@@ -44,7 +111,8 @@ class BigReal:
 
     `value` is an mpmath float, `err` a conservative bound on the distance
     to the intended real number, `digits` the nominal precision D.  Zero
-    tests use the fixed tolerance 10^-(D-10).
+    tests use the fixed tolerance 10^-(D-10).  Each operation rounds at the
+    working precision of D through `mpmath.libmp`.
     """
 
     __slots__ = ("value", "err", "digits")
@@ -55,33 +123,35 @@ class BigReal:
         self.digits = int(digits)
 
     @classmethod
+    def _rounded(cls, v, err, digits):
+        # v was rounded at the working precision: err grows by |v| 10^-(D+15)
+        prec = _prec(digits)
+        rounding = mpf_mul(mpf_abs(v), _power_of_ten(-_workdigits(digits), digits),
+                           prec, round_nearest)
+        return cls(mp.make_mpf(v), mp.make_mpf(mpf_add(err, rounding, prec, round_nearest)),
+                   digits)
+
+    @classmethod
     def from_rational(cls, q, digits=DEFAULT_DIGITS):
         q = Fraction(q)
-        with _MP_LOCK, mp.workdps(_workdigits(digits)):
-            v = mpf(q.numerator) / q.denominator
-            err = abs(v) * mpf(10) ** (-_workdigits(digits))
-        return cls(v, err, digits)
+        v = from_rational(q.numerator, q.denominator, _prec(digits), round_nearest)
+        return cls._rounded(v, fzero, digits)
 
     def tolerance(self):
-        with _MP_LOCK, mp.workdps(_workdigits(self.digits)):
-            return mpf(10) ** (-(self.digits - 10))
+        return mp.make_mpf(_power_of_ten(-(self.digits - 10), self.digits))
 
     def is_zero(self):
-        # abs must round at working precision, not mpmath's global default
-        with _MP_LOCK, mp.workdps(_workdigits(self.digits)):
-            return abs(self.value) <= mpf(10) ** (-(self.digits - 10))
-
-    def _binop_digits(self, other):
-        return min(self.digits, other.digits)
+        return mpf_le(mpf_abs(self.value._mpf_),
+                      _power_of_ten(-(self.digits - 10), self.digits))
 
     def __add__(self, other):
         if not isinstance(other, BigReal):
             return NotImplemented
-        d = self._binop_digits(other)
-        with _MP_LOCK, mp.workdps(_workdigits(d)):
-            v = self.value + other.value
-            err = self.err + other.err + abs(v) * mpf(10) ** (-_workdigits(d))
-        return BigReal(v, err, d)
+        d = min(self.digits, other.digits)
+        prec = _prec(d)
+        v = mpf_add(self.value._mpf_, other.value._mpf_, prec, round_nearest)
+        err = mpf_add(self.err._mpf_, other.err._mpf_, prec, round_nearest)
+        return BigReal._rounded(v, err, d)
 
     def __sub__(self, other):
         if not isinstance(other, BigReal):
@@ -89,22 +159,24 @@ class BigReal:
         return self + (-other)
 
     def __neg__(self):
-        with _MP_LOCK, mp.workdps(_workdigits(self.digits)):
-            v = -self.value
-        return BigReal(v, self.err, self.digits)
+        return BigReal(mp.make_mpf(mpf_neg(self.value._mpf_)), self.err, self.digits)
+
+    def __abs__(self):
+        return BigReal(mp.make_mpf(mpf_abs(self.value._mpf_)), self.err, self.digits)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, BigReal):
             return NotImplemented
-        d = self._binop_digits(other)
-        with _MP_LOCK, mp.workdps(_workdigits(d)):
-            v = self.value * other.value
-            err = (abs(self.value) * other.err + abs(other.value) * self.err
-                   + self.err * other.err
-                   + abs(v) * mpf(10) ** (-_workdigits(d)))
-        return BigReal(v, err, d)
+        d = min(self.digits, other.digits)
+        prec = _prec(d)
+        a, ea = self.value._mpf_, self.err._mpf_
+        b, eb = other.value._mpf_, other.err._mpf_
+        err = fzero
+        for x, y in ((mpf_abs(a), eb), (mpf_abs(b), ea), (ea, eb)):
+            err = mpf_add(err, mpf_mul(x, y, prec, round_nearest), prec, round_nearest)
+        return BigReal._rounded(mpf_mul(a, b, prec, round_nearest), err, d)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -113,16 +185,14 @@ class BigReal:
 
     def scaled(self, q):
         q = Fraction(q)
-        with _MP_LOCK, mp.workdps(_workdigits(self.digits)):
-            f = mpf(q.numerator) / q.denominator
-            v = self.value * f
-            err = self.err * abs(f) + abs(v) * mpf(10) ** (-_workdigits(self.digits))
-        return BigReal(v, err, self.digits)
+        prec = _prec(self.digits)
+        f = from_rational(q.numerator, q.denominator, prec, round_nearest)
+        v = mpf_mul(self.value._mpf_, f, prec, round_nearest)
+        err = mpf_mul(self.err._mpf_, mpf_abs(f), prec, round_nearest)
+        return BigReal._rounded(v, err, self.digits)
 
     def to_decimal(self, digits=None):
-        d = digits if digits is not None else self.digits
-        with _MP_LOCK, mp.workdps(_workdigits(self.digits)):
-            return mp.nstr(self.value, d)
+        return to_str(self.value._mpf_, digits if digits is not None else self.digits)
 
     def __float__(self):
         return float(self.value)
@@ -139,20 +209,35 @@ class ValueCache:
     precision, which makes them bit-identical to a fresh computation
     (fresh computations are themselves canonicalized through the same
     serialize/parse round trip).  Reads are lock-free; writes serialize.
+    Malformed lines (a torn last line after a crash, a record with a
+    missing key or an unparsable value) are skipped with one warning, so
+    their values are computed again.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._mem = {}
         self._lock = threading.Lock()
+        self._torn = False  # the file does not end with a newline
         if path is not None and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+                text = fh.read()
+            bad = 0
+            for line in text.splitlines():
+                if not line.strip():
+                    continue
+                try:
                     rec = json.loads(line)
-                    self._mem[(rec["index"], int(rec["precision"]))] = rec["value"]
+                    key = (rec["index"], int(rec["precision"]))
+                    from_str(rec["value"], 53)  # syntax check only
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    bad += 1
+                    continue
+                self._mem[key] = rec["value"]
+            self._torn = bool(text) and not text.endswith("\n")
+            if bad:
+                warnings.warn("value cache %s: skipped %d malformed line(s); their "
+                              "values will be recomputed" % (path, bad))
 
     def get(self, index_text, digits):
         return self._mem.get((index_text, digits))
@@ -166,8 +251,12 @@ class ValueCache:
             if self.path is not None:
                 rec = {"index": index_text, "precision": digits,
                        "value": value_text}
+                line = json.dumps(rec) + "\n"
+                if self._torn:
+                    line = "\n" + line
+                    self._torn = False
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec) + "\n")
+                    fh.write(line)
 
 
 _default_cache = None
@@ -207,47 +296,36 @@ def _word_exponents(word):
     return exps
 
 
-def _polylog_half(exps, nterms):
-    """Partial sum of Li_{exps}(1/2), innermost exponent first.
+def _fixed_div(x, m, a):
+    return x // m ** a
+
+
+def _polylog_half(exps, nterms, prec):
+    """Partial sum of Li_{exps}(1/2), innermost exponent first, in fixed
+    point scaled by 2^prec.
 
     Truncation error is below 2^-nterms times a small polynomial factor.
-    Must be called inside an mp.workdps context.
     """
-    level = [mpf(0)] * (nterms + 1)
-    for m in range(1, nterms + 1):
-        level[m] = mpf(m) ** (-exps[0])
-    for a in exps[1:]:
-        cum = mpf(0)
-        nxt = [mpf(0)] * (nterms + 1)
-        for m in range(1, nterms + 1):
-            nxt[m] = cum * mpf(m) ** (-a)
-            cum += level[m]
-        level = nxt
-    total = mpf(0)
-    power = mpf(1)
-    for m in range(1, nterms + 1):
-        power *= mpf("0.5")
-        total += level[m] * power
-    return total
+    ends = chain_sums(exps, range(1, nterms + 1), _fixed_div, 1 << prec)
+    return sum(s >> m for m, s in enumerate(ends, 1))
 
 
-def _integral_half(word, nterms):
+def _integral_half(word, nterms, prec):
     if not word:
-        return mpf(1)
-    return _polylog_half(_word_exponents(word), nterms)
+        return 1 << prec
+    return _polylog_half(_word_exponents(word), nterms, prec)
 
 
 def _convolution_eval(k, workdigits):
-    # must be called inside an mp.workdps(workdigits) context
+    """The convolution sum as a raw mpf rounded at the working precision."""
     eword = word_of_index(k)[::-1]
     length = len(eword)
     nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
-    total = mpf(0)
-    for j in range(length + 1):
-        left = _integral_half(eword[:j], nterms)
-        right = _integral_half(_dual_word(eword[j:]), nterms)
-        total += left * right
-    return total
+    prec = dps_to_prec(workdigits) + _GUARD_BITS
+    total = sum(_integral_half(eword[:j], nterms, prec)
+                * _integral_half(_dual_word(eword[j:]), nterms, prec)
+                for j in range(length + 1))
+    return from_man_exp(total, -2 * prec, dps_to_prec(workdigits), round_nearest)
 
 
 def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None):
@@ -260,20 +338,15 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None):
         raise ValueError("digits must be positive")
     if cache is None:
         cache = default_cache()
-    wd = _workdigits(digits)
     key = format_index(k)
-    with _MP_LOCK, mp.workdps(wd):
-        stored = cache.get(key, digits)
-        if stored is None:
-            if len(k) == 0:
-                raw = mpf(1)
-            else:
-                raw = _convolution_eval(k, wd)
-            stored = mp.nstr(raw, wd)
-            cache.put(key, digits, stored)
-        value = mpf(stored)
-        err = mpf(10) ** (-(digits + 5))
-    return BigReal(value, err, digits)
+    stored = cache.get(key, digits)
+    if stored is None:
+        wd = _workdigits(digits)
+        stored = to_str(_convolution_eval(k, wd) if k else fone, wd)
+        cache.put(key, digits, stored)
+    value = from_str(stored, _prec(digits), round_nearest)
+    return BigReal(mp.make_mpf(value), mp.make_mpf(_power_of_ten(-(digits + 5), digits)),
+                   digits)
 
 
 def eval_combo(combo, digits=DEFAULT_DIGITS, cache=None):
@@ -299,29 +372,20 @@ def _signed_range(M):
     return list(range(1, M)) + [-m for m in range(M - 1, 0, -1)]
 
 
+def _fraction_div(x, m, a):
+    return x / m ** a
+
+
 def direct_sum_F(k, M):
     """Exact partial sum over tuples with 0<|m_i|<M and 1/m_1 > ... > 1/m_n.
 
     Tuples are strict chains in the 1/m order, i.e. increasing position
-    subsequences of the signed range; one cumulative pass per index slot.
+    subsequences of the signed range.
     """
     k = check_index(k)
-    n = len(k)
-    if n == 0:
+    if not k:
         return Fraction(1)
-    values = _signed_range(M)
-    g = None  # g[pos] = sum over chains of processed slots ending at pos
-    for t, ki in enumerate(k):
-        cum = Fraction(0)
-        nxt = []
-        for pos, m in enumerate(values):
-            # exactly one empty chain precedes the first slot
-            prior = Fraction(1) if t == 0 else cum
-            nxt.append(prior * Fraction(1, m ** ki))
-            if t > 0:
-                cum += g[pos]
-        g = nxt
-    return sum(g, Fraction(0))
+    return sum(chain_sums(k, _signed_range(M), _fraction_div, Fraction(1)), Fraction(0))
 
 
 def direct_sum_natural(k, M):
@@ -329,29 +393,12 @@ def direct_sum_natural(k, M):
 
     A tuple weakly decreasing in 1/m is weighted by the product of 1/r!
     over its maximal runs of equal entries; all other tuples weigh 0.
-    Each distinct value m extends a partial chain by a run of j >= 1 equal
-    entries, consuming index slots k_{i+1}..k_{i+j}.
     """
     k = check_index(k)
-    n = len(k)
-    if n == 0:
+    if not k:
         return Fraction(1)
-    g = [Fraction(0)] * (n + 1)
-    g[0] = Fraction(1)
-    for m in _signed_range(M):
-        nxt = list(g)
-        for i in range(n):
-            base = g[i]
-            if not base:
-                continue
-            powprod = Fraction(1)
-            fact = 1
-            for j in range(1, n - i + 1):
-                powprod *= Fraction(1, m ** k[i + j - 1])
-                fact *= j
-                nxt[i + j] += base * powprod * Fraction(1, fact)
-        g = nxt
-    return g[n]
+    return sum(chain_sums(k, _signed_range(M), _fraction_div, Fraction(1), weak=True),
+               Fraction(0))
 
 
 def richardson_extrapolate(values):

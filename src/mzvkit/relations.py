@@ -27,7 +27,7 @@ from .indices import (
 )
 from .numeric import (
     DEFAULT_DIGITS,
-    _MP_LOCK,
+    BigReal,
     _workdigits,
     eval_admissible,
     eval_combo,
@@ -215,9 +215,13 @@ _PSLQ_MAXCOEFF = 10 ** 6
 _SPAN_LOCK = threading.Lock()
 _REDUCED_SPANS = {}
 
+# mpmath's pslq works at the global context precision, which is process-wide
+# state; this lock keeps concurrent searches from changing it under each other
+_PSLQ_LOCK = threading.Lock()
+
 
 def _pslq(values, digits):
-    with _MP_LOCK, mp.workdps(_workdigits(digits)):
+    with _PSLQ_LOCK, mp.workdps(_workdigits(digits)):
         tol = mpf(10) ** (-(digits - 10))
         return pslq(values, tol=tol, maxcoeff=_PSLQ_MAXCOEFF,
                     maxsteps=_PSLQ_MAXSTEPS)
@@ -251,16 +255,6 @@ def _reduce_span(span):
     return result
 
 
-def _abs_mpf(x, digits):
-    with _MP_LOCK, mp.workdps(_workdigits(digits)):
-        return abs(x)
-
-
-def _decimal(x, digits, places=20):
-    with _MP_LOCK, mp.workdps(_workdigits(digits)):
-        return mp.nstr(x, places)
-
-
 def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
                       digits=DEFAULT_DIGITS, target="", notes=()):
     """Detect lhs - rhs as a bounded-height rational combination of the
@@ -268,11 +262,11 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
     and every coefficient height stays below denom_bound."""
     notes = list(notes)
     diff = lhs - rhs
-    absdiff = _abs_mpf(diff.value, digits)
-    if absdiff < mpf(10) ** (-(digits - 10)):
+    absdiff = abs(diff).to_decimal(20)
+    if diff.is_zero():
         notes.append("difference below detection tolerance, no span needed")
         return RelationReport(target, "confirmed", digits, denom_bound,
-                              (), _decimal(absdiff, digits), tuple(notes))
+                              (), absdiff, tuple(notes))
     entries = span.entries if isinstance(span, SpanningSet) else tuple(span)
     if isinstance(span, SpanningSet):
         kept, dropped = _reduce_span(span)
@@ -283,21 +277,20 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
     if not kept:
         notes.append("empty span and nonzero difference")
         return RelationReport(target, "inconclusive", digits, denom_bound,
-                              (), _decimal(absdiff, digits), tuple(notes))
+                              (), absdiff, tuple(notes))
     rel = _pslq([diff.value] + [v.value for _, v in kept], digits)
     if rel is None or rel[0] == 0:
         notes.append("no integer relation found at this precision")
         return RelationReport(target, "inconclusive", digits, denom_bound,
-                              (), _decimal(absdiff, digits), tuple(notes))
+                              (), absdiff, tuple(notes))
     coeffs = tuple((label, Fraction(-rel[j + 1], rel[0]))
                    for j, (label, _) in enumerate(kept) if rel[j + 1] != 0)
-    with _MP_LOCK, mp.workdps(_workdigits(digits)):
-        combo = diff.value
-        for j, (_, v) in enumerate(kept):
-            q = Fraction(-rel[j + 1], rel[0])
-            combo -= mpf(q.numerator) / q.denominator * v.value
-        residual = abs(combo)
-        residual_ok = residual < mpf(10) ** (-(digits // 2))
+    combo = diff
+    for j, (_, v) in enumerate(kept):
+        combo = combo - v.scaled(Fraction(-rel[j + 1], rel[0]))
+    residual = abs(combo)
+    bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
+    residual_ok = residual.value < bound.value
     height = max([1] + [max(abs(q.numerator), q.denominator) for _, q in coeffs])
     verdict = "confirmed"
     if not residual_ok:
@@ -307,7 +300,7 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
         verdict = "inconclusive"
         notes.append("coefficient height %d exceeds bound" % height)
     return RelationReport(target, verdict, digits, denom_bound,
-                          coeffs, _decimal(residual, digits), tuple(notes))
+                          coeffs, residual.to_decimal(20), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +418,7 @@ def sharp_product_defect(k, kprime, digits=DEFAULT_DIGITS, cache=None):
     acc = MzvCombo.zero()
     for term, mult in stuffle(k, kprime).items():
         acc = acc + _sharp_const(term).scaled(mult)
-    diff = left - eval_combo(acc, digits, cache)
-    with _MP_LOCK, mp.workdps(_workdigits(digits)):
-        negative = diff.value < 0
-    return -diff if negative else diff
+    return abs(left - eval_combo(acc, digits, cache))
 
 
 def opposite_parity_indices(max_weight, max_depth):

@@ -23,12 +23,10 @@ whose coefficientwise numeric defect series_shuffle_check measures.
 
 from fractions import Fraction
 
-from mpmath import mp
-
 from .groupring import shuffle_operator
 from .indices import format_index, indices_of_weight, is_admissible, word_of_index
 from .matrices import mat_inverse_unimodular
-from .numeric import _MP_LOCK, _workdigits, BigReal, DEFAULT_DIGITS, eval_combo
+from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
 from .polynomials import MultiPoly
 from .regularization import (
     MzvCombo,
@@ -229,11 +227,6 @@ def block_product(a, b, K=None):
     return SeriesTrunc(a.n + b.n, K, out, a.mode, digits)
 
 
-def _abs_value(x, digits):
-    with _MP_LOCK, mp.workdps(_workdigits(digits)):
-        return abs(x.value)
-
-
 def series_shuffle_check(n, i, K, scheme="natural", digits=DEFAULT_DIGITS,
                          admissible_only=False, cache=None):
     """Max absolute numeric defect of the shuffle identity at weight <= K.
@@ -256,17 +249,13 @@ def series_shuffle_check(n, i, K, scheme="natural", digits=DEFAULT_DIGITS,
         acted = full.permute(sigma)
         rhs = acted if rhs is None else rhs + acted
     worst = BigReal.from_rational(0, digits)
-    worst_mag = _abs_value(worst, digits)
     for k in sorted(set(lhs.coefficients) | set(rhs.coefficients)):
         diff = lhs.coefficient(k) - rhs.coefficient(k)
         if diff.is_zero():
             continue
-        val = eval_combo(diff, digits, cache)
-        mag = _abs_value(val, digits)
-        if mag > worst_mag:
-            worst, worst_mag = val, mag
-    if worst.value < 0:
-        worst = -worst
+        mag = abs(eval_combo(diff, digits, cache))
+        if mag.value > worst.value:
+            worst = mag
     return worst
 
 

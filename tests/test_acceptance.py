@@ -227,9 +227,13 @@ def test_criterion_10_regularized_product_rule():
             assert float(defect) < 1e-40, (k, kp)
 
 
-def test_criterion_11_main_congruence_sweep_with_archive():
+def _without_residual(entry):
+    return {key: value for key, value in entry.items() if key != "residual"}
+
+
+def test_criterion_11_main_congruence_sweep_with_archive(tmp_path):
     with criterion(11, "congruence confirmed for all 21 opposite-parity "
-                       "indices, coefficients archived"):
+                       "indices, coefficients match the archive"):
         archive = {}
         for k in opposite_parity_indices(6, 3):
             report = check_main_congruence(k, digits=60)
@@ -238,9 +242,12 @@ def test_criterion_11_main_congruence_sweep_with_archive():
             assert float(report.residual) < 1e-30, (k, report.residual)
             archive[",".join(map(str, k))] = report.to_json()
         assert len(archive) == 21
-        out = Path(__file__).resolve().parent.parent / "results"
-        out.mkdir(exist_ok=True)
-        path = out / "congruence_coefficients.json"
+        path = tmp_path / "congruence_coefficients.json"
         path.write_text(json.dumps(archive, indent=2, sort_keys=True) + "\n")
         reread = json.loads(path.read_text())
-        assert all(entry["verdict"] == "confirmed" for entry in reread.values())
+        # the residual is rounding noise; every other field is the result
+        committed = json.loads((Path(__file__).resolve().parent.parent / "results"
+                                / "congruence_coefficients.json").read_text())
+        assert sorted(reread) == sorted(committed)
+        for key, entry in reread.items():
+            assert _without_residual(entry) == _without_residual(committed[key]), key

@@ -8,13 +8,14 @@ the signed direct sums at tiny cutoffs.
 
 import itertools
 import json
-import threading
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from mzvkit import relations
 from mzvkit.indices import admissible_indices, cone_weight, enumerate_surjections, \
     push_index, stabilizer_order
 from mzvkit.numeric import (
@@ -28,6 +29,7 @@ from mzvkit.numeric import (
     richardson_extrapolate,
 )
 from mzvkit.regularization import MzvCombo, shuffle_regularize, stuffle_regularize
+from mzvkit.relations import check_main_congruence
 
 
 def _close(x, y, digits):
@@ -235,6 +237,26 @@ def test_default_cache_env_pickup(tmp_path, monkeypatch):
     monkeypatch.setattr(numeric, "_default_cache", None)
 
 
+def test_cache_skips_malformed_lines(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    eval_admissible((2, 3), 60, cache=ValueCache(path))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"index": "(4)", "precision": 60, "value": "garbage"}) + "\n")
+        fh.write('{"index": "(3)", "preci')  # torn by a crash mid-write
+    with pytest.warns(UserWarning, match="skipped 2 malformed"):
+        cache = ValueCache(path)
+    assert cache.get("(2,3)", 60) is not None
+    assert cache.get("(3)", 60) is None and cache.get("(4)", 60) is None
+    for k in [(2, 3), (3,), (4,)]:
+        fresh = eval_admissible(k, 60, cache=ValueCache(None))
+        assert eval_admissible(k, 60, cache=cache).to_decimal(70) == fresh.to_decimal(70)
+    # the recomputed records went on lines of their own after the torn one
+    with pytest.warns(UserWarning, match="skipped 2 malformed"):
+        reread = ValueCache(path)
+    for text in ["(2,3)", "(3)", "(4)"]:
+        assert reread.get(text, 60) == cache.get(text, 60) is not None
+
+
 def test_thread_safety_same_bits():
     cache = ValueCache(None)
     serial = {k: eval_admissible(k, 60, cache=ValueCache(None)).to_decimal(70)
@@ -247,6 +269,30 @@ def test_thread_safety_same_bits():
             results.append(f.result())
     for k, v in zip([(1, 3), (2, 2)] * 3, results):
         assert v.to_decimal(70) == serial[k]
+
+    # congruence checks: BigReal arithmetic and the PSLQ lock under threads
+    targets = [(1, 4), (2, 3), (1, 1, 4), (2, 2, 2), (1, 3, 2)]
+    relations._REDUCED_SPANS.clear()
+    serial = [check_main_congruence(k, 60, cache=ValueCache(None)).to_json()
+              for k in targets]
+    relations._REDUCED_SPANS.clear()
+    shared = ValueCache(None)
+
+    def run_all(shift):
+        order = targets[shift:] + targets[:shift]
+        reports = {k: check_main_congruence(k, 60, cache=shared).to_json()
+                   for k in order}
+        return [reports[k] for k in targets]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_all, shift) for shift in range(4)]
+            for f in futures:
+                assert f.result(timeout=300) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
