@@ -3,9 +3,10 @@ Linearized double shuffle spaces, exactly
 =========================================
 
 D_{n,d} collects the degree-d polynomials in n variables killed by every
-block-shuffle operator in both group actions.  All elimination is over
-Fractions: dimensions are exact, and running two pivot orders guards
-against bookkeeping slips.
+block-shuffle operator in both group actions.  All elimination is exact
+(fraction-free over the integers): dimension_table builds each condition
+matrix once and eliminates it under both pivot orders, which must give the
+same kernel, a guard against bookkeeping slips.
 """
 
 from mzvkit.dsh import (

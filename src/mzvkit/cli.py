@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 
-from .dsh import cyclic_invariance_kernel, dimension_table, dsh_dimension
+from .dsh import cyclic_invariance_kernel, dimension_table
 from .finite import (
     primes_in_range,
     zeta_A_component,
@@ -23,7 +23,9 @@ from .finite import (
 from .groupring import groupring_identity_check
 from . import indices
 from .indices import format_index
+from .linalg import PIVOT_ORDERS, span_equal
 from .numeric import DEFAULT_DIGITS, configure_cache, eval_admissible, eval_combo
+from .polynomials import monomial_exponents
 from .regularization import (
     natural_regularize,
     shuffle_regularize,
@@ -159,13 +161,15 @@ def cmd_dsh_dim(args):
 
 
 def cmd_dsh_prop66(args):
-    basis_left = cyclic_invariance_kernel(args.n, args.d, pivot_order="left")
-    basis_right = cyclic_invariance_kernel(args.n, args.d, pivot_order="right")
-    agree = len(basis_left) == len(basis_right)
-    row = {"n": args.n, "d": args.d, "kernel_dim": len(basis_left),
+    bases = [cyclic_invariance_kernel(args.n, args.d, pivot_order=order)
+             for order in PIVOT_ORDERS]
+    monos = monomial_exponents(args.n, args.d)
+    vectors = [[tuple(f.coefficient(e) for e in monos) for f in basis] for basis in bases]
+    agree = span_equal(*vectors, len(monos))
+    row = {"n": args.n, "d": args.d, "kernel_dim": len(bases[0]),
            "pivot_orders_agree": agree}
     payload = dict(row)
-    payload["basis"] = [str(f) for f in basis_left]
+    payload["basis"] = [str(f) for f in bases[0]]
     return payload, [row], agree
 
 

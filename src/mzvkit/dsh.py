@@ -7,10 +7,12 @@ composed with the inverse all-ones triangular substitution:
 
     f|_{sh_{n,i}} = 0   and   (f|_{P^{-1}})|_{sh_{n,i}} = 0,   1 <= i <= n-1.
 
-All conditions are exact linear constraints on the monomial coefficients;
-bases come from the fraction-free nullspace in linalg, and every public
-routine accepts a pivot_order so independent elimination paths can be
-compared.
+All conditions are exact linear constraints on the coefficients over a
+basis.  Every solver runs one pipeline: basis, images, condition rows, the
+fraction-free nullspace of linalg, polynomials.  The solvers take a
+pivot_order; dsh_dimension builds its condition matrix once, eliminates it
+under both PIVOT_ORDERS and raises ArithmeticError unless the two kernels
+span the same space.
 
 The cyclic-invariance kernel adds one more constraint family: form
 
@@ -24,8 +26,8 @@ space to zero; degree 0 keeps the constants.
 from fractions import Fraction
 
 from .groupring import GroupRingElem, cycle_perm, shuffle_operator
-from .linalg import PIVOT_ORDERS, nullspace
-from .matrices import act_matrix, mat_inverse_unimodular, upper_ones
+from .linalg import PIVOT_ORDERS, nullspace, span_equal
+from .matrices import mat_inverse_unimodular, substitution_forms, upper_ones
 from .polynomials import MultiPoly, diagonal_translation_invariant, monomial_exponents
 
 __all__ = [
@@ -60,60 +62,61 @@ def vector_space_dimension(n, d):
     return len(monomial_exponents(n, d))
 
 
-def _rows_from_images(images, basis_size):
+def _rows_from_images(images):
     """Linear conditions 'image == 0': one row per target monomial.
 
-    images[j] is the image polynomial of the j-th basis monomial; the
+    images[j] is the image polynomial of the j-th basis element; the
     condition matrix columns follow the basis ordering.
     """
     targets = sorted({e for img in images for e in img.terms})
-    rows = []
-    for e in targets:
-        rows.append([images[j].terms.get(e, Fraction(0)) for j in range(basis_size)])
-    return rows
+    return [[img.terms.get(e, 0) for img in images] for e in targets]
+
+
+def _kernel(basis, rows, pivot_order):
+    """The combinations of basis killed by the condition rows, one per
+    primitive integer nullspace vector."""
+    return [sum((b.scaled(c) for c, b in zip(vec, basis) if c), MultiPoly.zero(basis[0].nvars))
+            for vec in nullspace(rows, len(basis), pivot_order=pivot_order)]
 
 
 def _dsh_condition_rows(n, d):
-    monos = monomial_exponents(n, d)
-    basis = [MultiPoly.monomial(e) for e in monos]
-    p_inv = mat_inverse_unimodular(upper_ones(n))
-    twisted = [act_matrix(f, p_inv) for f in basis]
+    """The degree-d monomial basis in n variables and the double shuffle
+    conditions on it."""
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    basis = [MultiPoly.monomial(e) for e in monomial_exponents(n, d)]
+    # f|_{P^{-1}} substitutes x P, the same forms for every monomial
+    forms = substitution_forms(mat_inverse_unimodular(upper_ones(n)))
+    twisted = [f.substitute(forms) for f in basis]
     rows = []
     for i in range(1, n):
         sh = shuffle_operator(n, i)
-        rows.extend(_rows_from_images([act_groupring(f, sh) for f in basis], len(basis)))
-        rows.extend(_rows_from_images([act_groupring(f, sh) for f in twisted], len(basis)))
-    return monos, rows
-
-
-def _polys_from_nullspace(monos, vectors, n):
-    out = []
-    for vec in vectors:
-        out.append(MultiPoly(n, {e: c for e, c in zip(monos, vec) if c}))
-    return out
+        rows += _rows_from_images([act_groupring(f, sh) for f in basis])
+        rows += _rows_from_images([act_groupring(f, sh) for f in twisted])
+    return basis, rows
 
 
 def double_shuffle_space(n, d, pivot_order="left"):
     """Basis of the double shuffle space in n variables, degree d."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    monos, rows = _dsh_condition_rows(n, d)
-    vectors = nullspace(rows, len(monos), pivot_order=pivot_order)
-    return _polys_from_nullspace(monos, vectors, n)
+    return _kernel(*_dsh_condition_rows(n, d), pivot_order)
 
 
-def dsh_dimension(n, d, cross_check=True):
-    """dim of the double shuffle space; optionally verified by both pivot orders."""
-    dims = []
-    for order in PIVOT_ORDERS if cross_check else PIVOT_ORDERS[:1]:
-        dims.append(len(double_shuffle_space(n, d, pivot_order=order)))
-    if len(set(dims)) != 1:
-        raise ArithmeticError("elimination paths disagree for n=%d d=%d: %r" % (n, d, dims))
-    return dims[0]
+def dsh_dimension(n, d):
+    """dim of the double shuffle space, checked by every pivot order.
+
+    The condition matrix is built once and eliminated under each of
+    PIVOT_ORDERS; ArithmeticError if the kernels differ.
+    """
+    basis, rows = _dsh_condition_rows(n, d)
+    kernels = [nullspace(rows, len(basis), pivot_order=order) for order in PIVOT_ORDERS]
+    if not span_equal(*kernels, len(basis)):
+        raise ArithmeticError("elimination paths disagree for n=%d d=%d: dims %r"
+                              % (n, d, [len(k) for k in kernels]))
+    return len(kernels[0])
 
 
-def dimension_table(n, degrees, cross_check=True):
-    return {d: dsh_dimension(n, d, cross_check=cross_check) for d in degrees}
+def dimension_table(n, degrees):
+    return {d: dsh_dimension(n, d) for d in degrees}
 
 
 def _shift_vars(n):
@@ -148,18 +151,10 @@ def cyclic_invariance_kernel(n, d, pivot_order="left"):
     """
     if d % 2 != 0:
         raise ValueError("degree must be even, got %d" % d)
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    monos, rows = _dsh_condition_rows(n, d)
-    basis = [MultiPoly.monomial(e) for e in monos]
+    basis, rows = _dsh_condition_rows(n, d)
     cyc = cycle_perm(n + 1)
-    defects = []
-    for f in basis:
-        g = divided_difference(f)
-        defects.append(g - g.permute_variables(cyc))
-    rows = rows + _rows_from_images(defects, len(basis))
-    vectors = nullspace(rows, len(monos), pivot_order=pivot_order)
-    return _polys_from_nullspace(monos, vectors, n)
+    defects = [g - g.permute_variables(cyc) for g in map(divided_difference, basis)]
+    return _kernel(basis, rows + _rows_from_images(defects), pivot_order)
 
 
 def symmetric_slice_basis(n, d):
@@ -181,22 +176,8 @@ def symmetric_dti_solutions(n, d, pivot_order="left"):
     """
     basis = symmetric_slice_basis(n, d)
     x1 = MultiPoly.variable(1, n)
-    images = []
-    for f in basis:
-        h = (x1 * f).partial(1)
-        acc = MultiPoly.zero(n)
-        for i in range(1, n + 1):
-            acc = acc + h.partial(i)
-        images.append(acc)
-    rows = _rows_from_images(images, len(basis))
-    vectors = nullspace(rows, len(basis), pivot_order=pivot_order)
-    out = []
-    for vec in vectors:
-        f = MultiPoly.zero(n)
-        for c, b in zip(vec, basis):
-            f = f + b.scaled(c)
-        out.append(f)
-    return out
+    images = [(x1 * f).partial(1).diagonal_derivative() for f in basis]
+    return _kernel(basis, _rows_from_images(images), pivot_order)
 
 
 def functional_equation_space(n, d, pivot_order="left"):
@@ -207,8 +188,7 @@ def functional_equation_space(n, d, pivot_order="left"):
       x_{n+1} (f(x_2-x_1,..,x_{n+1}-x_1) - f(x_2,..,x_{n+1}))
         = x_1 (f(x_2-x_1,..,x_{n+1}-x_1) - f(x_1,..,x_n)).
     """
-    monos = monomial_exponents(n, d)
-    basis = [MultiPoly.monomial(e) for e in monos]
+    basis = [MultiPoly.monomial(e) for e in monomial_exponents(n, d)]
     shifted, dropped_first, leading = _shift_vars(n)
     m = n + 1
     x1 = MultiPoly.variable(1, m)
@@ -217,9 +197,7 @@ def functional_equation_space(n, d, pivot_order="left"):
     for f in basis:
         a = f.substitute(shifted)
         images.append(xm * (a - f.substitute(dropped_first)) - x1 * (a - f.substitute(leading)))
-    rows = _rows_from_images(images, len(basis))
-    vectors = nullspace(rows, len(monos), pivot_order=pivot_order)
-    return _polys_from_nullspace(monos, vectors, n)
+    return _kernel(basis, _rows_from_images(images), pivot_order)
 
 
 def second_order_divergence(f):
@@ -228,8 +206,4 @@ def second_order_divergence(f):
     if not isinstance(f, MultiPoly):
         raise TypeError("expected MultiPoly")
     n = f.nvars
-    inner = (MultiPoly.variable(n, n) * f).partial(n)
-    acc = MultiPoly.zero(n)
-    for i in range(1, n + 1):
-        acc = acc + inner.partial(i)
-    return acc
+    return (MultiPoly.variable(n, n) * f).partial(n).diagonal_derivative()

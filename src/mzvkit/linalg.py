@@ -23,42 +23,30 @@ __all__ = [
 PIVOT_ORDERS = ("left", "right")
 
 
+def _primitive(vec):
+    """Clear denominators, divide by content, make the leading entry positive."""
+    mult = lcm(*(x.denominator for x in vec))
+    ints = [int(x * mult) for x in vec]
+    g = gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
 def _integer_rows(rows, ncols):
-    """Scale each row to integers, drop zero rows."""
+    """Each nonzero row as a primitive integer row; zero rows are dropped."""
     out = []
     for row in rows:
-        row = list(row)
+        row = [Fraction(x) for x in row]
         if len(row) != ncols:
             raise ValueError("row length %d != %d" % (len(row), ncols))
-        fr = [Fraction(x) for x in row]
-        if all(x == 0 for x in fr):
-            continue
-        mult = lcm(*(x.denominator for x in fr)) if fr else 1
-        ints = [int(x * mult) for x in fr]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        out.append([x // g for x in ints])
+        if any(row):
+            out.append(list(_primitive(row)))
     return out
 
 
 def matvec(rows, vec):
     return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, vec)) for row in rows]
-
-
-def _primitive(vec):
-    """Clear denominators, divide by content, make the leading entry positive."""
-    mult = lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
 
 
 def nullspace(rows, ncols, pivot_order="left"):

@@ -23,6 +23,7 @@ matrix of sigma has columns vec(sigma(j)) - vec(sigma(n+1)).
 from fractions import Fraction
 from itertools import permutations
 
+from .groupring import _check_perm
 from .polynomials import MultiPoly
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "cyclic_action_matrix",
     "iota_matrix",
     "build_iota",
+    "substitution_forms",
     "act_matrix",
 ]
 
@@ -66,27 +68,34 @@ def mat_mul(a, b):
                  for i in range(n))
 
 
-def mat_det(m):
-    """Exact determinant via fraction-free row reduction."""
+def _gauss_jordan(m):
+    """(det m, m^-1 as Fraction rows or None) from one Gauss-Jordan pass on [m | I]."""
     n = _check_matrix(m)
-    rows = [list(map(Fraction, row)) for row in m]
+    aug = [list(map(Fraction, m[i])) + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
     det = Fraction(1)
     for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            return 0
+            return 0, None
         if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+            aug[col], aug[piv] = aug[piv], aug[col]
             det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
+        pivot = aug[col][col]
+        det *= pivot
+        aug[col] = [x / pivot for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    # integer entries make the determinant an integer
     assert det.denominator == 1
-    return det.numerator
+    return det.numerator, [row[n:] for row in aug]
+
+
+def mat_det(m):
+    """Exact determinant of an integer matrix."""
+    return _gauss_jordan(m)[0]
 
 
 def mat_inverse_unimodular(m):
@@ -95,37 +104,12 @@ def mat_inverse_unimodular(m):
     Raises ValueError for any other determinant: those matrices do not act
     on polynomial rings with integer substitutions.
     """
-    n = _check_matrix(m)
-    det = mat_det(m)
+    det, inv = _gauss_jordan(m)
     if det not in (1, -1):
         raise ValueError("matrix is not invertible over the integers (det=%d)" % det)
-    # Gauss-Jordan on [m | I] over Fraction; entries of the result are
-    # integers because the determinant is a unit.
-    aug = [list(map(Fraction, m[i])) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = 1 / aug[col][col]
-        aug[col] = [x * scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            assert aug[i][n + j].denominator == 1
-    return inv
-
-
-def _check_perm(sigma, n=None):
-    sigma = tuple(sigma)
-    if n is None:
-        n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError("not a permutation of 1..%d: %r" % (n, sigma))
-    return sigma
+    # the entries are integers because the determinant is a unit
+    assert all(x.denominator == 1 for row in inv for x in row)
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def perm_matrix(sigma):
@@ -184,27 +168,27 @@ def build_iota(n):
             for sigma in permutations(range(1, n + 2))}
 
 
-def act_matrix(f, gamma):
-    """Row-vector substitution action (f|_gamma)(x) = f(x gamma^{-1}).
+def substitution_forms(gamma):
+    """The linear forms of x gamma^{-1}: entry j replaces x_j in f|_gamma.
 
-    Accepts a MultiPoly (exact) or a weight-truncated coefficient series;
-    the latter dispatches to its own implementation.  Contravariant:
-    acting by a product equals acting by the factors left to right.
+    Form j is sum_i delta[i][j] x_i with delta = gamma^{-1}, so one inversion
+    serves every polynomial or monomial acted on.
     """
-    if hasattr(f, "act_matrix") and not isinstance(f, MultiPoly):
-        return f.act_matrix(gamma)
+    delta = mat_inverse_unimodular(gamma)
+    n = len(delta)
+    return [MultiPoly(n, {tuple(int(r == i) for r in range(n)): delta[i][j] for i in range(n)})
+            for j in range(n)]
+
+
+def act_matrix(f, gamma):
+    """Row-vector substitution action (f|_gamma)(x) = f(x gamma^{-1}) on a MultiPoly.
+
+    Contravariant: acting by a product equals acting by the factors left
+    to right.
+    """
     if not isinstance(f, MultiPoly):
-        raise TypeError("expected MultiPoly or SeriesTrunc")
+        raise TypeError("expected MultiPoly")
     n = _check_matrix(gamma)
     if f.nvars != n:
         raise ValueError("matrix size %d does not match variable count %d" % (n, f.nvars))
-    delta = mat_inverse_unimodular(gamma)
-    # y_j = sum_i x_i * delta[i][j]: variable j is replaced by column j of delta
-    replacements = []
-    for j in range(n):
-        lin = MultiPoly.zero(n)
-        for i in range(n):
-            if delta[i][j]:
-                lin = lin + MultiPoly.variable(i + 1, n).scaled(delta[i][j])
-        replacements.append(lin)
-    return f.substitute(replacements)
+    return f.substitute(substitution_forms(gamma))

@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import os
+import tempfile
 import threading
 import warnings
 from fractions import Fraction
@@ -202,6 +203,11 @@ class BigReal:
                                            self.digits)
 
 
+def _record(index_text, digits, value_text):
+    """One JSON line of the value cache file."""
+    return json.dumps({"index": index_text, "precision": digits, "value": value_text}) + "\n"
+
+
 class ValueCache:
     """Persistent (index, precision) -> decimal string store.
 
@@ -211,7 +217,10 @@ class ValueCache:
     serialize/parse round trip).  Reads are lock-free; writes serialize.
     Malformed lines (a torn last line after a crash, a record with a
     missing key or an unparsable value) are skipped with one warning, so
-    their values are computed again.
+    their values are computed again, and the file is then rewritten once
+    with the good records only; a load that skips nothing writes nothing.
+    Records another process appends between that load and the rewrite are
+    lost, and computed again when next needed.
     """
 
     def __init__(self, path=None):
@@ -238,6 +247,31 @@ class ValueCache:
             if bad:
                 warnings.warn("value cache %s: skipped %d malformed line(s); their "
                               "values will be recomputed" % (path, bad))
+                try:
+                    self._rewrite()
+                except OSError:
+                    pass  # an unwritable file keeps its bad lines; the next load warns again
+
+    def _rewrite(self):
+        """Replace the file by the good records only.
+
+        The records go to a temporary file in the same directory, which is
+        fsynced and then renamed over the file, so a crash leaves either the
+        old file or the new one.
+        """
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)))
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(_record(index_text, digits, value_text)
+                              for (index_text, digits), value_text in self._mem.items())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.chmod(tmp, os.stat(self.path).st_mode & 0o777)
+            os.replace(tmp, self.path)
+        except OSError:
+            os.unlink(tmp)
+            raise
+        self._torn = False
 
     def get(self, index_text, digits):
         return self._mem.get((index_text, digits))
@@ -249,9 +283,7 @@ class ValueCache:
                 return
             self._mem[key] = value_text
             if self.path is not None:
-                rec = {"index": index_text, "precision": digits,
-                       "value": value_text}
-                line = json.dumps(rec) + "\n"
+                line = _record(index_text, digits, value_text)
                 if self._torn:
                     line = "\n" + line
                     self._torn = False

@@ -191,6 +191,11 @@ class MultiPoly:
             out[tuple(nxt)] = out.get(tuple(nxt), Fraction(0)) + coeff * expo[j]
         return MultiPoly(self.nvars, out)
 
+    def diagonal_derivative(self):
+        """sum_i df/dx_i: the derivative along the diagonal direction (1, ..., 1)."""
+        return sum((self.partial(i) for i in range(1, self.nvars + 1)),
+                   MultiPoly.zero(self.nvars))
+
     def substitute(self, replacements):
         """Compose: replace x_i by replacements[i-1] (all in a common ring).
 
@@ -304,7 +309,4 @@ def diagonal_translation_invariant(f):
     """
     if not isinstance(f, MultiPoly):
         raise TypeError("expected MultiPoly")
-    acc = MultiPoly.zero(f.nvars)
-    for i in range(1, f.nvars + 1):
-        acc = acc + f.partial(i)
-    return acc.is_zero()
+    return f.diagonal_derivative().is_zero()

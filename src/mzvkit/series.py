@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .groupring import shuffle_operator
 from .indices import format_index, indices_of_weight, is_admissible, word_of_index
-from .matrices import mat_inverse_unimodular
+from .matrices import substitution_forms
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
 from .polynomials import MultiPoly
 from .regularization import (
@@ -117,28 +117,17 @@ class SeriesTrunc:
     def act_matrix(self, gamma):
         """(f|_gamma)(x) = f(x gamma^{-1}), coefficient by coefficient.
 
-        Each source monomial expands through an exact MultiPoly product of
-        linear forms; total degree is preserved, so no mass leaves the
-        truncation.
+        Each source monomial x^(k-1) expands exactly through the linear
+        forms of matrices.substitution_forms; total degree is preserved, so
+        no mass leaves the truncation.
         """
         n = self.n
         if len(gamma) != n:
             raise ValueError("matrix size %d does not match depth %d" % (len(gamma), n))
-        delta = mat_inverse_unimodular(gamma)
-        lin = []
-        for j in range(n):
-            form = MultiPoly.zero(n)
-            for i in range(n):
-                if delta[i][j]:
-                    form = form + MultiPoly.variable(i + 1, n).scaled(delta[i][j])
-            lin.append(form)
+        forms = substitution_forms(gamma)
         out = {}
         for k, v in self.coefficients.items():
-            expansion = MultiPoly.one(n)
-            for j, e in enumerate(k):
-                # the monomial exponent of variable j is e - 1
-                if e > 1:
-                    expansion = expansion * lin[j] ** (e - 1)
+            expansion = MultiPoly.monomial(tuple(e - 1 for e in k)).substitute(forms)
             for expo, q in expansion.terms.items():
                 target = tuple(x + 1 for x in expo)
                 term = v.scaled(q)

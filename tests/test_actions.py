@@ -66,6 +66,7 @@ class TestMatrices:
 
     def test_det(self):
         assert mat_det(((1, 2), (3, 4))) == -2
+        assert mat_det(((1, 2), (2, 4))) == 0
         assert mat_det(upper_ones(5)) == 1
         assert mat_det(antidiagonal(4)) == 1
         assert mat_det(antidiagonal(3)) == -1

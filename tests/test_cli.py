@@ -119,6 +119,13 @@ class TestDsh:
         assert payload["kernel_dim"] == 0
         assert payload["pivot_orders_agree"] is True
 
+    def test_prop66_constants_survive_degree_zero(self):
+        rc, payload = run_json(["dsh", "prop66", "--n", "1", "--d", "0"])
+        assert rc == 0
+        assert payload["kernel_dim"] == 1
+        assert payload["pivot_orders_agree"] is True
+        assert payload["basis"] == ["MultiPoly(1, 1)"]
+
     def test_groupring(self):
         rc, payload = run_json(["dsh", "groupring", "--n", "3"])
         assert rc == 0

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzvkit import dsh
 from mzvkit.dsh import (
     act_groupring,
     double_shuffle_space,
@@ -94,9 +95,14 @@ class TestDoubleShuffleSpace:
                 vecs[order] = [tuple(f.coefficient(e) for e in monos) for f in basis]
             assert span_equal(vecs["left"], vecs["right"], len(monos))
 
-    def test_cross_check_wrapper(self):
+    def test_cross_check_wrapper(self, monkeypatch):
         assert dsh_dimension(2, 10) == 1
-        assert dsh_dimension(2, 10, cross_check=False) == 1
+        # a right pivot order that loses the kernel must be caught
+        exact = dsh.nullspace
+        monkeypatch.setattr(dsh, "nullspace", lambda rows, ncols, pivot_order: (
+            exact(rows, ncols, pivot_order=pivot_order) if pivot_order == "left" else []))
+        with pytest.raises(ArithmeticError):
+            dsh_dimension(2, 10)
 
     def test_cyclic_action_sign(self):
         # every basis member is an eigenvector of the cyclic matrix with

@@ -8,7 +8,9 @@ the signed direct sums at tiny cutoffs.
 
 import itertools
 import json
+import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -250,11 +252,40 @@ def test_cache_skips_malformed_lines(tmp_path):
     for k in [(2, 3), (3,), (4,)]:
         fresh = eval_admissible(k, 60, cache=ValueCache(None))
         assert eval_admissible(k, 60, cache=cache).to_decimal(70) == fresh.to_decimal(70)
-    # the recomputed records went on lines of their own after the torn one
-    with pytest.warns(UserWarning, match="skipped 2 malformed"):
+    # the first load rewrote the file without the bad lines, so a second
+    # load warns no more and serves every good value
+    before = os.stat(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         reread = ValueCache(path)
+    after = os.stat(path)  # a clean load writes nothing
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     for text in ["(2,3)", "(3)", "(4)"]:
         assert reread.get(text, 60) == cache.get(text, 60) is not None
+    with open(path, encoding="utf-8") as fh:
+        assert [json.loads(line)["index"] for line in fh] == ["(2,3)", "(3)", "(4)"]
+
+
+def test_cache_rewrite_failure_keeps_the_file(tmp_path, monkeypatch):
+    # a file that cannot be replaced keeps its bad line, leaves no
+    # temporary file behind, and still serves the good records
+    path = str(tmp_path / "cache.jsonl")
+    eval_admissible((2, 3), 60, cache=ValueCache(path))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"index": "(3)", "preci')
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+
+    def refuse(src, dst):
+        raise PermissionError(dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.warns(UserWarning, match="skipped 1 malformed"):
+        cache = ValueCache(path)
+    assert cache.get("(2,3)", 60) is not None
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == text
 
 
 def test_thread_safety_same_bits():
