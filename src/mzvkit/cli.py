@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 
-from .dsh import cyclic_invariance_kernel, dimension_table
+from .dsh import cyclic_invariance_kernels, dimension_table
 from .finite import (
     primes_in_range,
     zeta_A_component,
@@ -23,7 +23,7 @@ from .finite import (
 from .groupring import groupring_identity_check
 from . import indices
 from .indices import format_index
-from .linalg import PIVOT_ORDERS, span_equal
+from .linalg import span_equal
 from .numeric import DEFAULT_DIGITS, configure_cache, eval_admissible, eval_combo
 from .polynomials import monomial_exponents
 from .regularization import (
@@ -161,8 +161,7 @@ def cmd_dsh_dim(args):
 
 
 def cmd_dsh_prop66(args):
-    bases = [cyclic_invariance_kernel(args.n, args.d, pivot_order=order)
-             for order in PIVOT_ORDERS]
+    bases = cyclic_invariance_kernels(args.n, args.d)
     monos = monomial_exponents(args.n, args.d)
     vectors = [[tuple(f.coefficient(e) for e in monos) for f in basis] for basis in bases]
     agree = span_equal(*vectors, len(monos))

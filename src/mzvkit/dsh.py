@@ -9,10 +9,16 @@ composed with the inverse all-ones triangular substitution:
 
 All conditions are exact linear constraints on the coefficients over a
 basis.  Every solver runs one pipeline: basis, images, condition rows, the
-fraction-free nullspace of linalg, polynomials.  The solvers take a
-pivot_order; dsh_dimension builds its condition matrix once, eliminates it
-under both PIVOT_ORDERS and raises ArithmeticError unless the two kernels
-span the same space.
+fraction-free nullspace of linalg, polynomials.  A permutation sends a
+monomial to a monomial, so the double shuffle images are built over
+exponent tuples with integer coefficients; only the P^{-1} twist
+substitutes polynomials, once per basis monomial.  A condition row that
+repeats an earlier one is dropped: it does not change the row space, and
+about half the double shuffle rows are such repeats.  The solvers take a
+pivot_order; dsh_dimension and cyclic_invariance_kernels build their
+condition matrix once, eliminate it under both PIVOT_ORDERS, and
+dsh_dimension raises ArithmeticError unless the two kernels span the same
+space.
 
 The cyclic-invariance kernel adds one more constraint family: form
 
@@ -38,6 +44,7 @@ __all__ = [
     "dimension_table",
     "divided_difference",
     "cyclic_invariance_kernel",
+    "cyclic_invariance_kernels",
     "symmetric_slice_basis",
     "symmetric_dti_solutions",
     "functional_equation_space",
@@ -62,14 +69,35 @@ def vector_space_dimension(n, d):
     return len(monomial_exponents(n, d))
 
 
-def _rows_from_images(images):
-    """Linear conditions 'image == 0': one row per target monomial.
+def _rows_from_images(*families):
+    """Linear conditions 'image == 0', each distinct row once.
 
-    images[j] is the image polynomial of the j-th basis element; the
-    condition matrix columns follow the basis ordering.
+    A family lists, for one linear map, the term dict (exponent ->
+    coefficient) of the image of each basis element; each target monomial
+    of a family gives one row, whose columns follow the basis ordering.  A
+    repeated row adds nothing to the row space, so only its first
+    occurrence is kept.
     """
-    targets = sorted({e for img in images for e in img.terms})
-    return [[img.terms.get(e, 0) for img in images] for e in targets]
+    rows = {}
+    for images in families:
+        targets = sorted({e for img in images for e in img})
+        rows.update(dict.fromkeys(tuple(img.get(e, 0) for img in images) for e in targets))
+    return list(rows)
+
+
+def _permuted_image(terms, elem):
+    """The term dict of f|_elem for f given by its term dict.
+
+    A permutation sends a monomial to a monomial, so the image is built
+    over plain exponent tuples, with the same convention as
+    MultiPoly.permute_variables.
+    """
+    out = {}
+    for sigma, c in elem.coeffs.items():
+        for expo, coeff in terms.items():
+            key = tuple(expo[s - 1] for s in sigma)
+            out[key] = out.get(key, 0) + c * coeff
+    return {e: c for e, c in out.items() if c}
 
 
 def _kernel(basis, rows, pivot_order):
@@ -84,16 +112,19 @@ def _dsh_condition_rows(n, d):
     conditions on it."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    basis = [MultiPoly.monomial(e) for e in monomial_exponents(n, d)]
-    # f|_{P^{-1}} substitutes x P, the same forms for every monomial
+    exponents = monomial_exponents(n, d)
+    basis = [MultiPoly.monomial(e) for e in exponents]
+    # f|_{P^{-1}} substitutes x P, the same forms for every monomial; the
+    # forms have integer coefficients, so the twisted monomials do too
     forms = substitution_forms(mat_inverse_unimodular(upper_ones(n)))
-    twisted = [f.substitute(forms) for f in basis]
-    rows = []
+    plain = [{e: 1} for e in exponents]
+    twisted = [{e: c.numerator for e, c in f.substitute(forms).terms.items()} for f in basis]
+    families = []
     for i in range(1, n):
         sh = shuffle_operator(n, i)
-        rows += _rows_from_images([act_groupring(f, sh) for f in basis])
-        rows += _rows_from_images([act_groupring(f, sh) for f in twisted])
-    return basis, rows
+        families.append([_permuted_image(t, sh) for t in plain])
+        families.append([_permuted_image(t, sh) for t in twisted])
+    return basis, _rows_from_images(*families)
 
 
 def double_shuffle_space(n, d, pivot_order="left"):
@@ -143,18 +174,31 @@ def divided_difference(f):
     return num.divide_by_variable(1)
 
 
+def _cyclic_condition_rows(n, d):
+    """The double shuffle basis and conditions, plus cyclic invariance of
+    the divided difference."""
+    if d % 2 != 0:
+        raise ValueError("degree must be even, got %d" % d)
+    basis, rows = _dsh_condition_rows(n, d)
+    cyc = cycle_perm(n + 1)
+    defects = [g - g.permute_variables(cyc) for g in map(divided_difference, basis)]
+    return basis, rows + _rows_from_images([g.terms for g in defects])
+
+
 def cyclic_invariance_kernel(n, d, pivot_order="left"):
     """Members of the double shuffle space whose divided difference is cyclic.
 
     Requires even d (the odd case is outside the statement being checked).
     Expected: empty basis for even d >= 2; for d = 0 the constants remain.
     """
-    if d % 2 != 0:
-        raise ValueError("degree must be even, got %d" % d)
-    basis, rows = _dsh_condition_rows(n, d)
-    cyc = cycle_perm(n + 1)
-    defects = [g - g.permute_variables(cyc) for g in map(divided_difference, basis)]
-    return _kernel(basis, rows + _rows_from_images(defects), pivot_order)
+    return _kernel(*_cyclic_condition_rows(n, d), pivot_order)
+
+
+def cyclic_invariance_kernels(n, d):
+    """cyclic_invariance_kernel under each of PIVOT_ORDERS, from one
+    condition matrix."""
+    basis, rows = _cyclic_condition_rows(n, d)
+    return [_kernel(basis, rows, order) for order in PIVOT_ORDERS]
 
 
 def symmetric_slice_basis(n, d):
@@ -176,7 +220,7 @@ def symmetric_dti_solutions(n, d, pivot_order="left"):
     """
     basis = symmetric_slice_basis(n, d)
     x1 = MultiPoly.variable(1, n)
-    images = [(x1 * f).partial(1).diagonal_derivative() for f in basis]
+    images = [(x1 * f).partial(1).diagonal_derivative().terms for f in basis]
     return _kernel(basis, _rows_from_images(images), pivot_order)
 
 
@@ -196,7 +240,8 @@ def functional_equation_space(n, d, pivot_order="left"):
     images = []
     for f in basis:
         a = f.substitute(shifted)
-        images.append(xm * (a - f.substitute(dropped_first)) - x1 * (a - f.substitute(leading)))
+        images.append((xm * (a - f.substitute(dropped_first))
+                       - x1 * (a - f.substitute(leading))).terms)
     return _kernel(basis, _rows_from_images(images), pivot_order)
 
 

@@ -1,10 +1,13 @@
 """Exact rational linear algebra: fraction-free nullspaces and RREF.
 
 The nullspace routine runs Bareiss elimination on an integer copy of the
-input (every intermediate division is exact, so no fractions appear until
-back-substitution) and returns a primitive integer basis.  The pivot
-column order is selectable; running the same system with both orders and
-comparing the spanned subspaces is the cross-check used by the callers.
+input (every intermediate division is exact, and checked: a remainder
+raises ArithmeticError; no fractions appear until back-substitution) and
+returns a primitive integer basis.  The pivot column order is selectable;
+running the same system with both orders and comparing the spanned
+subspaces is the cross-check used by the callers.  The pivot columns are
+the first column basis in scan order, which does not depend on the order
+or the repetition of the rows, so neither does the returned basis.
 
 reduce_rows computes a canonical reduced row echelon form over Fraction,
 which makes span comparison a simple equality test.
@@ -91,7 +94,8 @@ def nullspace(rows, ncols, pivot_order="left"):
             # division by the previous pivot never truncates
             for c in range(ncols):
                 num = p * row[c] - factor * top[c]
-                assert num % prev == 0
+                if num % prev:
+                    raise ArithmeticError("Bareiss division by %d is not exact" % prev)
                 row[c] = num // prev
         pivots.append((k, piv_col))
         used_cols.add(piv_col)

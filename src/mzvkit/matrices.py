@@ -89,7 +89,8 @@ def _gauss_jordan(m):
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     # integer entries make the determinant an integer
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError("determinant of an integer matrix came out as %s" % det)
     return det.numerator, [row[n:] for row in aug]
 
 
@@ -108,7 +109,8 @@ def mat_inverse_unimodular(m):
     if det not in (1, -1):
         raise ValueError("matrix is not invertible over the integers (det=%d)" % det)
     # the entries are integers because the determinant is a unit
-    assert all(x.denominator == 1 for row in inv for x in row)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ArithmeticError("inverse of a unimodular matrix has a non-integer entry")
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 

@@ -55,6 +55,16 @@ class MultiPoly:
                     del clean[expo]
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """Result of arithmetic on validated instances: the exponent tuples
+        and Fraction coefficients are already checked, so only zero
+        coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -94,15 +104,11 @@ class MultiPoly:
         self._check_same(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            acc = out.get(expo, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(expo, None)
-            else:
-                out[expo] = acc
-        return MultiPoly(self.nvars, out)
+            out[expo] = out[expo] + coeff if expo in out else coeff
+        return MultiPoly._trusted(self.nvars, out)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -111,7 +117,7 @@ class MultiPoly:
         q = _as_fraction(q)
         if q == 0:
             return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * q for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: c * q for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,12 +127,8 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 expo = tuple(a + b for a, b in zip(ea, eb))
-                acc = out.get(expo, Fraction(0)) + ca * cb
-                if acc == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = acc
-        return MultiPoly(self.nvars, out)
+                out[expo] = out[expo] + ca * cb if expo in out else ca * cb
+        return MultiPoly._trusted(self.nvars, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,8 +171,8 @@ class MultiPoly:
         return len(degrees) <= 1
 
     def homogeneous_part(self, d):
-        return MultiPoly(self.nvars,
-                         {e: c for e, c in self.terms.items() if sum(e) == d})
+        return MultiPoly._trusted(self.nvars,
+                                  {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), Fraction(0))
@@ -188,8 +190,8 @@ class MultiPoly:
                 continue
             nxt = list(expo)
             nxt[j] -= 1
-            out[tuple(nxt)] = out.get(tuple(nxt), Fraction(0)) + coeff * expo[j]
-        return MultiPoly(self.nvars, out)
+            out[tuple(nxt)] = coeff * expo[j]
+        return MultiPoly._trusted(self.nvars, out)
 
     def diagonal_derivative(self):
         """sum_i df/dx_i: the derivative along the diagonal direction (1, ..., 1)."""
@@ -213,9 +215,9 @@ class MultiPoly:
         for r in replacements:
             if not isinstance(r, MultiPoly) or r.nvars != target:
                 raise ValueError("replacements must be MultiPoly over a common variable set")
-        out = MultiPoly.zero(target)
+        one = MultiPoly.one(target)
         # cache powers of each replacement; exponents in our use stay small
-        powers = [{0: MultiPoly.one(target)} for _ in range(self.nvars)]
+        powers = [{0: one} for _ in range(self.nvars)]
 
         def power(j, k):
             cache = powers[j]
@@ -223,13 +225,15 @@ class MultiPoly:
                 cache[k] = power(j, k - 1) * replacements[j]
             return cache[k]
 
+        out = {}
         for expo, coeff in self.terms.items():
-            term = MultiPoly.constant(target, coeff)
+            term = one
             for j, e in enumerate(expo):
                 if e:
                     term = term * power(j, e)
-            out = out + term
-        return out
+            for e, c in term.terms.items():
+                out[e] = out[e] + coeff * c if e in out else coeff * c
+        return MultiPoly._trusted(target, out)
 
     def permute_variables(self, sigma):
         """Return g with g(x_1,...,x_n) = f(x_{sigma^{-1}(1)},...,x_{sigma^{-1}(n)}).
@@ -241,9 +245,8 @@ class MultiPoly:
             raise ValueError("sigma must be a permutation of 1..%d" % self.nvars)
         out = {}
         for expo, coeff in self.terms.items():
-            nxt = tuple(expo[sigma[j] - 1] for j in range(self.nvars))
-            out[nxt] = out.get(nxt, Fraction(0)) + coeff
-        return MultiPoly(self.nvars, out)
+            out[tuple(expo[sigma[j] - 1] for j in range(self.nvars))] = coeff
+        return MultiPoly._trusted(self.nvars, out)
 
     def divide_by_variable(self, i):
         """Exact division by x_i; raises ValueError if some term lacks x_i."""
@@ -257,7 +260,7 @@ class MultiPoly:
             nxt = list(expo)
             nxt[j] -= 1
             out[tuple(nxt)] = coeff
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, out)
 
     def is_symmetric(self):
         """Invariance under all variable permutations (adjacent swaps suffice)."""

@@ -72,6 +72,15 @@ class MzvCombo:
         self.terms = {k: c for k, c in clean.items() if c}
 
     @classmethod
+    def _trusted(cls, terms):
+        """Result of arithmetic on validated instances: the keys are already
+        admissible and the coefficients Fractions, so only zero
+        coefficients are dropped."""
+        combo = object.__new__(cls)
+        combo.terms = {k: c for k, c in terms.items() if c}
+        return combo
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -103,8 +112,8 @@ class MzvCombo:
             return NotImplemented
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return MzvCombo(acc)
+            acc[k] = acc[k] + c if k in acc else c
+        return MzvCombo._trusted(acc)
 
     def __sub__(self, other):
         if not isinstance(other, MzvCombo):
@@ -112,13 +121,13 @@ class MzvCombo:
         return self + (-other)
 
     def __neg__(self):
-        return MzvCombo({k: -c for k, c in self.terms.items()})
+        return MzvCombo._trusted({k: -c for k, c in self.terms.items()})
 
     def scaled(self, q):
         q = _as_fraction(q)
         if not q:
             return MzvCombo.zero()
-        return MzvCombo({k: c * q for k, c in self.terms.items()})
+        return MzvCombo._trusted({k: c * q for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,8 +173,8 @@ def combo_product(a, b):
         for k2, c2 in b.terms.items():
             c = c1 * c2
             for term, mult in stuffle(k1, k2).items():
-                acc[term] = acc.get(term, Fraction(0)) + c * mult
-    return MzvCombo(acc)
+                acc[term] = acc[term] + c * mult if term in acc else c * mult
+    return MzvCombo._trusted(acc)
 
 
 class RegPoly:
@@ -357,7 +366,9 @@ def associator_coefficient(w):
     run = len(w) - len(body)
     head = body + "A" * (run - 1)
     expansion = shuffle_words(head, "A")
-    assert expansion[w] == run
+    if expansion[w] != run:
+        raise ArithmeticError("%r occurs %d times in its trailing-A expansion, "
+                              "expected %d" % (w, expansion[w], run))
     acc = MzvCombo.zero()
     for term, mult in expansion.items():
         if term == w:

@@ -17,6 +17,7 @@ from mzvkit.dsh import (
     act_groupring,
     double_shuffle_space,
     cyclic_invariance_kernel,
+    cyclic_invariance_kernels,
     dimension_table,
     divided_difference,
     dsh_dimension,
@@ -27,7 +28,7 @@ from mzvkit.dsh import (
     vector_space_dimension,
 )
 from mzvkit.groupring import GroupRingElem, shuffle_operator
-from mzvkit.linalg import span_equal
+from mzvkit.linalg import PIVOT_ORDERS, reduce_rows, span_equal
 from mzvkit.matrices import (
     act_matrix,
     cyclic_action_matrix,
@@ -118,6 +119,50 @@ class TestDoubleShuffleSpace:
         assert vector_space_dimension(3, 4) == 15
 
 
+class TestConditionRows:
+    """The integer condition rows against a reference built through
+    act_groupring on MultiPoly, one family per operator, duplicates kept."""
+
+    @staticmethod
+    def reference_rows(n, d):
+        basis = [MultiPoly.monomial(e) for e in monomial_exponents(n, d)]
+        twisted = [act_matrix(f, mat_inverse_unimodular(upper_ones(n))) for f in basis]
+        rows = []
+        for i in range(1, n):
+            sh = shuffle_operator(n, i)
+            for family in (basis, twisted):
+                images = [act_groupring(f, sh) for f in family]
+                targets = sorted({e for img in images for e in img.terms})
+                rows += [[img.coefficient(e) for img in images] for e in targets]
+        return rows
+
+    GRID = [(n, d) for n in (1, 2, 3) for d in range(0, 7)] + [(4, d) for d in range(0, 5)]
+
+    def test_no_repeated_row(self):
+        for n, d in self.GRID + [(3, 10), (4, 6)]:
+            _, rows = dsh._dsh_condition_rows(n, d)
+            assert len(set(map(tuple, rows))) == len(rows), (n, d)
+
+    def test_integer_entries(self):
+        for n, d in [(2, 6), (3, 6), (4, 4)]:
+            _, rows = dsh._dsh_condition_rows(n, d)
+            assert all(type(x) is int for row in rows for x in row)
+
+    def test_same_row_space_as_reference(self):
+        for n, d in self.GRID:
+            basis, rows = dsh._dsh_condition_rows(n, d)
+            assert basis == [MultiPoly.monomial(e) for e in monomial_exponents(n, d)]
+            reference = self.reference_rows(n, d)
+            assert reduce_rows(rows, len(basis)) == reduce_rows(reference, len(basis)), (n, d)
+            # the same rows, in the same order, each kept at its first occurrence
+            assert rows == list(dict.fromkeys(map(tuple, reference))), (n, d)
+
+    def test_half_the_rows_were_duplicates(self):
+        for n, d, before, after in [(3, 10, 264, 132), (4, 6, 504, 256)]:
+            assert len(self.reference_rows(n, d)) == before
+            assert len(dsh._dsh_condition_rows(n, d)[1]) == after
+
+
 class TestDividedDifference:
     def test_hand_value(self):
         f = MultiPoly(1, {(2,): 1})
@@ -153,6 +198,18 @@ class TestCyclicInvarianceKernel:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             cyclic_invariance_kernel(2, 3)
+        with pytest.raises(ValueError):
+            cyclic_invariance_kernels(2, 3)
+
+    def test_kernels_build_the_matrix_once(self, monkeypatch):
+        calls = []
+        build = dsh._dsh_condition_rows
+        monkeypatch.setattr(dsh, "_dsh_condition_rows",
+                            lambda n, d: calls.append((n, d)) or build(n, d))
+        kernels = cyclic_invariance_kernels(2, 0)
+        assert calls == [(2, 0)]
+        assert kernels == [cyclic_invariance_kernel(2, 0, pivot_order=order)
+                           for order in PIVOT_ORDERS]
 
 
 class TestTranslationInvariance:

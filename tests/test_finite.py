@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from mzvkit import finite
 from mzvkit.finite import (
     ModPValue,
     is_prime,
@@ -21,7 +22,7 @@ from mzvkit.finite import (
     zeta_natural_A_component,
     zeta_natural_F,
 )
-from mzvkit.indices import cone_weight, indices_of_weight, stuffle
+from mzvkit.indices import cone_weight, indices_of_weight, is_admissible, stuffle
 from mzvkit.numeric import (
     direct_sum_F,
     direct_sum_natural,
@@ -162,6 +163,14 @@ def test_natural_matches_weighted_direct_sum_limit():
                 assert abs(lim - sym.value) < 1e-3, k
 
 
+def test_natural_keys_are_admissible():
+    for w in range(2, 7):
+        for k in indices_of_weight(w):
+            combo = zeta_natural_F(k)
+            assert all(is_admissible(key) for key in combo.terms), k
+            assert all(c != 0 for c in combo.terms.values()), k
+
+
 # ---------------------------------------------------------------------------
 # mod p
 
@@ -169,6 +178,14 @@ def test_prime_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_in_range(5, 30) == [5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(-7) and not is_prime(True)
+
+
+def test_inverse_table_built_once_per_prime():
+    assert finite._inverses(11) is finite._inverses(11)
+    div = finite._mod_div(11)
+    for m in range(1, 11):
+        assert div(1, m, 1) * m % 11 == 1
+        assert div(1, -m, 2) * m * m % 11 == 1
 
 
 def test_zeta_A_rejects_composite():

@@ -49,6 +49,17 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             f ** -1
 
+    def test_results_hold_no_zero_coefficient(self):
+        f = MultiPoly(2, {(2, 0): Fraction(1, 3), (0, 1): -2})
+        assert (f - f).terms == {}
+        assert (f + (-f)).terms == {}
+        assert f.scaled(0).terms == {}
+        # the cross terms x1*x2 cancel
+        square = (x(1, 2) - x(2, 2)) * (x(1, 2) + x(2, 2))
+        assert square.terms == {(2, 0): 1, (0, 2): -1}
+        assert (f - f).substitute([x(1, 3), x(2, 3)]).terms == {}
+        assert (x(1, 2) + x(2, 2)).substitute([x(1, 1), -x(1, 1)]).terms == {}
+
     def test_coefficient_guards(self):
         with pytest.raises(TypeError):
             MultiPoly(1, {(1,): 0.5})

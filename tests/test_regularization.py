@@ -63,6 +63,17 @@ def test_combo_rejects_bad_terms():
         MzvCombo({(2,): True})
 
 
+def test_arithmetic_results_hold_no_zero_coefficient():
+    assert (z(2) - z(2)).terms == {}
+    assert (z(2) + z(3) + (-z(3))).terms == {(2,): 1}
+    assert z(2).scaled(Fraction(1, 3)).scaled(3) == z(2)
+    # the (2,3), (3,2) and (5,) terms of the cross products cancel
+    prod = combo_product(z(2) - z(3), z(2) + z(3))
+    assert prod.terms == {(2, 2): 2, (4,): 1, (3, 3): -2, (6,): -1}
+    assert prod == z(2) * z(2) - z(3) * z(3)
+    assert combo_product(z(2) - z(2), z(3)).terms == {}
+
+
 def test_combo_product_weight_two_squares():
     # stuffle expansion of a product of single values
     assert z(2) * z(2) == MzvCombo({(2, 2): 2, (4,): 1})
