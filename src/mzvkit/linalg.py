@@ -27,20 +27,25 @@ PIVOT_ORDERS = ("left", "right")
 
 
 def _primitive(vec):
-    """Clear denominators, divide by content, make the leading entry positive."""
-    mult = lcm(*(x.denominator for x in vec))
-    ints = [int(x * mult) for x in vec]
-    g = gcd(*ints) or 1
-    if next((x for x in ints if x), 0) < 0:
+    """Clear denominators, divide by content, make the leading entry positive.
+
+    `vec` holds ints or Fractions; a row of ints has no denominators to clear.
+    """
+    if not all(type(x) is int for x in vec):
+        mult = lcm(*(x.denominator for x in vec))
+        vec = [int(x * mult) for x in vec]
+    g = gcd(*vec) or 1
+    if next((x for x in vec if x), 0) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 def _integer_rows(rows, ncols):
     """Each nonzero row as a primitive integer row; zero rows are dropped."""
     out = []
     for row in rows:
-        row = [Fraction(x) for x in row]
+        if not all(type(x) is int for x in row):
+            row = [Fraction(x) for x in row]
         if len(row) != ncols:
             raise ValueError("row length %d != %d" % (len(row), ncols))
         if any(row):

@@ -12,20 +12,27 @@ geometrically (one bit per term) instead of polynomially like the defining
 sum.  Admissibility guarantees each factor's innermost letter is B, which is
 what keeps the factors finite.
 
-Every truncated sum in the package (these factors, the signed direct sums
-below and the mod-p sums in `finite`) is a sum over chains of integers and
-runs through the one kernel `chain_sums`; only the coefficient ring differs.
-The factors are summed in fixed point: Python integers scaled by 2^P, P
-being the binary precision of the working digits D + 15 plus _GUARD_BITS.
-Each floor division loses less than one unit and a factor of depth n over
-N terms takes (n + 1) N of them, so the guard bits keep the rounding far
-below 10^-(D+15).  The sum is rounded to the working precision through
-`mpmath.libmp`, and every `BigReal` operation names its precision, so no
-code here reads mpmath's global (and thread-unsafe) precision.
+Every left factor is a prefix e_1..e_j of the word and every right factor
+dual(e_{j+1}..e_L) is the prefix of length L - j of dual(e), so one pass
+over m = 1..N per word gives all 2(L + 1) factors (`_prefix_values`), in
+O(L N) steps instead of O(L^2 N).  The factors are summed in fixed point:
+Python integers scaled by 2^P, P being the binary precision of the working
+digits D + 15 plus _GUARD_BITS.  The pass divides by m once per letter, and
+since the terms are non-negative, floor(floor(x / m) / m) = floor(x / m^2):
+each prefix value is bit-identical to summing that factor on its own with
+one floor division by m^k per part.  So a factor of depth n over N terms
+still takes (n + 1) N floor roundings, each losing less than one unit, and
+the guard bits keep the rounding far below 10^-(D+15).  The sum is rounded
+to the working precision through `mpmath.libmp`, and every `BigReal`
+operation names its precision, so no code here reads mpmath's global (and
+thread-unsafe) precision.
 
-Truncated direct sums over signed integer tuples (ordered strictly or weakly
-by 1/m, the weak case weighted by inverse factorials of the tie run lengths)
-are computed in exact rational arithmetic.
+The exact truncated sums (the signed direct sums below and the mod-p sums
+in `finite`) are sums over chains of integers and run through the one
+kernel `chain_sums`; only the coefficient ring differs.  Truncated direct
+sums over signed integer tuples (ordered strictly or weakly by 1/m, the
+weak case weighted by inverse factorials of the tie run lengths) are
+computed in exact rational arithmetic.
 """
 
 import functools
@@ -316,36 +323,30 @@ def _dual_word(w):
     return "".join("A" if c == "B" else "B" for c in reversed(w))
 
 
-def _word_exponents(word):
-    # innermost-first polylog word starting with B: each B opens a variable,
-    # each A after it raises that variable's exponent
-    exps = []
-    for c in word:
-        if c == "B":
-            exps.append(1)
-        else:
-            exps[-1] += 1
-    return exps
+def _prefix_values(word, nterms, prec):
+    """I(word[:j]; 1/2) for j = 0..len(word), in fixed point scaled by 2^prec.
 
-
-def _fixed_div(x, m, a):
-    return x // m ** a
-
-
-def _polylog_half(exps, nterms, prec):
-    """Partial sum of Li_{exps}(1/2), innermost exponent first, in fixed
-    point scaled by 2^prec.
-
-    Truncation error is below 2^-nterms times a small polynomial factor.
+    `word` is innermost first and starts with B.  Each B opens a summation
+    slot and each letter of a slot divides by one more power of m, so the
+    prefix ending at a letter is the chain sum up to that letter.  One pass
+    over m = 1..nterms gives every prefix; the truncation error of each is
+    below 2^-nterms times a small polynomial factor.
     """
-    ends = chain_sums(exps, range(1, nterms + 1), _fixed_div, 1 << prec)
-    return sum(s >> m for m, s in enumerate(ends, 1))
-
-
-def _integral_half(word, nterms, prec):
-    if not word:
-        return 1 << prec
-    return _polylog_half(_word_exponents(word), nterms, prec)
+    starts = [j for j, c in enumerate(word) if c == "B"] + [len(word)]
+    # per slot, the lengths of the prefixes that end inside it
+    slots = [range(a + 1, b + 1) for a, b in zip(starts, starts[1:])]
+    out = [1 << prec] + [0] * len(word)
+    # g[r]: sum over the chains of the first r slots that end before m
+    g = [1 << prec] + [0] * len(slots)
+    for m in range(1, nterms + 1):
+        # descending r, so each g[r] read still excludes the chains ending at m
+        for r in reversed(range(len(slots))):
+            t = g[r]
+            for j in slots[r]:
+                t //= m
+                out[j] += t >> m
+            g[r + 1] += t
+    return out
 
 
 def _convolution_eval(k, workdigits):
@@ -354,9 +355,9 @@ def _convolution_eval(k, workdigits):
     length = len(eword)
     nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
     prec = dps_to_prec(workdigits) + _GUARD_BITS
-    total = sum(_integral_half(eword[:j], nterms, prec)
-                * _integral_half(_dual_word(eword[j:]), nterms, prec)
-                for j in range(length + 1))
+    left = _prefix_values(eword, nterms, prec)
+    right = _prefix_values(_dual_word(eword), nterms, prec)
+    total = sum(left[j] * right[length - j] for j in range(length + 1))
     return from_man_exp(total, -2 * prec, dps_to_prec(workdigits), round_nearest)
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .indices import (
+    _stuffle,
     check_index,
     check_word,
     format_index,
@@ -34,7 +35,6 @@ from .indices import (
     parse_index,
     shuffle_words,
     stabilizer_order,
-    stuffle,
     enumerate_surjections,
     push_index,
     weight,
@@ -166,13 +166,15 @@ def combo_product(a, b):
 
     The stuffle of two admissible indices only produces admissible indices
     (the last part of every term is a sum containing some last part >= 2),
-    so the result stays inside the admissible span.
+    so the result stays inside the admissible span.  The keys of both
+    combinations are checked indices already, so the cached product is read
+    directly.
     """
     acc = {}
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
             c = c1 * c2
-            for term, mult in stuffle(k1, k2).items():
+            for term, mult in _stuffle(k1, k2):
                 acc[term] = acc[term] + c * mult if term in acc else c * mult
     return MzvCombo._trusted(acc)
 
@@ -307,7 +309,7 @@ def stuffle_regularize(k):
     if is_admissible(k):
         return RegPoly.of_index(k)
     head = k[:-1]
-    expansion = stuffle(head, (1,))
+    expansion = dict(_stuffle(head, (1,)))
     mult_k = expansion[k]
     acc = stuffle_regularize(head) * RegPoly.T()
     for term, mult in expansion.items():

@@ -19,7 +19,8 @@ from mzvkit.groupring import (
     shuffle_operator,
     transposition,
 )
-from mzvkit.linalg import matvec, nullspace, reduce_rows, span_equal
+from mzvkit.dsh import _dsh_condition_rows
+from mzvkit.linalg import PIVOT_ORDERS, matvec, nullspace, reduce_rows, span_equal
 from mzvkit.matrices import (
     act_matrix,
     antidiagonal,
@@ -305,6 +306,22 @@ class TestNullspace:
                 assert lead > 0
             assert span_equal(left, right, ncols)
             assert span_equal(left, rref_nullspace(rows, ncols), ncols)
+
+    def test_int_rows_match_fraction_rows(self):
+        rng = random.Random(30)
+        systems = []
+        for n, d in ((2, 4), (3, 4), (3, 6)):
+            basis, rows = _dsh_condition_rows(n, d)
+            systems.append((rows, len(basis)))
+        for _ in range(30):
+            ncols = rng.randrange(1, 9)
+            rows = [[rng.randrange(-6, 7) * rng.choice((1, 1, 2, 3)) for _ in range(ncols)]
+                    for _ in range(rng.randrange(1, 7))]
+            systems.append((rows, ncols))
+        for rows, ncols in systems:
+            as_fractions = [[Fraction(x) for x in row] for row in rows]
+            for order in PIVOT_ORDERS:
+                assert nullspace(rows, ncols, order) == nullspace(as_fractions, ncols, order)
 
     def test_reduce_rows_canonical(self):
         rng = random.Random(29)

@@ -8,6 +8,7 @@ the signed direct sums at tiny cutoffs.
 
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -16,13 +17,15 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
-from mzvkit import relations
+from mzvkit import numeric, relations
 from mzvkit.indices import admissible_indices, cone_weight, enumerate_surjections, \
-    push_index, stabilizer_order
+    index_of_word, push_index, stabilizer_order, word_of_index
 from mzvkit.numeric import (
     BigReal,
     ValueCache,
+    chain_sums,
     direct_sum_F,
     direct_sum_natural,
     eval_admissible,
@@ -106,6 +109,47 @@ def test_precision_doubling_stability():
             a = eval_admissible(k, 60)
             b = eval_admissible(k, 80)
             assert _close(a.value, b.value, 55), k
+
+
+def _per_prefix_reference(word, nterms, prec):
+    # I(word; 1/2) in fixed point from its own chain_sums pass with floor
+    # division, as each convolution factor was summed before the factors
+    # shared one pass per word
+    if not word:
+        return 1 << prec
+    exps = [len(run) + 1 for run in word.split("B")[1:]]
+    ends = chain_sums(exps, range(1, nterms + 1), lambda x, m, a: x // m ** a, 1 << prec)
+    return sum(s >> m for m, s in enumerate(ends, 1))
+
+
+def _check_prefix_values(k, digits):
+    workdigits = numeric._workdigits(digits)
+    eword = word_of_index(k)[::-1]
+    length = len(eword)
+    nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
+    prec = dps_to_prec(workdigits) + numeric._GUARD_BITS
+    left = [_per_prefix_reference(eword[:j], nterms, prec) for j in range(length + 1)]
+    right = [_per_prefix_reference(numeric._dual_word(eword[j:]), nterms, prec)
+             for j in range(length + 1)]
+    assert numeric._prefix_values(eword, nterms, prec) == left, k
+    assert numeric._prefix_values(numeric._dual_word(eword), nterms, prec) == right[::-1], k
+    total = sum(a * b for a, b in zip(left, right))
+    expected = from_man_exp(total, -2 * prec, dps_to_prec(workdigits), round_nearest)
+    assert numeric._convolution_eval(k, workdigits) == expected, k
+
+
+def test_prefix_values_match_per_prefix_passes():
+    for w in range(2, 9):
+        for k in admissible_indices(w):
+            _check_prefix_values(k, 60)
+
+
+def test_prefix_values_match_per_prefix_passes_at_400_digits():
+    for k in [(1, 3, 2), (2, 1, 1, 3), (1, 1, 3, 1, 2)]:
+        k_dual = index_of_word(numeric._dual_word(word_of_index(k)))
+        assert k_dual != k
+        for x in (k, k_dual):
+            _check_prefix_values(x, 400)
 
 
 # ---------------------------------------------------------------------------

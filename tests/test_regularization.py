@@ -82,6 +82,21 @@ def test_combo_product_weight_two_squares():
     assert (MzvCombo.zero() * z(2)).is_zero()
 
 
+def test_combo_product_matches_public_stuffle():
+    indices = [k for w in range(7) for k in admissible_indices(w)]
+    for k1 in indices:
+        for k2 in indices:
+            assert combo_product(z(*k1), z(*k2)) == MzvCombo(stuffle(k1, k2)), (k1, k2)
+    a = MzvCombo({k: Fraction(i + 1, 3) for i, k in enumerate(admissible_indices(5))})
+    b = z(2) - z(1, 2).scaled(4)
+    expected = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            for term, mult in stuffle(k1, k2).items():
+                expected[term] = expected.get(term, 0) + c1 * c2 * mult
+    assert combo_product(a, b) == MzvCombo(expected)
+
+
 def test_combo_product_associative_commutative():
     a, b, c = z(2), z(3), z(1, 2)
     assert a * b == b * a
