@@ -8,17 +8,23 @@ composed with the inverse all-ones triangular substitution:
     f|_{sh_{n,i}} = 0   and   (f|_{P^{-1}})|_{sh_{n,i}} = 0,   1 <= i <= n-1.
 
 All conditions are exact linear constraints on the coefficients over a
-basis.  Every solver runs one pipeline: basis, images, condition rows, the
-fraction-free nullspace of linalg, polynomials.  A permutation sends a
-monomial to a monomial, so the double shuffle images are built over
-exponent tuples with integer coefficients; only the P^{-1} twist
-substitutes polynomials, once per basis monomial.  A condition row that
-repeats an earlier one is dropped: it does not change the row space, and
-about half the double shuffle rows are such repeats.  The solvers take a
-pivot_order; dsh_dimension and cyclic_invariance_kernels build their
-condition matrix once, eliminate it under both PIVOT_ORDERS, and
-dsh_dimension raises ArithmeticError unless the two kernels span the same
-space.
+basis.  Every solver runs one pipeline: basis, images, condition rows, a
+nullspace of linalg, polynomials.  The images are built over exponent
+tuples with integer coefficients: a permutation sends a monomial to a
+monomial, and the P^{-1} twist of a monomial is the twist of a monomial
+one degree lower times one linear form, memoized per call.  A condition
+row that repeats an earlier one is dropped: it does not change the row
+space, and about half the double shuffle rows are such repeats.  The
+solvers take a pivot_order; dsh_dimension and cyclic_invariance_kernels
+build their condition matrix once and eliminate it under both
+PIVOT_ORDERS.
+
+dsh_dimension eliminates with linalg.certified_nullspace: modulo a prime,
+with the kernel proved over Q (rank mod p bounds the nullity from above,
+exactly checked kernel vectors from below), and the Bareiss nullspace
+when reconstruction or the check fails.  It raises ArithmeticError unless
+the two kernels span the same space.  The other solvers, and so the
+cyclic-invariance kernel, run the Bareiss nullspace.
 
 The cyclic-invariance kernel adds one more constraint family: form
 
@@ -32,7 +38,7 @@ space to zero; degree 0 keeps the constants.
 from fractions import Fraction
 
 from .groupring import GroupRingElem, cycle_perm, shuffle_operator
-from .linalg import PIVOT_ORDERS, nullspace, span_equal
+from .linalg import PIVOT_ORDERS, certified_nullspace, nullspace, span_equal
 from .matrices import mat_inverse_unimodular, substitution_forms, upper_ones
 from .polynomials import MultiPoly, diagonal_translation_invariant, monomial_exponents
 
@@ -94,8 +100,9 @@ def _permuted_image(terms, elem):
     """
     out = {}
     for sigma, c in elem.coeffs.items():
+        positions = [s - 1 for s in sigma]
         for expo, coeff in terms.items():
-            key = tuple(expo[s - 1] for s in sigma)
+            key = tuple(map(expo.__getitem__, positions))
             out[key] = out.get(key, 0) + c * coeff
     return {e: c for e, c in out.items() if c}
 
@@ -107,6 +114,29 @@ def _kernel(basis, rows, pivot_order):
             for vec in nullspace(rows, len(basis), pivot_order=pivot_order)]
 
 
+def _substituted_monomials(exponents, forms):
+    """The term dict of each monomial x^e with x_j replaced by the linear
+    form forms[j], a list of (i, c) for the terms c x_{i+1}.
+
+    The image of x^e is the image of a monomial one degree lower times one
+    form; the images are memoized for this call only.
+    """
+    n = len(forms)
+    images = {(0,) * n: {(0,) * n: 1}}
+
+    def image(e):
+        if e not in images:
+            j = next(i for i in range(n) if e[i])
+            out = {}
+            for expo, c in image(e[:j] + (e[j] - 1,) + e[j + 1:]).items():
+                for i, f_c in forms[j]:
+                    key = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
+                    out[key] = out.get(key, 0) + c * f_c
+            images[e] = {k: v for k, v in out.items() if v}
+        return images[e]
+    return [image(e) for e in exponents]
+
+
 def _dsh_condition_rows(n, d):
     """The degree-d monomial basis in n variables and the double shuffle
     conditions on it."""
@@ -116,9 +146,10 @@ def _dsh_condition_rows(n, d):
     basis = [MultiPoly.monomial(e) for e in exponents]
     # f|_{P^{-1}} substitutes x P, the same forms for every monomial; the
     # forms have integer coefficients, so the twisted monomials do too
-    forms = substitution_forms(mat_inverse_unimodular(upper_ones(n)))
+    forms = [[(e.index(1), c.numerator) for e, c in f.terms.items()]
+             for f in substitution_forms(mat_inverse_unimodular(upper_ones(n)))]
     plain = [{e: 1} for e in exponents]
-    twisted = [{e: c.numerator for e, c in f.substitute(forms).terms.items()} for f in basis]
+    twisted = _substituted_monomials(exponents, forms)
     families = []
     for i in range(1, n):
         sh = shuffle_operator(n, i)
@@ -135,11 +166,12 @@ def double_shuffle_space(n, d, pivot_order="left"):
 def dsh_dimension(n, d):
     """dim of the double shuffle space, checked by every pivot order.
 
-    The condition matrix is built once and eliminated under each of
-    PIVOT_ORDERS; ArithmeticError if the kernels differ.
+    The condition matrix is built once and its certified kernel computed
+    under each of PIVOT_ORDERS; ArithmeticError if the kernels differ.
     """
     basis, rows = _dsh_condition_rows(n, d)
-    kernels = [nullspace(rows, len(basis), pivot_order=order) for order in PIVOT_ORDERS]
+    kernels = [certified_nullspace(rows, len(basis), pivot_order=order)
+               for order in PIVOT_ORDERS]
     if not span_equal(*kernels, len(basis)):
         raise ArithmeticError("elimination paths disagree for n=%d d=%d: dims %r"
                               % (n, d, [len(k) for k in kernels]))

@@ -170,13 +170,18 @@ def _inverses(p):
     return array("q", [0] + [pow(m, -1, p) for m in range(1, p)])
 
 
-def _mod_div(p):
-    """x * m^-a in F_p, for 0 < |m| < p; chain_sums' ring operation."""
-    # a negative m indexes inverse[p + m], the inverse of the same residue
-    inverse = _inverses(p)
+def _mod_div(p, exponents):
+    """x * m^-a in F_p, for 0 < |m| < p and a in `exponents`; chain_sums'
+    ring operation.
+
+    One table of m^-a per exponent, built from _inverses(p) for this
+    operation only, so a call costs one lookup and no pow.
+    """
+    powers = {a: [pow(y, a, p) for y in _inverses(p)] for a in set(exponents)}
 
     def div(x, m, a):
-        return x * pow(inverse[m], a, p) % p
+        # a negative m indexes table[p + m], the power of the same residue
+        return x * powers[a][m] % p
     return div
 
 
@@ -186,7 +191,7 @@ def zeta_A_component(k, p):
     _check_prime(p)
     if not k:
         return ModPValue(p, 1 % p)
-    return ModPValue(p, sum(chain_sums(k, range(1, p), _mod_div(p), 1)) % p)
+    return ModPValue(p, sum(chain_sums(k, range(1, p), _mod_div(p, k), 1)) % p)
 
 
 def zeta_natural_A_component(k, p):
@@ -205,4 +210,6 @@ def zeta_natural_A_component(k, p):
                          "p=%d depth=%d" % (p, n))
     half = (p - 1) // 2
     values = list(range(1, half + 1)) + [-m for m in range(half, 0, -1)]
-    return ModPValue(p, sum(chain_sums(k, values, _mod_div(p), 1, weak=True)) % p)
+    # the tie weights 1/r! are applied as divisions by r with exponent 1
+    div = _mod_div(p, k + (1,))
+    return ModPValue(p, sum(chain_sums(k, values, div, 1, weak=True)) % p)

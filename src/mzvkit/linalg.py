@@ -9,15 +9,26 @@ subspaces is the cross-check used by the callers.  The pivot columns are
 the first column basis in scan order, which does not depend on the order
 or the repetition of the rows, so neither does the returned basis.
 
+certified_nullspace returns the same basis from an elimination modulo
+the word-size prime PRIME, with a proof over Q on two sides.  Rank mod p
+is at most rank over Q, so the nullity over Q is at most the nullity
+mod p; no free column mod p therefore proves the kernel is 0.  Otherwise
+each kernel vector mod p is lifted by rational reconstruction and checked
+exactly, A v = 0 over Z; the checked vectors are independent, so the
+nullity over Q is at least the nullity mod p, and the two bounds meet.  A
+reconstruction that fails, or a vector that fails the check, sends the
+system to the Bareiss nullspace instead.
+
 reduce_rows computes a canonical reduced row echelon form over Fraction,
 which makes span comparison a simple equality test.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "nullspace",
+    "certified_nullspace",
     "reduce_rows",
     "span_equal",
     "matvec",
@@ -25,32 +36,45 @@ __all__ = [
 
 PIVOT_ORDERS = ("left", "right")
 
+# the prime of certified_nullspace: below 2^64, and rational reconstruction
+# recovers entries up to sqrt(PRIME / 2), about 1.07e9
+PRIME = 2 ** 61 - 1
+
 
 def _primitive(vec):
     """Clear denominators, divide by content, make the leading entry positive.
 
-    `vec` holds ints or Fractions; a row of ints has no denominators to clear.
+    `vec` holds rationals; a row of ints has no denominators to clear.
     """
     if not all(type(x) is int for x in vec):
+        vec = [Fraction(x) for x in vec]
         mult = lcm(*(x.denominator for x in vec))
         vec = [int(x * mult) for x in vec]
     g = gcd(*vec) or 1
     if next((x for x in vec if x), 0) < 0:
         g = -g
-    return tuple(x // g for x in vec)
+    return tuple(vec) if g == 1 else tuple(x // g for x in vec)
 
 
 def _integer_rows(rows, ncols):
     """Each nonzero row as a primitive integer row; zero rows are dropped."""
     out = []
     for row in rows:
-        if not all(type(x) is int for x in row):
-            row = [Fraction(x) for x in row]
         if len(row) != ncols:
             raise ValueError("row length %d != %d" % (len(row), ncols))
+        row = _primitive(row)
         if any(row):
-            out.append(list(_primitive(row)))
+            out.append(list(row))
     return out
+
+
+def _column_scan(ncols, pivot_order):
+    """The columns in the order pivot_order scans them for pivots."""
+    if pivot_order not in PIVOT_ORDERS:
+        raise ValueError("pivot_order must be one of %r" % (PIVOT_ORDERS,))
+    if ncols < 0:
+        raise ValueError("ncols must be nonnegative")
+    return list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
 
 
 def matvec(rows, vec):
@@ -65,12 +89,8 @@ def nullspace(rows, ncols, pivot_order="left"):
     way, but the elimination path (and the raw basis) differs, which is
     what makes the two runs a useful consistency check.
     """
-    if pivot_order not in PIVOT_ORDERS:
-        raise ValueError("pivot_order must be one of %r" % (PIVOT_ORDERS,))
-    if ncols < 0:
-        raise ValueError("ncols must be nonnegative")
+    col_scan = _column_scan(ncols, pivot_order)
     m = _integer_rows(rows, ncols)
-    col_scan = list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
 
     # Bareiss fraction-free elimination.  prev is the previous pivot; every
     # division below is exact by the Sylvester identity.
@@ -117,6 +137,113 @@ def nullspace(rows, ncols, pivot_order="left"):
                     Fraction(0))
             v[pc] = -s / m[r][pc]
         basis.append(_primitive(v))
+    basis.sort()
+    return basis
+
+
+def _subtract_multiple(row, prow, col, p):
+    """row -= row[col] * prow mod p, for dict rows; prow[col] is 1."""
+    f = row[col]
+    for c, x in prow.items():
+        y = (row.get(c, 0) - f * x) % p
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _rref_mod_p(rows, scan, p):
+    """Pivot rows of the reduced row echelon form of rows mod p.
+
+    Columns are renamed to their positions in `scan` and eliminated in
+    that order.  A column is a pivot iff it is independent of the columns
+    before it, whichever row is chosen as its pivot row, so the sparsest
+    candidate is chosen, which keeps the fill low.  Returns {pivot
+    position: row dict}, each pivot 1 and alone in its column.
+    """
+    rest = []
+    for row in rows:
+        r = {}
+        for pos, c in enumerate(scan):
+            x = row[c] % p
+            if x:
+                r[pos] = x
+        if r:
+            rest.append(r)
+    pivots = {}
+    for col in range(len(scan)):
+        cand = [r for r in rest if col in r]
+        if not cand:
+            continue
+        prow = min(cand, key=len)
+        inv = pow(prow[col], -1, p)
+        for c in prow:
+            prow[c] = prow[c] * inv % p
+        pivots[col] = prow
+        for r in cand:
+            if r is not prow:
+                _subtract_multiple(r, prow, col, p)
+        rest = [r for r in rest if r and r is not prow]
+    # back-substitute, latest pivot first: each row used is already free
+    # of every later pivot column
+    order = sorted(pivots)
+    for i in range(len(order) - 1, 0, -1):
+        col = order[i]
+        for earlier in order[:i]:
+            if col in pivots[earlier]:
+                _subtract_multiple(pivots[earlier], pivots[col], col, p)
+    return pivots
+
+
+def _rational(x, p):
+    """The fraction a/b with a = b*x mod p and |a|, |b| <= sqrt(p/2), or
+    None when there is none (Wang's rational reconstruction)."""
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, x % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def certified_nullspace(rows, ncols, pivot_order="left"):
+    """nullspace(rows, ncols, pivot_order), computed modulo PRIME and
+    proved over Q.
+
+    Gauss-Jordan mod PRIME gives the rank r and, per free column, the
+    kernel vector of the reduced echelon form.  No free column proves the
+    kernel is 0: rank mod p <= rank over Q.  Otherwise each vector is
+    lifted by rational reconstruction and checked exactly, A v = 0 over Z.
+    The checked vectors are independent (each is 1 at its own free column
+    and 0 at the others), so nullity over Q >= ncols - r, and the rank
+    bound gives <= ; they span the kernel.  Their last nonzero entries in
+    scan order are the free columns, which fixes those as the free columns
+    over Q, so the basis is Bareiss's, vector for vector.  A failed
+    reconstruction or check falls back to nullspace.
+    """
+    scan = _column_scan(ncols, pivot_order)
+    m = _integer_rows(rows, ncols)
+    p = PRIME
+    pivots = _rref_mod_p(m, scan, p)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[scan[f]] = 1
+        for pc, prow in pivots.items():
+            x = prow.get(f)
+            if x:
+                q = _rational(-x, p)
+                if q is None:
+                    return nullspace(rows, ncols, pivot_order)
+                vec[scan[pc]] = q
+        vec = _primitive(vec)
+        if any(sum(a * b for a, b in zip(row, vec)) for row in m):
+            return nullspace(rows, ncols, pivot_order)
+        basis.append(vec)
     basis.sort()
     return basis
 

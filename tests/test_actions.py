@@ -19,8 +19,16 @@ from mzvkit.groupring import (
     shuffle_operator,
     transposition,
 )
+from mzvkit import linalg
 from mzvkit.dsh import _dsh_condition_rows
-from mzvkit.linalg import PIVOT_ORDERS, matvec, nullspace, reduce_rows, span_equal
+from mzvkit.linalg import (
+    PIVOT_ORDERS,
+    certified_nullspace,
+    matvec,
+    nullspace,
+    reduce_rows,
+    span_equal,
+)
 from mzvkit.matrices import (
     act_matrix,
     antidiagonal,
@@ -337,3 +345,79 @@ class TestNullspace:
     def test_bad_pivot_order(self):
         with pytest.raises(ValueError):
             nullspace([[1]], 1, pivot_order="diagonal")
+
+
+class TestCertifiedNullspace:
+    """certified_nullspace must return Bareiss's basis exactly, by the
+    modular path or by its fallback."""
+
+    @staticmethod
+    def low_rank_system(rng):
+        ncols = rng.randrange(2, 9)
+        rank = rng.randrange(0, ncols)
+        left = [[rng.randrange(-9, 10) for _ in range(rank)] for _ in range(rng.randrange(1, 9))]
+        right = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if rank
+                else [0] * ncols for row in left]
+        return rows, ncols
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        calls = []
+        bareiss = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda *args: calls.append(args) or bareiss(*args))
+        return calls
+
+    def test_dsh_rows_match_bareiss(self, monkeypatch):
+        systems = [_dsh_condition_rows(n, d)
+                   for n, top in ((2, 12), (3, 8), (4, 4)) for d in range(top + 1)]
+        expected = [[nullspace(rows, len(basis), order) for order in PIVOT_ORDERS]
+                    for basis, rows in systems]
+        # every dsh kernel is proved on the modular path, none by the fallback
+        calls = self.count_fallbacks(monkeypatch)
+        for (basis, rows), bases in zip(systems, expected):
+            assert [certified_nullspace(rows, len(basis), order)
+                    for order in PIVOT_ORDERS] == bases, len(basis)
+        assert calls == []
+
+    def test_random_low_rank_systems_match_bareiss(self):
+        rng = random.Random(36)
+        for _ in range(40):
+            rows, ncols = self.low_rank_system(rng)
+            for order in PIVOT_ORDERS:
+                assert certified_nullspace(rows, ncols, order) == nullspace(rows, ncols, order)
+
+    def test_small_cases(self):
+        assert certified_nullspace([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
+        assert certified_nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(2, -3)]
+        assert certified_nullspace([[1, 0], [0, 1]], 2) == []
+        assert certified_nullspace([], 2) == [(0, 1), (1, 0)]
+        assert certified_nullspace([], 0) == []
+        with pytest.raises(ValueError):
+            certified_nullspace([[1]], 1, pivot_order="diagonal")
+
+    def test_rational_reconstruction(self):
+        p = linalg.PRIME
+        for a in (0, 1, -1, 7, -630, 10 ** 9):
+            for b in (1, 2, 3, 97, 10 ** 9 - 1):
+                x = a * pow(b, -1, p) % p
+                assert linalg._rational(x, p) == Fraction(a, b), (a, b)
+
+    def test_singular_mod_p_falls_back(self, monkeypatch):
+        # det 3: the kernel is 0 over Q but a line mod 3, and the vector
+        # found mod 3 fails the exact check
+        monkeypatch.setattr(linalg, "PRIME", 3)
+        calls = self.count_fallbacks(monkeypatch)
+        for order in PIVOT_ORDERS:
+            assert certified_nullspace([[1, 1], [1, 4]], 2, order) == []
+        assert len(calls) == 2
+
+    def test_entries_beyond_reconstruction_fall_back(self, monkeypatch):
+        # the kernel (2^40, 3^30, 1) has entries beyond sqrt(PRIME / 2)
+        calls = self.count_fallbacks(monkeypatch)
+        rows = [[1, 0, -2 ** 40], [0, 1, -3 ** 30]]
+        for order in PIVOT_ORDERS:
+            assert certified_nullspace(rows, 3, order) == [(2 ** 40, 3 ** 30, 1)]
+        assert len(calls) == 2
+

@@ -40,6 +40,7 @@ from mzvkit.polynomials import MultiPoly, monomial_exponents
 DEPTH2_DIMS = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1,
                7: 0, 8: 1, 9: 0, 10: 1, 11: 0, 12: 2}
 DEPTH3_DIMS = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 1}
+DEPTH4_DIMS = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
 
 
 def random_poly(rng, n, max_deg, max_terms=5):
@@ -75,6 +76,9 @@ class TestDoubleShuffleSpace:
     def test_depth_three_dimension_table(self):
         assert dimension_table(3, range(0, 9)) == DEPTH3_DIMS
 
+    def test_depth_four_dimension_table(self):
+        assert dimension_table(4, range(0, 7)) == DEPTH4_DIMS
+
     def test_depth_two_even_degree_pattern(self):
         for d in range(0, 13, 2):
             assert DEPTH2_DIMS[d] == d // 6
@@ -99,8 +103,8 @@ class TestDoubleShuffleSpace:
     def test_cross_check_wrapper(self, monkeypatch):
         assert dsh_dimension(2, 10) == 1
         # a right pivot order that loses the kernel must be caught
-        exact = dsh.nullspace
-        monkeypatch.setattr(dsh, "nullspace", lambda rows, ncols, pivot_order: (
+        exact = dsh.certified_nullspace
+        monkeypatch.setattr(dsh, "certified_nullspace", lambda rows, ncols, pivot_order: (
             exact(rows, ncols, pivot_order=pivot_order) if pivot_order == "left" else []))
         with pytest.raises(ArithmeticError):
             dsh_dimension(2, 10)

@@ -182,10 +182,19 @@ def test_prime_helpers():
 
 def test_inverse_table_built_once_per_prime():
     assert finite._inverses(11) is finite._inverses(11)
-    div = finite._mod_div(11)
+    div = finite._mod_div(11, (1, 2))
     for m in range(1, 11):
         assert div(1, m, 1) * m % 11 == 1
         assert div(1, -m, 2) * m * m % 11 == 1
+
+
+def test_power_tables_match_pow():
+    for p in primes_in_range(2, 1000):
+        div = finite._mod_div(p, (1, 2, 3, 4))
+        for a in (1, 2, 3, 4):
+            for sign in (1, -1):
+                assert ([div(1, sign * m, a) for m in range(1, p)]
+                        == [pow(sign * m, -a, p) for m in range(1, p)]), (p, a, sign)
 
 
 def test_zeta_A_rejects_composite():

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mzvkit"
@@ -14,4 +15,23 @@ def test_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py"))
+    assert found == []
+
+
+def test_imports_only_stdlib_and_mpmath():
+    # numpy and the other test extras stay out of the package: importing
+    # one on a hot path would add its import time to every run
+    allowed = set(sys.stdlib_module_names) | {"mpmath"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []
