@@ -17,9 +17,13 @@ the weakly-ordered weighted direct sums.
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
 sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  Both
-are numeric.chain_sums over residues mod p.
+are numeric.chain_total over the columns of m^-k_j mod p, one per slot,
+built by repeated column multiplication from the table of inverses.  The
+weak total comes scaled by n! (the tie weights become binomials), so the
+natural value is that total times (n!)^-1, which p > depth makes exist.
 """
 
+import math
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +38,7 @@ from .indices import (
     weight,
     word_of_index,
 )
-from .numeric import chain_sums
+from .numeric import chain_total, power_columns
 from .regularization import (
     MzvCombo,
     RegPoly,
@@ -160,29 +164,24 @@ def _check_prime(p):
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _inverses(p):
     """0, 1^-1, ..., (p-1)^-1 in F_p, built once per prime.
 
     Machine integers, not int objects: the tables of all primes below 1000
-    hold 0.6 MB this way and 1.9 MB as tuples.
+    hold 0.6 MB this way and 1.9 MB as tuples.  The cache keeps the 256
+    primes used last (all 168 primes below 1000 fit), so a sweep over
+    large primes does not hold a table of every one.
     """
     return array("q", [0] + [pow(m, -1, p) for m in range(1, p)])
 
 
-def _mod_div(p, exponents):
-    """x * m^-a in F_p, for 0 < |m| < p and a in `exponents`; chain_sums'
-    ring operation.
-
-    One table of m^-a per exponent, built from _inverses(p) for this
-    operation only, so a call costs one lookup and no pow.
-    """
-    powers = {a: [pow(y, a, p) for y in _inverses(p)] for a in set(exponents)}
-
-    def div(x, m, a):
-        # a negative m indexes table[p + m], the power of the same residue
-        return x * powers[a][m] % p
-    return div
+def _inverse_powers(p, values, exponents):
+    """Columns [m^-a mod p for m in values], one per a in `exponents`, for
+    0 < |m| < p."""
+    inverses = _inverses(p)
+    # a negative m indexes inverses[p + m], the inverse of the same residue
+    return power_columns([inverses[m] for m in values], exponents, p)
 
 
 def zeta_A_component(k, p):
@@ -191,7 +190,7 @@ def zeta_A_component(k, p):
     _check_prime(p)
     if not k:
         return ModPValue(p, 1 % p)
-    return ModPValue(p, sum(chain_sums(k, range(1, p), _mod_div(p, k), 1)) % p)
+    return ModPValue(p, chain_total(_inverse_powers(p, range(1, p), k), modulus=p))
 
 
 def zeta_natural_A_component(k, p):
@@ -210,6 +209,6 @@ def zeta_natural_A_component(k, p):
                          "p=%d depth=%d" % (p, n))
     half = (p - 1) // 2
     values = list(range(1, half + 1)) + [-m for m in range(half, 0, -1)]
-    # the tie weights 1/r! are applied as divisions by r with exponent 1
-    div = _mod_div(p, k + (1,))
-    return ModPValue(p, sum(chain_sums(k, values, div, 1, weak=True)) % p)
+    # the weak total comes scaled by n!, which p > n makes invertible
+    total = chain_total(_inverse_powers(p, values, k), weak=True, modulus=p)
+    return ModPValue(p, total * pow(math.factorial(n), -1, p) % p)

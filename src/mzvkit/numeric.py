@@ -28,11 +28,23 @@ operation names its precision, so no code here reads mpmath's global (and
 thread-unsafe) precision.
 
 The exact truncated sums (the signed direct sums below and the mod-p sums
-in `finite`) are sums over chains of integers and run through the one
-kernel `chain_sums`; only the coefficient ring differs.  Truncated direct
-sums over signed integer tuples (ordered strictly or weakly by 1/m, the
-weak case weighted by inverse factorials of the tie run lengths) are
-computed in exact rational arithmetic.
+in `finite`) are sums over chains of integers: slot j of the index weighs
+the value at position t by an integer w_j[t], and `chain_total` sums the
+chains level by level over whole columns.  With C_j[t] the chains of the
+slots 1..j ending at position t and E_j[t] = sum_{s<t} C_j[s] (E_0 = 1),
+strict chains take C_j = E_{j-1} w_j.  A weak chain whose last run has
+r = j - i equal positions weighs 1/r!.  With level j scaled by j!, that
+weight becomes the integer j!/(i! r!) = C(j, i) times level i scaled by
+i!, so on the scaled levels
+
+    C_j = sum_{i<j} C(j, i) E_i w_{i+1} .. w_j
+
+and the weak total is n! times the weighted sum.  Each level is a few
+column products and one prefix sum, reduced once by the modulus if there
+is one.  The truncated direct sums over signed integer tuples (ordered
+strictly or weakly by 1/m, the weak case weighted by inverse factorials
+of the tie run lengths) take the integer columns (L/m)^a, L = lcm(1..M-1),
+and divide the total by L^weight (and n!) as one exact `Fraction`.
 """
 
 import functools
@@ -43,6 +55,8 @@ import tempfile
 import threading
 import warnings
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -85,33 +99,51 @@ def _power_of_ten(e, digits):
     return mpf_pow_int(ften, e, _prec(digits), round_nearest)
 
 
-def chain_sums(k, values, div, one, weak=False):
-    """For each m in `values`, yield the sum over the chains that end at m.
+def chain_total(columns, weak=False, modulus=None):
+    """Sum over the chains of the weight columns w_1..w_n (n >= 1).
 
-    A chain places the slots k_1..k_n (n >= 1) on entries m_1, .., m_n of
-    `values`, each strictly later in the list than the one before, or
-    weakly later when `weak` is set.  It contributes
-    one * m_1^-k_1 * .. * m_n^-k_n, times 1/r! for each maximal run of r
-    equal entries.  div(x, m, a) is x * m^-a in the coefficient ring; the
-    tie weights are applied as div(x, r, 1).
+    The columns are lists of integers of one length N.  A chain picks
+    positions t_1 < .. < t_n (t_1 <= .. <= t_n when `weak` is set) and
+    contributes w_1[t_1] * .. * w_n[t_n]; a weak chain also weighs 1/r!
+    for each maximal run of r equal positions, and the weak total is
+    returned scaled by n!, which makes it an integer.  With a `modulus`
+    the total and every prefix level are reduced by it.
     """
-    n = len(k)
-    # g[i]: sum over the chains of the slots k_1..k_i that end before m
-    g = [one] + [0] * n
-    for m in values:
-        g[n] = 0
-        # descending i, so each g[i] read still excludes the chains ending at m
-        for i in reversed(range(n)):
-            t = g[i]
-            if not t:
-                continue
-            t = div(t, m, k[i])
-            g[i + 1] += t
-            if weak:
-                for j in range(i + 1, n):
-                    t = div(div(t, m, k[j]), j - i + 1, 1)
-                    g[j + 1] += t
-        yield g[n]
+    n = len(columns)
+    # prefixes[i][t]: level i (times i! when weak) summed over the
+    # positions before t; level 0 is the empty chain
+    prefixes = [repeat(1)]
+    for j, column in enumerate(columns, 1):
+        if weak:
+            # Horner in the start i of the last run: C(j, i) prefixes[i]
+            # times w_{i+1} .. w_j, summed over i < j
+            level = prefixes[0]
+            for i in range(1, j):
+                level = map(add, map(mul, level, columns[i - 1]),
+                            map(mul, prefixes[i], repeat(math.comb(j, i))))
+            level = map(mul, level, column)
+        else:
+            level = map(mul, prefixes[-1], column)
+        if j == n:
+            total = sum(level)
+            return total if modulus is None else total % modulus
+        prefixes.append(_listed(accumulate(level, initial=0), modulus))
+
+
+def power_columns(base, exponents, modulus=None):
+    """The columns [x^a for x in base], one per a in `exponents` (all >= 1),
+    each built from the one before by a column multiplication; with a
+    `modulus` every column is reduced by it."""
+    powers = [base]
+    for _ in range(1, max(exponents)):
+        powers.append(_listed(map(mul, powers[-1], base), modulus))
+    return [powers[a - 1] for a in exponents]
+
+
+def _listed(values, modulus):
+    """The iterable `values` as a list, each entry reduced by `modulus`
+    unless it is None."""
+    return list(values) if modulus is None else [x % modulus for x in values]
 
 
 class BigReal:
@@ -405,8 +437,15 @@ def _signed_range(M):
     return list(range(1, M)) + [-m for m in range(M - 1, 0, -1)]
 
 
-def _fraction_div(x, m, a):
-    return x / m ** a
+def _direct_sum(k, M, weak):
+    k = check_index(k)
+    if not k:
+        return Fraction(1)
+    values = _signed_range(M)
+    # L = lcm(1..M-1) makes every weight (L/m)^a an integer
+    scale = math.lcm(*range(1, M))
+    total = chain_total(power_columns([scale // m for m in values], k), weak)
+    return Fraction(total, scale ** sum(k) * (math.factorial(len(k)) if weak else 1))
 
 
 def direct_sum_F(k, M):
@@ -415,10 +454,7 @@ def direct_sum_F(k, M):
     Tuples are strict chains in the 1/m order, i.e. increasing position
     subsequences of the signed range.
     """
-    k = check_index(k)
-    if not k:
-        return Fraction(1)
-    return sum(chain_sums(k, _signed_range(M), _fraction_div, Fraction(1)), Fraction(0))
+    return _direct_sum(k, M, weak=False)
 
 
 def direct_sum_natural(k, M):
@@ -427,11 +463,7 @@ def direct_sum_natural(k, M):
     A tuple weakly decreasing in 1/m is weighted by the product of 1/r!
     over its maximal runs of equal entries; all other tuples weigh 0.
     """
-    k = check_index(k)
-    if not k:
-        return Fraction(1)
-    return sum(chain_sums(k, _signed_range(M), _fraction_div, Fraction(1), weak=True),
-               Fraction(0))
+    return _direct_sum(k, M, weak=True)
 
 
 def richardson_extrapolate(values):

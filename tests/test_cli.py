@@ -92,6 +92,13 @@ class TestFinite:
         assert payload["rows"]
         assert all(row["residue"] == 0 for row in payload["rows"])
 
+    def test_modp_natural_skips_shallow_primes(self):
+        # p = 2 and 3 cannot invert the tie weight 1/3! of (1,1,1)
+        rc, payload = run_json(["finite", "modp", "--natural", "--index", "(1,1,1)",
+                                "--primes", "2..13"])
+        assert rc == 0
+        assert payload["rows"] == [{"prime": p, "residue": 0} for p in (5, 7, 11, 13)]
+
     def test_modp_shorthand_weight_two(self):
         # classical: the plain inverse-square sum vanishes for p >= 5
         rc, payload = run_json(["modp", "--index", "(2)",

@@ -182,19 +182,30 @@ def test_prime_helpers():
 
 def test_inverse_table_built_once_per_prime():
     assert finite._inverses(11) is finite._inverses(11)
-    div = finite._mod_div(11, (1, 2))
+    inv, inv_sq = finite._inverse_powers(11, [m for m in range(1, 11)] + [-m for m in range(1, 11)],
+                                         (1, 2))
     for m in range(1, 11):
-        assert div(1, m, 1) * m % 11 == 1
-        assert div(1, -m, 2) * m * m % 11 == 1
+        assert inv[m - 1] * m % 11 == 1
+        assert inv_sq[m + 9] * m * m % 11 == 1
 
 
 def test_power_tables_match_pow():
     for p in primes_in_range(2, 1000):
-        div = finite._mod_div(p, (1, 2, 3, 4))
-        for a in (1, 2, 3, 4):
-            for sign in (1, -1):
-                assert ([div(1, sign * m, a) for m in range(1, p)]
-                        == [pow(sign * m, -a, p) for m in range(1, p)]), (p, a, sign)
+        for sign in (1, -1):
+            values = [sign * m for m in range(1, p)]
+            columns = finite._inverse_powers(p, values, (1, 2, 3, 4))
+            for a, column in zip((1, 2, 3, 4), columns):
+                assert column == [pow(m, -a, p) for m in values], (p, a, sign)
+
+
+def test_inverse_tables_are_bounded():
+    bound = finite._inverses.cache_info().maxsize
+    assert bound is not None
+    sweep = primes_in_range(2, 2000)
+    assert len(sweep) > bound
+    for p in sweep:
+        zeta_A_component((1,), p)
+    assert finite._inverses.cache_info().currsize <= bound
 
 
 def test_zeta_A_rejects_composite():
@@ -213,7 +224,7 @@ def test_zeta_A_depth_one_frozen():
 
 
 def test_zeta_A_brute_force():
-    for k in [(1,), (2,), (1, 1), (2, 1), (1, 2), (1, 1, 1)]:
+    for k in [(1,), (2,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 1, 3)]:
         for p in (5, 7, 11):
             total = 0
             for tup in itertools.combinations(range(1, p), len(k)):
@@ -237,13 +248,28 @@ def test_natural_A_rejects_shallow_prime():
     with pytest.raises(ValueError):
         zeta_natural_A_component((1, 1, 1), 3)
     with pytest.raises(ValueError):
+        zeta_natural_A_component((1, 1), 2)
+    with pytest.raises(ValueError):
         zeta_natural_A_component((2,), 8)
+
+
+def test_natural_A_smallest_primes():
+    # p = 2 leaves no 0 < |m| < p/2
+    for k in [(1,), (2,), (3,)]:
+        assert zeta_natural_A_component(k, 2) == ModPValue(2, 0), k
+    # p = 3 leaves m = 1, -1: the ties (1, 1) and (-1, -1) weigh 1/2
+    for k in [(1,), (3,), (1, 1)]:
+        assert zeta_natural_A_component(k, 3) == ModPValue(3, 0), k
+    assert zeta_natural_A_component((2,), 3) == ModPValue(3, 2)
+    assert zeta_natural_A_component((1, 2), 3) == ModPValue(3, 1)  # 1/2 + 1 - 1/2
+    assert zeta_natural_A_component((2, 1), 3) == ModPValue(3, 2)  # 1/2 - 1 - 1/2
 
 
 def test_natural_A_brute_force_via_cone_weight():
     # weighted weak chains over 0<|m|<p/2, with exact rational weights
-    # reduced mod p afterwards
-    for k in [(2,), (1, 1), (2, 1), (1, 2)]:
+    # reduced mod p afterwards; depth 4 takes every binomial tie weight
+    # C(j, i) of the weak kernel, j <= 4
+    for k in [(2,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 3), (1, 1, 1, 1), (3, 1, 1, 2)]:
         for p in (5, 7, 11, 13):
             half = (p - 1) // 2
             vals = [m for m in range(1, half + 1)] + \

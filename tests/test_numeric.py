@@ -25,7 +25,6 @@ from mzvkit.indices import admissible_indices, cone_weight, enumerate_surjection
 from mzvkit.numeric import (
     BigReal,
     ValueCache,
-    chain_sums,
     direct_sum_F,
     direct_sum_natural,
     eval_admissible,
@@ -112,14 +111,22 @@ def test_precision_doubling_stability():
 
 
 def _per_prefix_reference(word, nterms, prec):
-    # I(word; 1/2) in fixed point from its own chain_sums pass with floor
+    # I(word; 1/2) in fixed point from its own chain-sum pass with floor
     # division, as each convolution factor was summed before the factors
     # shared one pass per word
     if not word:
         return 1 << prec
     exps = [len(run) + 1 for run in word.split("B")[1:]]
-    ends = chain_sums(exps, range(1, nterms + 1), lambda x, m, a: x // m ** a, 1 << prec)
-    return sum(s >> m for m, s in enumerate(ends, 1))
+    n = len(exps)
+    # g[i]: sum over the chains of the slots 1..i that end before m
+    g = [1 << prec] + [0] * n
+    total = 0
+    for m in range(1, nterms + 1):
+        g[n] = 0
+        for i in reversed(range(n)):
+            g[i + 1] += g[i] // m ** exps[i]
+        total += g[n] >> m
+    return total
 
 
 def _check_prefix_values(k, digits):
@@ -375,11 +382,17 @@ def test_thread_safety_same_bits():
 
 def test_direct_sum_F_basics():
     assert direct_sum_F((), 5) == 1
+    for k in [(2,), (1, 1), (2, 1, 3)]:
+        assert direct_sum_F(k, 1) == 0, k
+        assert direct_sum_natural(k, 1) == 0, k
     for M in range(2, 10):
         assert direct_sum_F((1,), M) == 0
     assert direct_sum_F((2,), 3) == Fraction(5, 2)
-    with pytest.raises(ValueError):
-        direct_sum_F((2,), 0)
+    for M in (0, -3):
+        with pytest.raises(ValueError):
+            direct_sum_F((2,), M)
+        with pytest.raises(ValueError):
+            direct_sum_natural((1, 1), M)
 
 
 def test_direct_sum_F_depth_two_closed_form():
@@ -395,22 +408,24 @@ def _signed_values(M):
 
 
 def test_direct_sum_F_brute_force():
-    for k in [(1,), (2,), (1, 1), (2, 1), (1, 2)]:
-        for M in (2, 4, 6):
-            vals = _signed_values(M)
-            total = Fraction(0)
-            for tup in itertools.product(vals, repeat=len(k)):
-                recips = [Fraction(1, m) for m in tup]
-                if all(recips[i] > recips[i + 1] for i in range(len(tup) - 1)):
-                    term = Fraction(1)
-                    for m, e in zip(tup, k):
-                        term *= Fraction(1, m ** e)
-                    total += term
-            assert direct_sum_F(k, M) == total, (k, M)
+    cases = [(k, M) for k in [(1,), (2,), (1, 1), (2, 1), (1, 2)] for M in (2, 4, 6)]
+    for k, M in cases + [((2, 1, 1, 3), 4), ((1, 1, 1, 1), 5)]:
+        vals = _signed_values(M)
+        total = Fraction(0)
+        for tup in itertools.product(vals, repeat=len(k)):
+            recips = [Fraction(1, m) for m in tup]
+            if all(recips[i] > recips[i + 1] for i in range(len(tup) - 1)):
+                term = Fraction(1)
+                for m, e in zip(tup, k):
+                    term *= Fraction(1, m ** e)
+                total += term
+        assert direct_sum_F(k, M) == total, (k, M)
 
 
 def test_direct_sum_natural_brute_force_via_cone_weight():
-    cases = [((1, 1), 5), ((2, 1), 5), ((1, 2), 4), ((1, 1, 1), 4)]
+    # depth 4 takes every binomial tie weight C(j, i) of the weak kernel, j <= 4
+    cases = [((1, 1), 5), ((2, 1), 5), ((1, 2), 4), ((1, 1, 1), 4), ((2, 1, 3), 5),
+             ((1, 1, 1, 1), 4), ((3, 1, 1, 2), 4)]
     for k, M in cases:
         vals = _signed_values(M)
         total = Fraction(0)
