@@ -439,9 +439,9 @@ def _signed_range(M):
 
 def _direct_sum(k, M, weak):
     k = check_index(k)
+    values = _signed_range(M)
     if not k:
         return Fraction(1)
-    values = _signed_range(M)
     # L = lcm(1..M-1) makes every weight (L/m)^a an integer
     scale = math.lcm(*range(1, M))
     total = chain_total(power_columns([scale // m for m in values], k), weak)

@@ -4,12 +4,17 @@ Checks, to high precision, that finite symmetric values agree with explicit
 boundary sums modulo a spanning set of products and lower-depth values.  The
 verdicts are integer-relation detections, not proofs; every report is
 labeled as numeric evidence.
+
+A spanning set is built once per (weight, extra depth, digits, value cache)
+and shared by every check that asks for it; its PSLQ reduction to an
+independent subset is computed once per spanning set, from its own values.
 """
 
 import json
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb
 
 from mpmath import mp, mpf, pslq
@@ -29,6 +34,7 @@ from .numeric import (
     DEFAULT_DIGITS,
     BigReal,
     _workdigits,
+    default_cache,
     eval_admissible,
     eval_combo,
 )
@@ -118,6 +124,24 @@ def congruence_rhs(k, digits=DEFAULT_DIGITS, cache=None):
 
 
 # ---------------------------------------------------------------------------
+# integer-relation search
+
+_PSLQ_MAXSTEPS = 5000
+_PSLQ_MAXCOEFF = 10 ** 6
+
+# mpmath's pslq works at the global context precision, which is process-wide
+# state; this lock keeps concurrent searches from changing it under each other
+_PSLQ_LOCK = threading.Lock()
+
+
+def _pslq(values, digits):
+    with _PSLQ_LOCK, mp.workdps(_workdigits(digits)):
+        tol = mpf(10) ** (-(digits - 10))
+        return pslq(values, tol=tol, maxcoeff=_PSLQ_MAXCOEFF,
+                    maxsteps=_PSLQ_MAXSTEPS)
+
+
+# ---------------------------------------------------------------------------
 # spanning sets
 
 @dataclass(frozen=True)
@@ -127,10 +151,30 @@ class SpanningSet:
     weight: int
     max_extra_depth: int
     digits: int
-    entries: tuple  # of (label, BigReal)
+    entries: tuple  # of (label, BigReal), every value, none dropped
 
     def labels(self):
         return [label for label, _ in self.entries]
+
+    @cached_property
+    def reduced(self):
+        """(kept, dropped): the entries without each value that is
+        integer-relation dependent on the values kept before it, so the
+        final detection runs on an independent list.  Computed once per
+        spanning set, from its own values."""
+        kept = []
+        dropped = []
+        for label, value in self.entries:
+            rel = _pslq([v.value for _, v in kept] + [value.value],
+                        self.digits) if kept else None
+            if rel is None:
+                kept.append((label, value))
+            elif rel[-1] == 0:
+                raise ArithmeticError(
+                    "relation among already independent span values: %s" % (rel,))
+            else:
+                dropped.append(label)
+        return tuple(kept), tuple(dropped)
 
 
 def _admissible_of_weight(w):
@@ -141,7 +185,17 @@ def build_spanning_set(target_weight, max_extra_depth, digits=DEFAULT_DIGITS,
                        cache=None):
     """All products of two admissible values with weights summing to the
     target, plus all admissible values of the target weight with depth at
-    most max_extra_depth.  Unordered product pairs are listed once."""
+    most max_extra_depth.  Unordered product pairs are listed once.
+
+    One SpanningSet per (target weight, max_extra_depth, digits, value
+    cache) is built and then shared; cache=None means the process-wide
+    cache at the time of the call."""
+    return _spanning_set(target_weight, max_extra_depth, digits,
+                         default_cache() if cache is None else cache)
+
+
+@lru_cache(maxsize=64)
+def _spanning_set(target_weight, max_extra_depth, digits, cache):
     entries = []
     seen = set()
     for wa in range(2, target_weight - 1):
@@ -209,57 +263,12 @@ class RelationReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-_PSLQ_MAXSTEPS = 5000
-_PSLQ_MAXCOEFF = 10 ** 6
-
-_SPAN_LOCK = threading.Lock()
-_REDUCED_SPANS = {}
-
-# mpmath's pslq works at the global context precision, which is process-wide
-# state; this lock keeps concurrent searches from changing it under each other
-_PSLQ_LOCK = threading.Lock()
-
-
-def _pslq(values, digits):
-    with _PSLQ_LOCK, mp.workdps(_workdigits(digits)):
-        tol = mpf(10) ** (-(digits - 10))
-        return pslq(values, tol=tol, maxcoeff=_PSLQ_MAXCOEFF,
-                    maxsteps=_PSLQ_MAXSTEPS)
-
-
-def _reduce_span(span):
-    """Drop spanning values that are integer-relation dependent on the
-    values kept so far, so the final detection runs on an independent list."""
-    key = (span.weight, span.max_extra_depth, span.digits)
-    with _SPAN_LOCK:
-        hit = _REDUCED_SPANS.get(key)
-    if hit is not None:
-        return hit
-    kept = []
-    dropped = []
-    for label, value in span.entries:
-        if not kept:
-            kept.append((label, value))
-            continue
-        rel = _pslq([v.value for _, v in kept] + [value.value], span.digits)
-        if rel is None:
-            kept.append((label, value))
-        elif rel[-1] == 0:
-            raise ArithmeticError(
-                "relation among already independent span values: %s" % (rel,))
-        else:
-            dropped.append(label)
-    result = (tuple(kept), tuple(dropped))
-    with _SPAN_LOCK:
-        _REDUCED_SPANS[key] = result
-    return result
-
-
 def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
                       digits=DEFAULT_DIGITS, target="", notes=()):
     """Detect lhs - rhs as a bounded-height rational combination of the
-    spanning values.  Confirms only when the residual beats 10^-(digits/2)
-    and every coefficient height stays below denom_bound."""
+    values of a SpanningSet, reduced to an independent subset.  Confirms
+    only when the residual beats 10^-(digits/2) and every coefficient
+    height stays below denom_bound."""
     notes = list(notes)
     diff = lhs - rhs
     absdiff = abs(diff).to_decimal(20)
@@ -267,11 +276,7 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
         notes.append("difference below detection tolerance, no span needed")
         return RelationReport(target, "confirmed", digits, denom_bound,
                               (), absdiff, tuple(notes))
-    entries = span.entries if isinstance(span, SpanningSet) else tuple(span)
-    if isinstance(span, SpanningSet):
-        kept, dropped = _reduce_span(span)
-    else:
-        kept, dropped = tuple(entries), ()
+    kept, dropped = span.reduced
     if dropped:
         notes.append("dependent span values dropped: " + ", ".join(dropped))
     if not kept:

@@ -354,10 +354,10 @@ def test_thread_safety_same_bits():
 
     # congruence checks: BigReal arithmetic and the PSLQ lock under threads
     targets = [(1, 4), (2, 3), (1, 1, 4), (2, 2, 2), (1, 3, 2)]
-    relations._REDUCED_SPANS.clear()
+    relations._spanning_set.cache_clear()
     serial = [check_main_congruence(k, 60, cache=ValueCache(None)).to_json()
               for k in targets]
-    relations._REDUCED_SPANS.clear()
+    relations._spanning_set.cache_clear()
     shared = ValueCache(None)
 
     def run_all(shift):
@@ -381,7 +381,9 @@ def test_thread_safety_same_bits():
 # exact direct sums
 
 def test_direct_sum_F_basics():
-    assert direct_sum_F((), 5) == 1
+    for M in (1, 5):
+        assert direct_sum_F((), M) == 1
+        assert direct_sum_natural((), M) == 1
     for k in [(2,), (1, 1), (2, 1, 3)]:
         assert direct_sum_F(k, 1) == 0, k
         assert direct_sum_natural(k, 1) == 0, k
@@ -393,6 +395,10 @@ def test_direct_sum_F_basics():
             direct_sum_F((2,), M)
         with pytest.raises(ValueError):
             direct_sum_natural((1, 1), M)
+        # the empty index is no exception to the cutoff check
+        for direct_sum in (direct_sum_F, direct_sum_natural):
+            with pytest.raises(ValueError, match="M must be a positive integer"):
+                direct_sum((), M)
 
 
 def test_direct_sum_F_depth_two_closed_form():

@@ -9,10 +9,17 @@ from fractions import Fraction
 import pytest
 
 from mzvkit.finite import zeta_natural_F
-from mzvkit.numeric import BigReal, eval_admissible, eval_combo
+from mzvkit.numeric import (
+    BigReal,
+    ValueCache,
+    default_cache,
+    eval_admissible,
+    eval_combo,
+)
 from mzvkit.regularization import MzvCombo
 from mzvkit.relations import (
     RelationReport,
+    SpanningSet,
     boundary_expansion,
     build_spanning_set,
     check_main_congruence,
@@ -74,6 +81,36 @@ class TestSpanningSet:
         # 1x4 pairs at 2+4 and 3 unordered pairs at 3+3
         span = build_spanning_set(6, 0)
         assert len(span.entries) == 7
+
+    def test_one_span_per_arguments_and_cache(self):
+        c = ValueCache(None)
+        assert build_spanning_set(5, 0, 60, cache=c) is \
+            build_spanning_set(5, 0, 60, cache=c)
+        # cache=None is the process-wide cache at the time of the call
+        assert build_spanning_set(5, 0) is \
+            build_spanning_set(5, 0, 60, cache=default_cache())
+
+    def test_distinct_caches_get_distinct_spans(self):
+        a = build_spanning_set(5, 0, 60, cache=ValueCache(None))
+        b = build_spanning_set(5, 0, 60, cache=ValueCache(None))
+        assert a is not b
+        assert a.labels() == b.labels()
+
+    @pytest.mark.parametrize("hand_built_first", [True, False])
+    def test_each_span_reports_its_own_labels(self, hand_built_first):
+        # same weight, extra depth and digits, other values: each span is
+        # reduced from its own entries, whichever is verified first
+        target = eval_admissible((1, 3), 60)
+        zero = BigReal.from_rational(0, 60)
+        hand_built = SpanningSet(4, 0, 60, (("z(4)", eval_admissible((4,), 60)),))
+        cases = [(hand_built, (("z(4)", Fraction(1, 4)),)),
+                 (build_spanning_set(4, 0), (("z(2)*z(2)", Fraction(1, 10)),))]
+        if not hand_built_first:
+            cases.reverse()
+        for span, coefficients in cases:
+            rep = verify_congruence(target, zero, span, target="z(1,3)")
+            assert rep.confirmed()
+            assert rep.coefficients == coefficients
 
 
 class TestVerifyCongruence:
