@@ -33,7 +33,7 @@ m = n + 1
 # sh: depth-1 shuffle operator on the first n letters, letter n+1 fixed
 sh = embed_elem(shuffle_operator(n, 1), m)
 print("shuffle operator support: %d permutations of %d letters, coeff 1"
-      % (len(sh.coeffs), m))
+      % (len(sh.terms), m))
 
 c = GroupRingElem.from_perm(cycle_perm(m))        # i -> i+1, m -> 1
 t = GroupRingElem.from_perm(transposition(m, 1, m))
@@ -43,7 +43,7 @@ lhs = one + sh * c
 rhs = c * (one + sh * t)
 print("1 + sh c == c (1 + sh t):", lhs == rhs)
 assert lhs == rhs
-print("common support size:", len(lhs.coeffs))
+print("common support size:", len(lhs.terms))
 
 for n_ in (2, 3, 4, 5):
     assert groupring_identity_check(n_)

@@ -33,7 +33,7 @@ prod = block_product(build_series("natural", 1, K), s2)
 # sum the permuted joint table over the support of the shuffle operator
 joint = build_series("natural", 3, K)
 acc = None
-for sigma, coeff in shuffle_operator(3, 1).coeffs.items():
+for sigma, coeff in shuffle_operator(3, 1).terms.items():
     piece = joint.permute(sigma)
     acc = piece if acc is None else acc + piece
 defect = prod - acc

@@ -26,11 +26,6 @@ from .indices import format_index
 from .linalg import span_equal
 from .numeric import DEFAULT_DIGITS, configure_cache, eval_admissible, eval_combo
 from .polynomials import monomial_exponents
-from .regularization import (
-    natural_regularize,
-    shuffle_regularize,
-    stuffle_regularize,
-)
 from .relations import (
     build_spanning_set,
     check_main_congruence,
@@ -39,8 +34,7 @@ from .relations import (
     verify_contraction_congruence,
     verify_word_dual_congruence,
 )
-from .series import normalize_scheme
-from .indices import word_of_index
+from .series import normalize_scheme, regularize
 
 __all__ = ["build_parser", "main"]
 
@@ -76,7 +70,7 @@ def combo_json(combo):
 
 def regpoly_json(poly):
     return {"T^%d" % j: combo_json(poly.coefficient(j))
-            for j in sorted(poly.coeffs)}
+            for j in sorted(poly.terms)}
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +89,7 @@ def cmd_eval(args):
 def cmd_reg(args):
     k = args.index
     scheme = normalize_scheme(args.scheme)
-    if scheme == "stuffle":
-        poly = stuffle_regularize(k)
-    elif scheme == "shuffle":
-        poly = shuffle_regularize(word_of_index(k))
-    else:
-        poly = natural_regularize(k)
+    poly = regularize(scheme, k)
     payload = {
         "index": format_index(k),
         "scheme": scheme,
@@ -108,7 +97,7 @@ def cmd_reg(args):
         "constant_term": combo_json(poly.constant_term()),
     }
     rows = [{"T_degree": j, "combo": json.dumps(combo_json(poly.coefficient(j)))}
-            for j in sorted(poly.coeffs)]
+            for j in sorted(poly.terms)]
     return payload, rows, True
 
 

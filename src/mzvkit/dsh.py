@@ -66,7 +66,7 @@ def act_groupring(f, elem):
     if elem.m != f.nvars:
         raise ValueError("group on %d letters cannot act on %d variables" % (elem.m, f.nvars))
     out = MultiPoly.zero(f.nvars)
-    for sigma, c in elem.coeffs.items():
+    for sigma, c in elem.terms.items():
         out = out + f.permute_variables(sigma).scaled(c)
     return out
 
@@ -99,7 +99,7 @@ def _permuted_image(terms, elem):
     MultiPoly.permute_variables.
     """
     out = {}
-    for sigma, c in elem.coeffs.items():
+    for sigma, c in elem.terms.items():
         positions = [s - 1 for s in sigma]
         for expo, coeff in terms.items():
             key = tuple(map(expo.__getitem__, positions))

@@ -11,8 +11,9 @@ with both factors regularized in one scheme (series scheme for zeta_F,
 integral scheme for zeta_F_sharp), the product taken as full polynomials in
 T, and the T-coefficients summed over i.  For the default sign convention
 the sum is T-free; that is checked at runtime, and the constant term is the
-value.  The surjection-weighted variant zeta_natural_F matches the limit of
-the weakly-ordered weighted direct sums.
+value.  The surjection-weighted variant zeta_natural_F, the
+regularization.surjection_sum of zeta_F, matches the limit of the
+weakly-ordered weighted direct sums.
 
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
@@ -25,25 +26,17 @@ natural value is that total times (n!)^-1, which p > depth makes exist.
 
 import math
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .indices import (
-    check_index,
-    enumerate_surjections,
-    format_index,
-    push_index,
-    stabilizer_order,
-    weight,
-    word_of_index,
-)
+from .indices import check_index, format_index, weight, word_of_index
 from .numeric import chain_total, power_columns
 from .regularization import (
     MzvCombo,
     RegPoly,
     shuffle_regularize,
     stuffle_regularize,
+    surjection_sum,
 )
 
 SIGN_CONVENTIONS = ("tail", "head")
@@ -110,15 +103,7 @@ def zeta_F_sharp(k, sign_convention="tail"):
 
 @lru_cache(maxsize=None)
 def _zeta_natural_F(k, sign_convention):
-    n = len(k)
-    acc = MzvCombo.zero()
-    for m in range(1, n + 1):
-        for comp in enumerate_surjections(n, m):
-            part = _zeta_F(push_index(comp, k), sign_convention)
-            acc = acc + part.scaled(Fraction(1, stabilizer_order(comp)))
-    if n == 0:
-        acc = MzvCombo.one()
-    return acc
+    return surjection_sum(k, lambda j: _zeta_F(j, sign_convention), MzvCombo.zero())
 
 
 def zeta_natural_F(k, sign_convention="tail"):

@@ -2,7 +2,9 @@
 
 Permutations of 1..m are image tuples: sigma[i-1] = sigma(i).  Products
 compose right to left, (sigma tau)(i) = sigma(tau(i)), and the group ring
-multiplies by convolution under that composition.
+multiplies by convolution under that composition: GroupRingElem is a
+combination.Combination with integer coefficients and compose as the
+product of keys.
 
 shuffle_operator(n, i) is the sum of the permutations whose values are
 increasing on positions 1..i and on positions i+1..n.  Together with the
@@ -12,6 +14,8 @@ groupring_identity_check.
 """
 
 from itertools import combinations, permutations
+
+from .combination import Combination
 
 __all__ = [
     "identity_perm",
@@ -66,25 +70,43 @@ def transposition(m, a, b):
     return tuple(out)
 
 
-class GroupRingElem:
-    """Finite integer combination of permutations of 1..m."""
+class GroupRingElem(Combination):
+    """Finite integer combination of permutations of 1..m; products
+    compose the permutations."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m",)
 
-    def __init__(self, m, coeffs=None):
+    def __init__(self, m, terms=None):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError("m must be a positive integer")
         self.m = m
         clean = {}
-        for sigma, c in (coeffs or {}).items():
+        for sigma, c in (terms or {}).items():
             sigma = _check_perm(sigma, m)
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError("coefficients must be integers")
+            c = self._scalar(c)
             if c != 0:
                 clean[sigma] = clean.get(sigma, 0) + c
                 if clean[sigma] == 0:
                     del clean[sigma]
-        self.coeffs = clean
+        self.terms = clean
+
+    def _like(self, terms):
+        elem = super()._like(terms)
+        elem.m = self.m
+        return elem
+
+    def _space(self):
+        return self.m
+
+    @staticmethod
+    def _scalar(q):
+        if isinstance(q, int) and not isinstance(q, bool):
+            return q
+        raise TypeError("group-ring coefficients must be integers, got %r" % (q,))
+
+    @staticmethod
+    def _key_product(sigma, tau):
+        return ((compose(sigma, tau), 1),)
 
     @classmethod
     def one(cls, m):
@@ -95,63 +117,13 @@ class GroupRingElem:
         sigma = _check_perm(sigma)
         return cls(len(sigma), {sigma: 1})
 
-    def _check_same(self, other):
-        if not isinstance(other, GroupRingElem):
-            raise TypeError("expected GroupRingElem")
-        if other.m != self.m:
-            raise ValueError("group sizes differ: %d vs %d" % (self.m, other.m))
-
-    def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.coeffs)
-        for sigma, c in other.coeffs.items():
-            acc = out.get(sigma, 0) + c
-            if acc == 0:
-                out.pop(sigma, None)
-            else:
-                out[sigma] = acc
-        return GroupRingElem(self.m, out)
-
-    def __neg__(self):
-        return GroupRingElem(self.m, {s: -c for s, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return GroupRingElem(self.m, {s: c * other for s, c in self.coeffs.items()})
-        self._check_same(other)
-        out = {}
-        for sig, a in self.coeffs.items():
-            for tau, b in other.coeffs.items():
-                prod = compose(sig, tau)
-                acc = out.get(prod, 0) + a * b
-                if acc == 0:
-                    out.pop(prod, None)
-                else:
-                    out[prod] = acc
-        return GroupRingElem(self.m, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupRingElem)
-                and self.m == other.m and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.coeffs.items())))
-
     def support(self):
-        return set(self.coeffs)
+        return set(self.terms)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "GroupRingElem(%d, 0)" % self.m
-        bits = ["%+d*%r" % (c, s) for s, c in sorted(self.coeffs.items())]
+        bits = ["%+d*%r" % (c, s) for s, c in sorted(self.terms.items())]
         return "GroupRingElem(%d, %s)" % (self.m, " ".join(bits))
 
 
@@ -165,12 +137,12 @@ def shuffle_operator(n, i):
         raise ValueError("n must be a positive integer")
     if not 0 <= i <= n:
         raise ValueError("need 0 <= i <= n")
-    coeffs = {}
+    terms = {}
     universe = range(1, n + 1)
     for first in combinations(universe, i):
         rest = sorted(set(universe) - set(first))
-        coeffs[tuple(list(first) + rest)] = 1
-    return GroupRingElem(n, coeffs)
+        terms[tuple(list(first) + rest)] = 1
+    return GroupRingElem(n, terms)
 
 
 def embed_elem(elem, m):
@@ -180,7 +152,7 @@ def embed_elem(elem, m):
     if m < elem.m:
         raise ValueError("cannot embed into a smaller group")
     tail = tuple(range(elem.m + 1, m + 1))
-    return GroupRingElem(m, {sigma + tail: c for sigma, c in elem.coeffs.items()})
+    return GroupRingElem(m, {sigma + tail: c for sigma, c in elem.terms.items()})
 
 
 def groupring_identity_check(n, perturbed=False):

@@ -6,11 +6,14 @@ arithmetic is exact, so identity tests mean actual polynomial equality.
 These are the coefficient carriers for the linear-algebra side of the
 package: homogeneous components, variable substitution by polynomials
 (used for integer-matrix actions), partial derivatives, and exact division
-by a single variable.
+by a single variable.  Sums, scaling, equality and the product (exponent
+tuples add) come from combination.Combination.
 """
 
 from fractions import Fraction
+from operator import add
 
+from .combination import Combination, as_fraction
 from .indices import compositions_nonneg
 
 __all__ = [
@@ -20,22 +23,14 @@ __all__ = [
 ]
 
 
-def _as_fraction(c):
-    if isinstance(c, bool):
-        raise TypeError("bool is not a polynomial coefficient")
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    raise TypeError("coefficient must be int or Fraction, got %r" % type(c).__name__)
-
-
-class MultiPoly:
+class MultiPoly(Combination):
     """Sparse polynomial in ``nvars`` variables with Fraction coefficients.
 
     ``terms`` maps exponent tuples of length ``nvars`` to nonzero Fractions.
     Instances are treated as immutable: every operation returns a new object.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars, terms=None):
         if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 0:
@@ -48,7 +43,7 @@ class MultiPoly:
                 raise ValueError("exponent tuple %r does not have %d entries" % (expo, nvars))
             if any((not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in expo):
                 raise ValueError("exponents must be nonnegative integers: %r" % (expo,))
-            coeff = _as_fraction(coeff)
+            coeff = as_fraction(coeff)
             if coeff != 0:
                 clean[expo] = clean.get(expo, Fraction(0)) + coeff
                 if clean[expo] == 0:
@@ -73,7 +68,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        return cls(nvars, {(0,) * nvars: as_fraction(value)})
 
     @classmethod
     def one(cls, nvars):
@@ -90,50 +85,19 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, expo, coeff=1):
-        return cls(len(expo), {tuple(expo): _as_fraction(coeff)})
+        return cls(len(expo), {tuple(expo): as_fraction(coeff)})
 
     # ---- ring operations ----------------------------------------------
 
-    def _check_same(self, other):
-        if not isinstance(other, MultiPoly):
-            raise TypeError("expected MultiPoly, got %r" % type(other).__name__)
-        if other.nvars != self.nvars:
-            raise ValueError("variable counts differ: %d vs %d" % (self.nvars, other.nvars))
+    def _like(self, terms):
+        return MultiPoly._trusted(self.nvars, terms)
 
-    def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out[expo] + coeff if expo in out else coeff
-        return MultiPoly._trusted(self.nvars, out)
+    def _space(self):
+        return self.nvars
 
-    def __neg__(self):
-        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, q):
-        q = _as_fraction(q)
-        if q == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly._trusted(self.nvars, {e: c * q for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        self._check_same(other)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(a + b for a, b in zip(ea, eb))
-                out[expo] = out[expo] + ca * cb if expo in out else ca * cb
-        return MultiPoly._trusted(self.nvars, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+    @staticmethod
+    def _key_product(ea, eb):
+        return ((tuple(map(add, ea, eb)), 1),)
 
     def __pow__(self, k):
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -146,17 +110,6 @@ class MultiPoly:
             base = base * base
             k >>= 1
         return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly)
-                and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
 
     # ---- structure ----------------------------------------------------
 
@@ -273,7 +226,7 @@ class MultiPoly:
         return True
 
     def evaluate(self, point):
-        point = [_as_fraction(x) for x in point]
+        point = [as_fraction(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError("need %d coordinates" % self.nvars)
         total = Fraction(0)

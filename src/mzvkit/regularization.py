@@ -16,47 +16,52 @@ T is one shared formal symbol but each value knows which product built it
 only through the call used to produce it.
 
 MzvCombo is an exact rational linear combination of admissible indices, the
-coefficient domain for everything symbolic in this package.  Products of
-MzvCombos expand through the stuffle product, which is a true identity of the
-underlying real numbers, so the expansion is valid no matter which scheme the
-factors came from.
+coefficient domain for everything symbolic in this package, and RegPoly a
+polynomial in T over it; both take their arithmetic from
+combination.Combination.  Products of MzvCombos expand through the stuffle
+product, which is a true identity of the underlying real numbers, so the
+expansion is valid no matter which scheme the factors came from.
+
+Both schemes, and the associator coefficients, peel one letter or part off
+the target: a product of shorter values expands into the target and terms
+that are closer to admissible, so the target's value is that product minus
+the other terms, divided by the target's multiplicity.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from .combination import Combination, as_fraction
 from .indices import (
     _stuffle,
     check_index,
     check_word,
+    compositions,
     format_index,
     index_of_word,
     is_admissible,
     parse_index,
     shuffle_words,
     stabilizer_order,
-    enumerate_surjections,
     push_index,
     weight,
 )
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError("exact rational coefficient expected, got %r" % (x,))
-
-
-class MzvCombo:
+class MzvCombo(Combination):
     """Exact rational linear combination of admissible indices.
 
     The empty index () stands for the constant 1, so plain rationals embed.
-    Instances are immutable by convention: no method mutates self.
+    Products expand through the stuffle product of the keys.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    # The stuffle of two admissible indices only produces admissible indices
+    # (the last part of every term is a sum containing some last part >= 2),
+    # so products stay inside the admissible span.  Keys are checked indices
+    # already, so the cached product is read directly.
+    _key_product = staticmethod(_stuffle)
 
     def __init__(self, terms=None):
         clean = {}
@@ -66,19 +71,10 @@ class MzvCombo:
                 if not is_admissible(k):
                     raise ValueError("MzvCombo keys must be admissible, got %s"
                                      % format_index(k))
-                c = _as_fraction(c)
+                c = as_fraction(c)
                 if c:
                     clean[k] = clean.get(k, Fraction(0)) + c
         self.terms = {k: c for k, c in clean.items() if c}
-
-    @classmethod
-    def _trusted(cls, terms):
-        """Result of arithmetic on validated instances: the keys are already
-        admissible and the coefficients Fractions, so only zero
-        coefficients are dropped."""
-        combo = object.__new__(cls)
-        combo.terms = {k: c for k, c in terms.items() if c}
-        return combo
 
     @classmethod
     def zero(cls):
@@ -94,52 +90,7 @@ class MzvCombo:
 
     @classmethod
     def of_rational(cls, q):
-        return cls({(): _as_fraction(q)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, MzvCombo):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, MzvCombo):
-            return NotImplemented
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc[k] + c if k in acc else c
-        return MzvCombo._trusted(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, MzvCombo):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return MzvCombo._trusted({k: -c for k, c in self.terms.items()})
-
-    def scaled(self, q):
-        q = _as_fraction(q)
-        if not q:
-            return MzvCombo.zero()
-        return MzvCombo._trusted({k: c * q for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        if isinstance(other, MzvCombo):
-            return combo_product(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+        return cls({(): as_fraction(q)})
 
     def weights(self):
         """Set of weights occurring among the terms."""
@@ -161,40 +112,31 @@ class MzvCombo:
         return cls({parse_index(key): Fraction(val) for key, val in obj.items()})
 
 
-def combo_product(a, b):
-    """Product of two combinations, expanded through the stuffle product.
-
-    The stuffle of two admissible indices only produces admissible indices
-    (the last part of every term is a sum containing some last part >= 2),
-    so the result stays inside the admissible span.  The keys of both
-    combinations are checked indices already, so the cached product is read
-    directly.
-    """
-    acc = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            c = c1 * c2
-            for term, mult in _stuffle(k1, k2):
-                acc[term] = acc[term] + c * mult if term in acc else c * mult
-    return MzvCombo._trusted(acc)
+# product of two combinations, expanded through the stuffle product
+combo_product = MzvCombo.__mul__
 
 
-class RegPoly:
-    """Polynomial in the regularization variable T with MzvCombo coefficients."""
+class RegPoly(Combination):
+    """Polynomial in the regularization variable T with MzvCombo
+    coefficients, keyed by T-degree."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
+    @staticmethod
+    def _key_product(j1, j2):
+        return ((j1 + j2, 1),)
+
+    def __init__(self, terms=None):
         clean = {}
-        if coeffs:
-            for j, combo in coeffs.items():
+        if terms:
+            for j, combo in terms.items():
                 if not isinstance(j, int) or j < 0:
                     raise ValueError("T-degrees must be nonnegative integers")
                 if not isinstance(combo, MzvCombo):
                     combo = MzvCombo(combo)
-                if not combo.is_zero():
+                if combo:
                     clean[j] = combo
-        self.coeffs = clean
+        self.terms = clean
 
     @classmethod
     def zero(cls):
@@ -213,82 +155,55 @@ class RegPoly:
         return cls({1: MzvCombo.one()})
 
     def constant_term(self):
-        return self.coeffs.get(0, MzvCombo.zero())
+        return self.terms.get(0, MzvCombo.zero())
 
     def coefficient(self, j):
-        return self.coeffs.get(j, MzvCombo.zero())
+        return self.terms.get(j, MzvCombo.zero())
 
     def degree(self):
-        return max(self.coeffs, default=-1)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, RegPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted((j, hash(c)) for j, c in self.coeffs.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, RegPoly):
-            return NotImplemented
-        acc = dict(self.coeffs)
-        for j, combo in other.coeffs.items():
-            acc[j] = acc.get(j, MzvCombo.zero()) + combo
-        return RegPoly(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, RegPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return RegPoly({j: -combo for j, combo in self.coeffs.items()})
-
-    def scaled(self, q):
-        return RegPoly({j: combo.scaled(q) for j, combo in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        if isinstance(other, RegPoly):
-            acc = {}
-            for j1, c1 in self.coeffs.items():
-                for j2, c2 in other.coeffs.items():
-                    j = j1 + j2
-                    prod = combo_product(c1, c2)
-                    acc[j] = acc.get(j, MzvCombo.zero()) + prod
-            return RegPoly(acc)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+        return max(self.terms, default=-1)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "RegPoly(0)"
         bits = []
-        for j in sorted(self.coeffs):
-            bits.append("T^%d*(%r)" % (j, self.coeffs[j]))
+        for j in sorted(self.terms):
+            bits.append("T^%d*(%r)" % (j, self.terms[j]))
         return "RegPoly(" + " + ".join(bits) + ")"
 
     def to_json_obj(self):
         return {"T^%d" % j: combo.to_json_obj()
-                for j, combo in sorted(self.coeffs.items())}
+                for j, combo in sorted(self.terms.items())}
 
     @classmethod
     def from_json_obj(cls, obj):
-        coeffs = {}
+        terms = {}
         for key, val in obj.items():
             if not key.startswith("T^"):
                 raise ValueError("RegPoly JSON keys look like 'T^j', got %r" % key)
-            coeffs[int(key[2:])] = MzvCombo.from_json_obj(val)
-        return cls(coeffs)
+            terms[int(key[2:])] = MzvCombo.from_json_obj(val)
+        return cls(terms)
+
+
+def _peel(target, expansion, total, value):
+    """value(target), given the sum `total` of mult * value(term) over the
+    (term, mult) pairs of the mapping `expansion`: subtract the other terms
+    and divide by the multiplicity of the target."""
+    for term, mult in expansion.items():
+        if term != target:
+            total = total - value(term).scaled(mult)
+    return total.scaled(Fraction(1, expansion[target]))
+
+
+def surjection_sum(k, value, zero):
+    """Sum, starting from zero, of value(phi_* k) / (order of the stabilizer
+    of phi) over the weakly order-preserving surjections phi of {1..depth}.
+
+    The empty index has one surjection, the empty one, of stabilizer 1.
+    """
+    n = len(k)
+    return sum((value(push_index(comp, k)).scaled(Fraction(1, stabilizer_order(comp)))
+                for m in range(n + 1) for comp in compositions(n, m)), zero)
 
 
 @lru_cache(maxsize=None)
@@ -309,14 +224,8 @@ def stuffle_regularize(k):
     if is_admissible(k):
         return RegPoly.of_index(k)
     head = k[:-1]
-    expansion = dict(_stuffle(head, (1,)))
-    mult_k = expansion[k]
-    acc = stuffle_regularize(head) * RegPoly.T()
-    for term, mult in expansion.items():
-        if term == k:
-            continue
-        acc = acc - stuffle_regularize(term).scaled(mult)
-    return acc.scaled(Fraction(1, mult_k))
+    return _peel(k, dict(_stuffle(head, (1,))),
+                 stuffle_regularize(head) * RegPoly.T(), stuffle_regularize)
 
 
 @lru_cache(maxsize=None)
@@ -335,14 +244,8 @@ def shuffle_regularize(w):
     if w == "" or w.startswith("A"):
         return RegPoly.of_index(index_of_word(w))
     rest = w[1:]
-    expansion = shuffle_words("B", rest)
-    mult_w = expansion[w]
-    acc = shuffle_regularize(rest) * RegPoly.T()
-    for term, mult in expansion.items():
-        if term == w:
-            continue
-        acc = acc - shuffle_regularize(term).scaled(mult)
-    return acc.scaled(Fraction(1, mult_w))
+    return _peel(w, shuffle_words("B", rest),
+                 shuffle_regularize(rest) * RegPoly.T(), shuffle_regularize)
 
 
 @lru_cache(maxsize=None)
@@ -371,12 +274,7 @@ def associator_coefficient(w):
     if expansion[w] != run:
         raise ArithmeticError("%r occurs %d times in its trailing-A expansion, "
                               "expected %d" % (w, expansion[w], run))
-    acc = MzvCombo.zero()
-    for term, mult in expansion.items():
-        if term == w:
-            continue
-        acc = acc - associator_coefficient(term).scaled(mult)
-    return acc.scaled(Fraction(1, run))
+    return _peel(w, expansion, MzvCombo.zero(), associator_coefficient)
 
 
 @lru_cache(maxsize=None)
@@ -387,13 +285,4 @@ def natural_regularize(k):
     stuffle_regularize(phi_* k) / (order of the stabilizer of phi).
     Depth 0 and 1 are degenerate: only the identity surjection exists.
     """
-    k = check_index(k)
-    if len(k) == 0:
-        return RegPoly.of_index(())
-    acc = RegPoly.zero()
-    n = len(k)
-    for m in range(1, n + 1):
-        for comp in enumerate_surjections(n, m):
-            part = stuffle_regularize(push_index(comp, k))
-            acc = acc + part.scaled(Fraction(1, stabilizer_order(comp)))
-    return acc
+    return surjection_sum(check_index(k), stuffle_regularize, RegPoly.zero())

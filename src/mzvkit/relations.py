@@ -3,7 +3,8 @@
 Checks, to high precision, that finite symmetric values agree with explicit
 boundary sums modulo a spanning set of products and lower-depth values.  The
 verdicts are integer-relation detections, not proofs; every report is
-labeled as numeric evidence.
+labeled as numeric evidence, and a confirmed one always has a residual below
+10^-(digits//2).
 
 A spanning set is built once per (weight, extra depth, digits, value cache)
 and shared by every check that asks for it; its PSLQ reduction to an
@@ -267,12 +268,17 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
                       digits=DEFAULT_DIGITS, target="", notes=()):
     """Detect lhs - rhs as a bounded-height rational combination of the
     values of a SpanningSet, reduced to an independent subset.  Confirms
-    only when the residual beats 10^-(digits/2) and every coefficient
-    height stays below denom_bound."""
+    only when the residual (the difference itself, when it vanishes
+    without a span) is below 10^-(digits//2) and every coefficient height
+    stays below denom_bound."""
     notes = list(notes)
     diff = lhs - rhs
-    absdiff = abs(diff).to_decimal(20)
-    if diff.is_zero():
+    gap = abs(diff)
+    absdiff = gap.to_decimal(20)
+    bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
+    # below 21 digits the tolerance 10^-(digits-10) of is_zero is no
+    # tighter than the residual bound, so the shortcut must meet both
+    if diff.is_zero() and gap.value < bound.value:
         notes.append("difference below detection tolerance, no span needed")
         return RelationReport(target, "confirmed", digits, denom_bound,
                               (), absdiff, tuple(notes))
@@ -294,7 +300,6 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
     for j, (_, v) in enumerate(kept):
         combo = combo - v.scaled(Fraction(-rel[j + 1], rel[0]))
     residual = abs(combo)
-    bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
     residual_ok = residual.value < bound.value
     height = max([1] + [max(abs(q.numerator), q.denominator) for _, q in coeffs])
     verdict = "confirmed"

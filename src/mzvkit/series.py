@@ -4,7 +4,8 @@ A depth-n series stores, for every index (k_1,...,k_n) with all entries
 >= 1 and total weight at most K, the coefficient of the monomial
 x_1^{k_1-1} ... x_n^{k_n-1}.  Coefficients are symbolic combinations of
 admissible values (mode "symbolic") or their high-precision evaluations
-(mode "numeric").  Three coefficient schemes exist:
+(mode "numeric").  Three coefficient schemes exist, each the constant term
+of regularize(scheme, k):
 
   natural   constant term of the surjection-weighted series regularization
   stuffle   constant term of the series regularization
@@ -37,6 +38,7 @@ from .regularization import (
 
 __all__ = [
     "SCHEMES",
+    "regularize",
     "SeriesTrunc",
     "build_series",
     "block_product",
@@ -60,12 +62,13 @@ def normalize_scheme(scheme):
                          % (scheme, ", ".join(SCHEMES))) from None
 
 
-def _scheme_constant_term(scheme, k):
+def regularize(scheme, k):
+    """The regularization polynomial of the index k in a normalized scheme."""
     if scheme == "natural":
-        return natural_regularize(k).constant_term()
+        return natural_regularize(k)
     if scheme == "stuffle":
-        return stuffle_regularize(k).constant_term()
-    return shuffle_regularize(word_of_index(k)).constant_term()
+        return stuffle_regularize(k)
+    return shuffle_regularize(word_of_index(k))
 
 
 class SeriesTrunc:
@@ -182,7 +185,7 @@ def build_series(scheme, n, K, mode="symbolic", digits=DEFAULT_DIGITS,
         for k in indices_of_weight(w, n):
             if admissible_only and not is_admissible(k):
                 continue
-            combo = _scheme_constant_term(scheme, k)
+            combo = regularize(scheme, k).constant_term()
             if mode == "symbolic":
                 coeffs[k] = combo
             else:

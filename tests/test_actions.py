@@ -229,10 +229,10 @@ class TestGroupRing:
     def test_shuffle_operator_support(self):
         for n in range(1, 6):
             for i in range(0, n + 1):
-                assert len(shuffle_operator(n, i).coeffs) == comb(n, i)
+                assert len(shuffle_operator(n, i).terms) == comb(n, i)
         assert shuffle_operator(3, 0) == GroupRingElem.one(3)
         assert shuffle_operator(3, 3) == GroupRingElem.one(3)
-        assert len(shuffle_operator(4, 2).coeffs) == 6
+        assert len(shuffle_operator(4, 2).terms) == 6
 
     def test_single_block_shuffles_are_cycles(self):
         # each term places value j first and keeps the rest in order

@@ -211,7 +211,7 @@ def test_shuffle_homomorphism_numeric():
             part = shuffle_regularize(term).scaled(mult)
             rhs = part if rhs is None else rhs + part
         diff = lhs - rhs
-        for j, combo in diff.coeffs.items():
+        for j, combo in diff.terms.items():
             assert eval_combo(combo, 60).is_zero(), (u, v, j)
 
 

@@ -172,7 +172,7 @@ def test_series_homogeneous_in_weight():
     for w in range(1, 8):
         for k in indices_of_weight(w):
             p = stuffle_regularize(k)
-            for j, combo in p.coeffs.items():
+            for j, combo in p.terms.items():
                 assert combo.weights() == {w - j}, (k, j)
 
 
@@ -247,7 +247,7 @@ def test_shuffle_homogeneous_in_weight():
     for w in range(1, 8):
         for k in indices_of_weight(w):
             p = shuffle_regularize(word_of_index(k))
-            for j, combo in p.coeffs.items():
+            for j, combo in p.terms.items():
                 assert combo.weights() == {w - j}, (k, j)
 
 
@@ -325,5 +325,5 @@ def test_natural_homogeneous_in_weight():
     for w in range(1, 7):
         for k in indices_of_weight(w):
             p = natural_regularize(k)
-            for j, combo in p.coeffs.items():
+            for j, combo in p.terms.items():
                 assert combo.weights() == {w - j}, (k, j)

@@ -4,10 +4,13 @@ detector itself and cross-checked against classical closed forms where one
 exists (even single zetas as rational multiples of powers of the weight-2
 value)."""
 
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
+from mzvkit.cli import main
 from mzvkit.finite import zeta_natural_F
 from mzvkit.numeric import (
     BigReal,
@@ -148,6 +151,21 @@ class TestVerifyCongruence:
         b = BigReal.from_rational(0, 60)
         rep = verify_congruence(a, b, build_spanning_set(3, 0), target="t")
         assert rep.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("digits", [8, 11, 15, 21, 60])
+    def test_confirmed_residual_beats_bound_at_any_precision(self, digits):
+        # below 21 digits a difference that is_zero accepts can exceed the
+        # residual bound 10^-(digits//2); it must not confirm on its own
+        out = io.StringIO()
+        main(["--digits", str(digits), "relations", "health"], out=out)
+        checks = [(r["verdict"], r["residual"])
+                  for r in json.loads(out.getvalue())["reports"]]
+        for k in [(3, 2), (1, 2)]:
+            rep = check_main_congruence(k, digits)
+            checks.append((rep.verdict, rep.residual))
+        for verdict, residual in checks:
+            if verdict == "confirmed":
+                assert float(residual) < 10 ** -(digits // 2), (verdict, residual)
 
     def test_report_json(self):
         rep = check_main_congruence((4,))
