@@ -7,21 +7,35 @@ negation, scaling, equality and hashing act on the dicts alone.  Each
 product is a product of keys extended bilinearly, as the stuffle and
 shuffle algebras are defined: a subclass says how two keys multiply.
 
-A subclass supplies four hooks:
+A sum of many terms, combined(pairs, products), and every product go
+through one accumulator.  It keeps integer numerators in one dict per
+denominator, so adding a term multiplies and adds integers and builds no
+Fraction.  A coefficient that is a combination itself (a RegPoly's
+MzvCombo) is summed under its outer key, as one more level of the same
+dicts.  At the end the denominators are brought to their lcm, and each
+key of the result gets one coefficient, built once (keys with equal
+numerators share it).
 
-  _like(terms)    a result in the same space, zero coefficients dropped,
-                  without validating keys again (the default suits a class
-                  whose only slot is `terms`);
+A subclass supplies these hooks:
+
+  _like(terms)    a result in the same space from terms without zero
+                  coefficients, validating nothing again (the default
+                  suits a class whose only slot is `terms`);
   _space()        what must agree between operands (a variable count or a
                   group size), None when nothing does;
   _scalar(q)      the coefficient rule for a scalar factor;
-  _key_product    (k1, k2) -> iterable of (key, multiplicity) pairs.
+  _ratio(n, d)    the coefficient n/d built once per key of a sum (a
+                  Fraction unless the coefficients are integers);
+  _key_product    (k1, k2) -> iterable of (key, multiplicity) pairs;
+  _nested         True when the coefficients are combinations themselves.
 
-Operands of another type get NotImplemented, so Python raises TypeError;
-operands of the same type over different spaces raise ValueError.
+Operands of another type get NotImplemented, so Python raises TypeError
+(combined raises it directly); operands of the same type over different
+spaces raise ValueError.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def as_fraction(x):
@@ -33,16 +47,121 @@ def as_fraction(x):
     raise TypeError("exact rational coefficient expected, got %r" % (x,))
 
 
+class _Sum:
+    """Sum of scaled term dicts and products of term dicts, kept as integer
+    numerators: parts maps each denominator to a dict key -> numerator.
+    Nothing is reduced until total()."""
+
+    __slots__ = ("like", "parts")
+
+    def __init__(self, like):
+        self.like = like  # an element of the result's type and space
+        self.parts = {}
+
+    def add(self, terms, num, den):
+        """Add num/den times the term dict."""
+        parts = self.parts
+        last = nums = None
+        for key, c in terms.items():
+            n, d = c.as_integer_ratio()
+            if d != last:
+                # the terms of one combination share few denominators
+                last = d
+                nums = parts.setdefault(d * den, {})
+            nums[key] = nums.get(key, 0) + n * num
+
+    def add_product(self, left, right, num, den):
+        """Add num/den times the product of two term dicts."""
+        key_product = self.like._key_product
+        parts = self.parts
+        for k1, c1 in left.items():
+            n1, d1 = c1.as_integer_ratio()
+            n1 *= num
+            d1 *= den
+            last = nums = None
+            for k2, c2 in right.items():
+                n, d = c2.as_integer_ratio()
+                n *= n1
+                if d != last:
+                    last = d
+                    nums = parts.setdefault(d * d1, {})
+                for key, mult in key_product(k1, k2):
+                    nums[key] = nums.get(key, 0) + (n if mult == 1 else n * mult)
+
+    def total(self):
+        """The term dict of the sum: one coefficient per nonzero key."""
+        parts = self.parts
+        if len(parts) == 1:
+            (den, nums), = parts.items()
+        else:
+            den = lcm(*parts)
+            nums = {}
+            for d, bucket in parts.items():
+                scale = den // d
+                for key, n in bucket.items():
+                    nums[key] = nums.get(key, 0) + n * scale
+        # keys with equal numerators share one coefficient: a product of
+        # two terms lands on several keys with the same value
+        ratio = self.like._ratio
+        made = {}
+        out = {}
+        for key, n in nums.items():
+            if n:
+                c = made.get(n)
+                if c is None:
+                    c = made[n] = ratio(n, den)
+                out[key] = c
+        return out
+
+
+class _NestedSum:
+    """The sum for combinations of combinations: one _Sum per outer key,
+    so a term is summed under its (outer key, inner key) path."""
+
+    __slots__ = ("like", "parts")
+
+    def __init__(self, like):
+        self.like = like
+        self.parts = {}
+
+    def _inner(self, key, coeff):
+        inner = self.parts.get(key)
+        if inner is None:
+            inner = self.parts[key] = _Sum(coeff)
+        return inner
+
+    def add(self, terms, num, den):
+        for key, coeff in terms.items():
+            self._inner(key, coeff).add(coeff.terms, num, den)
+
+    def add_product(self, left, right, num, den):
+        key_product = self.like._key_product
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                for key, mult in key_product(k1, k2):
+                    self._inner(key, c1).add_product(c1.terms, c2.terms, num * mult, den)
+
+    def total(self):
+        out = {}
+        for key, inner in self.parts.items():
+            terms = inner.total()
+            if terms:  # an outer key whose inner sum cancels is dropped
+                out[key] = inner.like._like(terms)
+        return out
+
+
 class Combination:
     """Base of the sparse combinations; instances are never mutated."""
 
     __slots__ = ("terms",)
 
     _scalar = staticmethod(as_fraction)
+    _ratio = Fraction
+    _nested = False
 
     def _like(self, terms):
         new = object.__new__(type(self))
-        new.terms = {k: c for k, c in terms.items() if c}
+        new.terms = terms
         return new
 
     def _space(self):
@@ -56,6 +175,9 @@ class Combination:
             raise ValueError("%s operands over different spaces: %r vs %r"
                              % (type(self).__name__, self._space(), other._space()))
         return True
+
+    def _sum(self):
+        return (_NestedSum if self._nested else _Sum)(self)
 
     def is_zero(self):
         return not self.terms
@@ -76,7 +198,12 @@ class Combination:
             return NotImplemented
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            acc[k] = acc[k] + c if k in acc else c
+            if k in acc:
+                c = acc[k] + c
+                if not c:
+                    del acc[k]
+                    continue
+            acc[k] = c
         return self._like(acc)
 
     def __neg__(self):
@@ -91,6 +218,28 @@ class Combination:
         q = self._scalar(q)
         return self._like({k: c * q for k, c in self.terms.items()} if q else {})
 
+    def combined(self, pairs=(), products=()):
+        """self + the sum of q*x over the (q, x) pairs + the sum of q*x*y
+        over the (q, x, y) triples, summed in one pass.
+
+        Every operand must have this type (else TypeError) and this space
+        (else ValueError); q follows the scalar rule of the type.
+        """
+        acc = self._sum()
+        acc.add(self.terms, 1, 1)
+        for q, x in pairs:
+            num, den = self._scalar(q).as_integer_ratio()
+            acc.add(self._operand(x).terms, num, den)
+        for q, x, y in products:
+            num, den = self._scalar(q).as_integer_ratio()
+            acc.add_product(self._operand(x).terms, self._operand(y).terms, num, den)
+        return self._like(acc.total())
+
+    def _operand(self, x):
+        if not self._same(x):
+            raise TypeError("%s expected, got %s" % (type(self).__name__, type(x).__name__))
+        return x
+
     def __mul__(self, other):
         """Scalar multiple for an int or Fraction, else the bilinear
         extension of _key_product."""
@@ -98,15 +247,9 @@ class Combination:
             return self.scaled(other)
         if not self._same(other):
             return NotImplemented
-        key_product = self._key_product
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                for key, mult in key_product(k1, k2):
-                    term = c if mult == 1 else c * mult
-                    acc[key] = acc[key] + term if key in acc else term
-        return self._like(acc)
+        acc = self._sum()
+        acc.add_product(self.terms, other.terms, 1, 1)
+        return self._like(acc.total())
 
     # reached only for a left operand of another type: a scalar
     __rmul__ = __mul__

@@ -65,10 +65,8 @@ def act_groupring(f, elem):
         raise TypeError("expected GroupRingElem")
     if elem.m != f.nvars:
         raise ValueError("group on %d letters cannot act on %d variables" % (elem.m, f.nvars))
-    out = MultiPoly.zero(f.nvars)
-    for sigma, c in elem.terms.items():
-        out = out + f.permute_variables(sigma).scaled(c)
-    return out
+    return MultiPoly.zero(f.nvars).combined(
+        (c, f.permute_variables(sigma)) for sigma, c in elem.terms.items())
 
 
 def vector_space_dimension(n, d):
@@ -110,7 +108,8 @@ def _permuted_image(terms, elem):
 def _kernel(basis, rows, pivot_order):
     """The combinations of basis killed by the condition rows, one per
     primitive integer nullspace vector."""
-    return [sum((b.scaled(c) for c, b in zip(vec, basis) if c), MultiPoly.zero(basis[0].nvars))
+    zero = MultiPoly.zero(basis[0].nvars)
+    return [zero.combined((c, b) for c, b in zip(vec, basis) if c)
             for vec in nullspace(rows, len(basis), pivot_order=pivot_order)]
 
 

@@ -8,12 +8,14 @@ by the antipode-type splitting sum
         reg(k_1..k_i) * reg(k_n..k_{i+1})
 
 with both factors regularized in one scheme (series scheme for zeta_F,
-integral scheme for zeta_F_sharp), the product taken as full polynomials in
-T, and the T-coefficients summed over i.  For the default sign convention
-the sum is T-free; that is checked at runtime, and the constant term is the
-value.  The surjection-weighted variant zeta_natural_F, the
-regularization.surjection_sum of zeta_F, matches the limit of the
-weakly-ordered weighted direct sums.
+integral scheme for zeta_F_sharp).  The n+1 signed products are summed in
+one Combination.combined call, as full polynomials in T: every term goes
+into the integer accumulator under its (T-degree, index) path, and each
+coefficient of the result is one Fraction.  For the default sign
+convention the sum is T-free; that is checked at runtime on the whole
+polynomial, and the constant term is the value.  The surjection-weighted
+variant zeta_natural_F, the regularization.surjection_sum of zeta_F,
+matches the limit of the weakly-ordered weighted direct sums.
 
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
@@ -45,21 +47,11 @@ SIGN_CONVENTIONS = ("tail", "head")
 def _antipode_poly(k, reg_of_index, sign_convention):
     if sign_convention not in SIGN_CONVENTIONS:
         raise ValueError("sign_convention must be one of %r" % (SIGN_CONVENTIONS,))
-    n = len(k)
-    total = RegPoly.zero()
-    for i in range(n + 1):
-        if sign_convention == "tail":
-            expo = weight(k[i:])
-        else:
-            # audit-only alternative: exponent starts one slot earlier
-            expo = weight(k[max(i - 1, 0):])
-        left = reg_of_index(k[:i])
-        right = reg_of_index(k[i:][::-1])
-        term = left * right
-        if expo % 2:
-            term = term.scaled(-1)
-        total = total + term
-    return total
+    # the audit-only head convention starts the exponent one slot earlier
+    shift = 0 if sign_convention == "tail" else 1
+    return RegPoly.zero().combined(
+        products=(((-1) ** weight(k[max(i - shift, 0):]), reg_of_index(k[:i]),
+                   reg_of_index(k[i:][::-1])) for i in range(len(k) + 1)))
 
 
 def _constant_term_checked(poly, k, sign_convention, label):

@@ -105,6 +105,11 @@ class GroupRingElem(Combination):
         raise TypeError("group-ring coefficients must be integers, got %r" % (q,))
 
     @staticmethod
+    def _ratio(n, den):
+        # integer coefficients and scalars leave every denominator 1
+        return n
+
+    @staticmethod
     def _key_product(sigma, tau):
         return ((compose(sigma, tau), 1),)
 

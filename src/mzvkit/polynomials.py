@@ -53,11 +53,10 @@ class MultiPoly(Combination):
     @classmethod
     def _trusted(cls, nvars, terms):
         """Result of arithmetic on validated instances: the exponent tuples
-        and Fraction coefficients are already checked, so only zero
-        coefficients are dropped."""
+        and nonzero Fraction coefficients are already checked."""
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly.terms = terms
         return poly
 
     # ---- constructors -------------------------------------------------
@@ -148,8 +147,8 @@ class MultiPoly(Combination):
 
     def diagonal_derivative(self):
         """sum_i df/dx_i: the derivative along the diagonal direction (1, ..., 1)."""
-        return sum((self.partial(i) for i in range(1, self.nvars + 1)),
-                   MultiPoly.zero(self.nvars))
+        return MultiPoly.zero(self.nvars).combined(
+            (1, self.partial(i)) for i in range(1, self.nvars + 1))
 
     def substitute(self, replacements):
         """Compose: replace x_i by replacements[i-1] (all in a common ring).
@@ -178,15 +177,15 @@ class MultiPoly(Combination):
                 cache[k] = power(j, k - 1) * replacements[j]
             return cache[k]
 
-        out = {}
-        for expo, coeff in self.terms.items():
+        def image(expo):
             term = one
             for j, e in enumerate(expo):
                 if e:
                     term = term * power(j, e)
-            for e, c in term.terms.items():
-                out[e] = out[e] + coeff * c if e in out else coeff * c
-        return MultiPoly._trusted(target, out)
+            return term
+
+        return MultiPoly.zero(target).combined(
+            (coeff, image(expo)) for expo, coeff in self.terms.items())
 
     def permute_variables(self, sigma):
         """Return g with g(x_1,...,x_n) = f(x_{sigma^{-1}(1)},...,x_{sigma^{-1}(n)}).

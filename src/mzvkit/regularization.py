@@ -25,7 +25,10 @@ expansion is valid no matter which scheme the factors came from.
 Both schemes, and the associator coefficients, peel one letter or part off
 the target: a product of shorter values expands into the target and terms
 that are closer to admissible, so the target's value is that product minus
-the other terms, divided by the target's multiplicity.
+the other terms, divided by the target's multiplicity.  The product and
+the scaled terms go into one Combination.combined call, so each step
+builds one Fraction per coefficient of the result instead of one per term
+and copy of a running sum; surjection_sum is one such call as well.
 """
 
 from fractions import Fraction
@@ -122,6 +125,8 @@ class RegPoly(Combination):
 
     __slots__ = ()
 
+    _nested = True
+
     @staticmethod
     def _key_product(j1, j2):
         return ((j1 + j2, 1),)
@@ -185,25 +190,26 @@ class RegPoly(Combination):
         return cls(terms)
 
 
-def _peel(target, expansion, total, value):
-    """value(target), given the sum `total` of mult * value(term) over the
-    (term, mult) pairs of the mapping `expansion`: subtract the other terms
-    and divide by the multiplicity of the target."""
-    for term, mult in expansion.items():
-        if term != target:
-            total = total - value(term).scaled(mult)
-    return total.scaled(Fraction(1, expansion[target]))
+def _peel(target, expansion, value, zero, product=()):
+    """value(target), given that the product of the factor pair `product`
+    (none: zero) is the sum of mult * value(term) over the (term, mult)
+    pairs of the mapping `expansion`: subtract the other terms and divide
+    by the multiplicity of the target, in one sum."""
+    c = expansion[target]
+    return zero.combined(((Fraction(-mult, c), value(term))
+                          for term, mult in expansion.items() if term != target),
+                         [(Fraction(1, c),) + product] if product else ())
 
 
 def surjection_sum(k, value, zero):
-    """Sum, starting from zero, of value(phi_* k) / (order of the stabilizer
+    """Sum, added to zero, of value(phi_* k) / (order of the stabilizer
     of phi) over the weakly order-preserving surjections phi of {1..depth}.
 
     The empty index has one surjection, the empty one, of stabilizer 1.
     """
     n = len(k)
-    return sum((value(push_index(comp, k)).scaled(Fraction(1, stabilizer_order(comp)))
-                for m in range(n + 1) for comp in compositions(n, m)), zero)
+    return zero.combined((Fraction(1, stabilizer_order(comp)), value(push_index(comp, k)))
+                         for m in range(n + 1) for comp in compositions(n, m))
 
 
 @lru_cache(maxsize=None)
@@ -224,8 +230,8 @@ def stuffle_regularize(k):
     if is_admissible(k):
         return RegPoly.of_index(k)
     head = k[:-1]
-    return _peel(k, dict(_stuffle(head, (1,))),
-                 stuffle_regularize(head) * RegPoly.T(), stuffle_regularize)
+    return _peel(k, dict(_stuffle(head, (1,))), stuffle_regularize, RegPoly.zero(),
+                 (stuffle_regularize(head), RegPoly.T()))
 
 
 @lru_cache(maxsize=None)
@@ -244,8 +250,8 @@ def shuffle_regularize(w):
     if w == "" or w.startswith("A"):
         return RegPoly.of_index(index_of_word(w))
     rest = w[1:]
-    return _peel(w, shuffle_words("B", rest),
-                 shuffle_regularize(rest) * RegPoly.T(), shuffle_regularize)
+    return _peel(w, shuffle_words("B", rest), shuffle_regularize, RegPoly.zero(),
+                 (shuffle_regularize(rest), RegPoly.T()))
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +280,7 @@ def associator_coefficient(w):
     if expansion[w] != run:
         raise ArithmeticError("%r occurs %d times in its trailing-A expansion, "
                               "expected %d" % (w, expansion[w], run))
-    return _peel(w, expansion, MzvCombo.zero(), associator_coefficient)
+    return _peel(w, expansion, associator_coefficient, MzvCombo.zero())
 
 
 @lru_cache(maxsize=None)

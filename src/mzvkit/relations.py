@@ -101,22 +101,22 @@ def boundary_expansion(k):
     """
     k = _check_opposite_parity(k)
     n = len(k)
-    acc = MzvCombo.zero()
+    terms = []
     for ell in compositions_nonneg(k[0], n - 1):
         coef = 1
         for i in range(1, n):
             coef *= comb(k[i] + ell[i - 1] - 1, ell[i - 1])
         target = tuple(k[i] + ell[i - 1] for i in range(1, n))
         sign = -((-1) ** k[0])
-        acc = acc + _stuffle_const(target).scaled(sign * coef)
+        terms.append((sign * coef, _stuffle_const(target)))
     for ell in compositions_nonneg(k[-1], n - 1):
         coef = 1
         for i in range(n - 1):
             coef *= comb(k[i] + ell[i] - 1, ell[i])
         target = tuple(k[i] + ell[i] for i in range(n - 1))
         sign = (-1) ** k[-1]
-        acc = acc + _stuffle_const(target).scaled(sign * coef)
-    return acc
+        terms.append((sign * coef, _stuffle_const(target)))
+    return MzvCombo.zero().combined(terms)
 
 
 def congruence_rhs(k, digits=DEFAULT_DIGITS, cache=None):
@@ -136,8 +136,10 @@ _PSLQ_LOCK = threading.Lock()
 
 
 def _pslq(values, digits):
+    # 10^-(D-10) for D >= 20; below that the residual bound of
+    # verify_congruence, 10^-(D//2), so a low precision still has a tolerance
     with _PSLQ_LOCK, mp.workdps(_workdigits(digits)):
-        tol = mpf(10) ** (-(digits - 10))
+        tol = mpf(10) ** (-max(digits - 10, digits // 2))
         return pslq(values, tol=tol, maxcoeff=_PSLQ_MAXCOEFF,
                     maxsteps=_PSLQ_MAXSTEPS)
 
@@ -348,15 +350,15 @@ def contraction_expansion(k, reading="weight_homogeneous"):
     k = check_index(k)
     if reading not in CONTRACTION_READINGS:
         raise ValueError("unknown reading %r" % (reading,))
-    acc = MzvCombo.zero()
+    terms = []
     for i in range(1, len(k)):
         merged = (k[i - 1] + k[i],)
         if reading == "as_displayed":
             target = k[:i - 1] + merged + k[i:]
         else:
             target = k[:i - 1] + merged + k[i + 1:]
-        acc = acc - _stuffle_const(target)
-    return acc
+        terms.append((-1, _stuffle_const(target)))
+    return MzvCombo.zero().combined(terms)
 
 
 def verify_contraction_congruence(k, digits=DEFAULT_DIGITS,
@@ -425,9 +427,8 @@ def sharp_product_defect(k, kprime, digits=DEFAULT_DIGITS, cache=None):
                          % format_index(kprime))
     left = eval_combo(_sharp_const(k), digits, cache) * \
         eval_admissible(kprime, digits, cache)
-    acc = MzvCombo.zero()
-    for term, mult in stuffle(k, kprime).items():
-        acc = acc + _sharp_const(term).scaled(mult)
+    acc = MzvCombo.zero().combined((mult, _sharp_const(term))
+                                   for term, mult in stuffle(k, kprime).items())
     return abs(left - eval_combo(acc, digits, cache))
 
 

@@ -29,7 +29,7 @@ from mzvkit.numeric import (
     eval_combo,
     richardson_extrapolate,
 )
-from mzvkit.regularization import MzvCombo
+from mzvkit.regularization import MzvCombo, RegPoly, stuffle_regularize
 
 
 def z(*k):
@@ -85,6 +85,25 @@ def test_zeta_F_total_is_t_free():
         for k in indices_of_weight(w):
             zeta_F(k)
             zeta_F_sharp(k)
+
+
+def test_t_dependent_splitting_sum_raises_under_tail():
+    # factors that keep a T part (here each nonempty factor gets + T) leave
+    # T in the full splitting polynomial, which the tail check must reject;
+    # the audit-only head convention discards the T part instead
+    def reg_with_t(j):
+        poly = stuffle_regularize(j)
+        return poly + RegPoly.T() if j else poly
+
+    for k in [(2,), (2, 3), (1, 2, 2)]:
+        poly = finite._antipode_poly(k, reg_with_t, "tail")
+        assert poly.degree() > 0
+        with pytest.raises(ArithmeticError, match="T-dependent"):
+            finite._constant_term_checked(poly, k, "tail", "zeta_F")
+        head = finite._antipode_poly(k, reg_with_t, "head")
+        assert finite._constant_term_checked(head, k, "head", "zeta_F") == head.constant_term()
+        honest = finite._antipode_poly(k, stuffle_regularize, "tail")
+        assert finite._constant_term_checked(honest, k, "tail", "zeta_F") == zeta_F(k)
 
 
 # ---------------------------------------------------------------------------

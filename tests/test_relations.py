@@ -23,6 +23,7 @@ from mzvkit.regularization import MzvCombo
 from mzvkit.relations import (
     RelationReport,
     SpanningSet,
+    _pslq,
     boundary_expansion,
     build_spanning_set,
     check_main_congruence,
@@ -151,6 +152,22 @@ class TestVerifyCongruence:
         b = BigReal.from_rational(0, 60)
         rep = verify_congruence(a, b, build_spanning_set(3, 0), target="t")
         assert rep.verdict == "inconclusive"
+
+    def test_pslq_finds_the_weight_four_relation_at_eight_digits(self):
+        # the search tolerance is 10^-max(D-10, D//2): at 8 digits it is
+        # 10^-4, where 10^-(D-10) = 100 accepted any vector
+        rel = _pslq([eval_admissible((1, 3), 8).value,
+                     eval_admissible((2,), 8).value ** 2], 8)
+        assert rel == [-10, 1]
+
+    @pytest.mark.parametrize("digits", [8, 9, 12, 15, 21])
+    def test_health_confirms_at_low_precision(self, digits):
+        out = io.StringIO()
+        rc = main(["--digits", str(digits), "relations", "health"], out=out)
+        (report,) = json.loads(out.getvalue())["reports"]
+        assert rc == 0
+        assert report["verdict"] == "confirmed"
+        assert report["coefficients"] == {"z(2)*z(2)": "1/10"}
 
     @pytest.mark.parametrize("digits", [8, 11, 15, 21, 60])
     def test_confirmed_residual_beats_bound_at_any_precision(self, digits):
