@@ -13,19 +13,33 @@ sum.  Admissibility guarantees each factor's innermost letter is B, which is
 what keeps the factors finite.
 
 Every left factor is a prefix e_1..e_j of the word and every right factor
-dual(e_{j+1}..e_L) is the prefix of length L - j of dual(e), so one pass
-over m = 1..N per word gives all 2(L + 1) factors (`_prefix_values`), in
-O(L N) steps instead of O(L^2 N).  The factors are summed in fixed point:
-Python integers scaled by 2^P, P being the binary precision of the working
-digits D + 15 plus _GUARD_BITS.  The pass divides by m once per letter, and
-since the terms are non-negative, floor(floor(x / m) / m) = floor(x / m^2):
-each prefix value is bit-identical to summing that factor on its own with
-one floor division by m^k per part.  So a factor of depth n over N terms
-still takes (n + 1) N floor roundings, each losing less than one unit, and
-the guard bits keep the rounding far below 10^-(D+15).  The sum is rounded
-to the working precision through `mpmath.libmp`, and every `BigReal`
-operation names its precision, so no code here reads mpmath's global (and
-thread-unsafe) precision.
+dual(e_{j+1}..e_L) is the prefix of length L - j of dual(e), so all the
+factors of a value are prefix values of two words.  `eval_many` groups the
+values it has to compute by weight (the number of terms N and the
+precision depend only on the weight and the digits) and puts the words and
+dual words of a group into one prefix trie, so each prefix shared by
+several words is summed once (`_prefix_values`).  Each value of a batch
+still passes through its own `eval_admissible` call, which looks it up in
+the cache; the first call of a weight that misses computes the trie pass
+of the whole weight.  Each trie node is one
+whole-column step over m = 1..N: a B opens a summation slot from the
+exclusive prefix sums of its parent's column (`accumulate(col,
+initial=0)`), every letter floor-divides the column by m
+(`list(map(floordiv, col, ms))`), and the node's value is
+`sum(map(rshift, col, ms))`.  A column is kept only at a branch point,
+while another child of that node still needs it, so the walk holds a few
+columns at a time, not one per trie level.  The factors are summed in fixed
+point: Python integers scaled by 2^P, P being the binary precision of the
+working digits D + 15 plus _GUARD_BITS.  The letters divide by m one at a
+time, and since the terms are non-negative, floor(floor(x / m) / m) =
+floor(x / m^2): each prefix value is bit-identical to summing that factor
+on its own with one floor division by m^k per part, so a value computed in
+a batch is bit-identical to the value computed alone.  A factor of depth n
+over N terms still takes (n + 1) N floor roundings, each losing less than
+one unit, and the guard bits keep the rounding far below 10^-(D+15).  The
+sum is rounded to the working precision through `mpmath.libmp`, and every
+`BigReal` operation names its precision, so no code here reads mpmath's
+global (and thread-unsafe) precision.
 
 The exact truncated sums (the signed direct sums below and the mod-p sums
 in `finite`) are sums over chains of integers: slot j of the index weighs
@@ -54,9 +68,10 @@ import os
 import tempfile
 import threading
 import warnings
+import zlib
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, floordiv, mul, rshift
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -242,9 +257,21 @@ class BigReal:
                                            self.digits)
 
 
+def _digest(index_text, digits, value_text):
+    """Short digest of one cache record, over its index, precision and value:
+    the CRC-32 of the three.  It detects any single contiguous edit of up
+    to 4 bytes, and any other accidental edit except with probability
+    about 2^-32; it is no defence against a forger.
+    zlib is loaded with the interpreter already; hashlib would load
+    OpenSSL, some 3.7 MB of resident memory, into every process."""
+    text = "%s|%d|%s" % (index_text, digits, value_text)
+    return "%08x" % zlib.crc32(text.encode("utf-8"))
+
+
 def _record(index_text, digits, value_text):
     """One JSON line of the value cache file."""
-    return json.dumps({"index": index_text, "precision": digits, "value": value_text}) + "\n"
+    return json.dumps({"index": index_text, "precision": digits, "value": value_text,
+                       "digest": _digest(index_text, digits, value_text)}) + "\n"
 
 
 class ValueCache:
@@ -254,12 +281,17 @@ class ValueCache:
     precision, which makes them bit-identical to a fresh computation
     (fresh computations are themselves canonicalized through the same
     serialize/parse round trip).  Reads are lock-free; writes serialize.
-    Malformed lines (a torn last line after a crash, a record with a
-    missing key or an unparsable value) are skipped with one warning, so
+    Each record carries a short digest over its index, precision and
+    value.  Bad lines (a torn last line after a crash, a record with a
+    missing key or an unparsable value, and a record whose digest is
+    missing or does not match, such as a value edited by hand or a record
+    written before records had digests) are skipped with one warning, so
     their values are computed again, and the file is then rewritten once
     with the good records only; a load that skips nothing writes nothing.
     Records another process appends between that load and the rewrite are
-    lost, and computed again when next needed.
+    lost, and computed again when next needed.  The digest detects edits
+    and damage, not a forger: anyone who can write the file can write a
+    matching digest.
     """
 
     def __init__(self, path=None):
@@ -278,14 +310,16 @@ class ValueCache:
                     rec = json.loads(line)
                     key = (rec["index"], int(rec["precision"]))
                     from_str(rec["value"], 53)  # syntax check only
+                    if rec["digest"] != _digest(*key, rec["value"]):
+                        raise ValueError("digest mismatch")
                 except (ValueError, KeyError, TypeError, AttributeError):
                     bad += 1
                     continue
                 self._mem[key] = rec["value"]
             self._torn = bool(text) and not text.endswith("\n")
             if bad:
-                warnings.warn("value cache %s: skipped %d malformed line(s); their "
-                              "values will be recomputed" % (path, bad))
+                warnings.warn("value cache %s: skipped %d malformed or altered line(s); "
+                              "their values will be recomputed" % (path, bad))
                 try:
                     self._rewrite()
                 except OSError:
@@ -314,6 +348,10 @@ class ValueCache:
 
     def get(self, index_text, digits):
         return self._mem.get((index_text, digits))
+
+    def __contains__(self, key):
+        """Whether (index_text, digits) is stored."""
+        return key in self._mem
 
     def put(self, index_text, digits, value_text):
         with self._lock:
@@ -355,46 +393,100 @@ def _dual_word(w):
     return "".join("A" if c == "B" else "B" for c in reversed(w))
 
 
-def _prefix_values(word, nterms, prec):
-    """I(word[:j]; 1/2) for j = 0..len(word), in fixed point scaled by 2^prec.
+def _prefix_values(words, nterms, prec):
+    """{prefix: I(prefix; 1/2) in fixed point scaled by 2^prec} for every
+    prefix of every word, the empty prefix included.
 
-    `word` is innermost first and starts with B.  Each B opens a summation
-    slot and each letter of a slot divides by one more power of m, so the
-    prefix ending at a letter is the chain sum up to that letter.  One pass
-    over m = 1..nterms gives every prefix; the truncation error of each is
-    below 2^-nterms times a small polynomial factor.
+    Each word is innermost first and starts with B.  The words go into one
+    prefix trie, and each trie node is one whole-column step over m =
+    1..nterms from its parent's column: a B opens a summation slot, whose
+    column is the exclusive prefix sum of the parent's (the chains of the
+    earlier slots ending before m), and every letter then floor-divides by
+    m.  A node's value sums its column shifted right by m.  A column is
+    kept only while children still need it, so the walk holds one column
+    per branch point of the current path.  The truncation error of each
+    value is below 2^-nterms times a small polynomial factor.
     """
-    starts = [j for j, c in enumerate(word) if c == "B"] + [len(word)]
-    # per slot, the lengths of the prefixes that end inside it
-    slots = [range(a + 1, b + 1) for a, b in zip(starts, starts[1:])]
-    out = [1 << prec] + [0] * len(word)
-    # g[r]: sum over the chains of the first r slots that end before m
-    g = [1 << prec] + [0] * len(slots)
-    for m in range(1, nterms + 1):
-        # descending r, so each g[r] read still excludes the chains ending at m
-        for r in reversed(range(len(slots))):
-            t = g[r]
-            for j in slots[r]:
-                t //= m
-                out[j] += t >> m
-            g[r + 1] += t
+    trie = {}
+    for word in words:
+        node = trie
+        for c in word:
+            node = node.setdefault(c, {})
+    ms = range(1, nterms + 1)
+    one = 1 << prec
+    values = {"": one}
+    stack = [(c, child, None) for c, child in trie.items()]
+    while stack:
+        prefix, node, column = stack.pop()
+        if column is None:  # the first B: the empty chain weighs 1 at every m
+            column = map(floordiv, repeat(one), ms)
+        elif prefix[-1] == "B":
+            column = map(floordiv, accumulate(column, initial=0), ms)
+        else:
+            column = map(floordiv, column, ms)
+        if node:
+            column = list(column)
+            stack.extend((prefix + c, child, column) for c, child in node.items())
+        values[prefix] = sum(map(rshift, column, ms))
+    return values
+
+
+def _evaluate(ks, workdigits):
+    """Decimal strings of the admissible indices ks, all of one weight, at
+    the working precision: the convolution sum of each index over the
+    prefix values of all their words and dual words at once."""
+    length = sum(ks[0])
+    if not length:
+        return [to_str(fone, workdigits)] * len(ks)
+    nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
+    workprec = dps_to_prec(workdigits)
+    prec = workprec + _GUARD_BITS
+    pairs = [(e, _dual_word(e)) for e in (word_of_index(k)[::-1] for k in ks)]
+    values = _prefix_values({w for pair in pairs for w in pair}, nterms, prec)
+    out = []
+    for e, d in pairs:
+        total = sum(values[e[:j]] * values[d[:length - j]] for j in range(length + 1))
+        out.append(to_str(from_man_exp(total, -2 * prec, workprec, round_nearest), workdigits))
     return out
 
 
-def _convolution_eval(k, workdigits):
-    """The convolution sum as a raw mpf rounded at the working precision."""
-    eword = word_of_index(k)[::-1]
-    length = len(eword)
-    nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
-    prec = dps_to_prec(workdigits) + _GUARD_BITS
-    left = _prefix_values(eword, nterms, prec)
-    right = _prefix_values(_dual_word(eword), nterms, prec)
-    total = sum(left[j] * right[length - j] for j in range(length + 1))
-    return from_man_exp(total, -2 * prec, dps_to_prec(workdigits), round_nearest)
+def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
+    """Numeric values of admissible indices, in input order, each correct
+    to well within 10^-(D-5).
+
+    Every index is checked before anything is computed.  Each value then
+    goes through `eval_admissible`, and at the first value of a weight that
+    the cache lacks, all the values of that weight it lacks are computed
+    in one trie pass; each is bit-identical to its value computed alone.
+    """
+    ks = [check_index(k) for k in indices]
+    for k in ks:
+        if not is_admissible(k):
+            raise ValueError("not an admissible index: %s" % format_index(k))
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    if cache is None:
+        cache = default_cache()
+    missing = {}  # weight -> the indices of that weight the cache lacks, once each
+    for k in ks:
+        if (format_index(k), digits) not in cache:
+            missing.setdefault(sum(k), {})[k] = None
+    computed = {}
+
+    def compute(k):
+        if k not in computed:
+            group = list(missing.pop(sum(k)))
+            computed.update(zip(group, _evaluate(group, _workdigits(digits))))
+        return computed[k]
+
+    return [eval_admissible(k, digits, cache, compute) for k in ks]
 
 
-def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None):
-    """Numeric value of an admissible index, correct to well within 10^-(D-5)."""
+def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
+    """Numeric value of an admissible index, correct to well within 10^-(D-5).
+
+    A value the cache lacks is computed as a batch of one; `eval_many`
+    passes `_compute`, which gives the value from its batch instead."""
     k = check_index(k)
     if not is_admissible(k):
         raise ValueError("eval_admissible needs an admissible index, got %s"
@@ -406,19 +498,18 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None):
     key = format_index(k)
     stored = cache.get(key, digits)
     if stored is None:
-        wd = _workdigits(digits)
-        stored = to_str(_convolution_eval(k, wd) if k else fone, wd)
+        stored = _compute(k) if _compute else _evaluate([k], _workdigits(digits))[0]
         cache.put(key, digits, stored)
-    value = from_str(stored, _prec(digits), round_nearest)
-    return BigReal(mp.make_mpf(value), mp.make_mpf(_power_of_ten(-(digits + 5), digits)),
-                   digits)
+    return BigReal(mp.make_mpf(from_str(stored, _prec(digits), round_nearest)),
+                   mp.make_mpf(_power_of_ten(-(digits + 5), digits)), digits)
 
 
 def eval_combo(combo, digits=DEFAULT_DIGITS, cache=None):
     """Linear extension of eval_admissible to an MzvCombo."""
+    ks = sorted(combo.terms)
     acc = BigReal.from_rational(0, digits)
-    for k in sorted(combo.terms):
-        acc = acc + eval_admissible(k, digits, cache).scaled(combo.terms[k])
+    for k, value in zip(ks, eval_many(ks, digits, cache)):
+        acc = acc + value.scaled(combo.terms[k])
     return acc
 
 

@@ -28,11 +28,13 @@ that are closer to admissible, so the target's value is that product minus
 the other terms, divided by the target's multiplicity.  The product and
 the scaled terms go into one Combination.combined call, so each step
 builds one Fraction per coefficient of the result instead of one per term
-and copy of a running sum; surjection_sum is one such call as well.
+and copy of a running sum; surjection_sum is one such call as well, over
+the surjections of each depth, which are listed once (`_surjections`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .combination import Combination, as_fraction
 from .indices import (
@@ -46,7 +48,6 @@ from .indices import (
     parse_index,
     shuffle_words,
     stabilizer_order,
-    push_index,
     weight,
 )
 
@@ -201,15 +202,25 @@ def _peel(target, expansion, value, zero, product=()):
                          [(Fraction(1, c),) + product] if product else ())
 
 
+@lru_cache(maxsize=16)
+def _surjections(n):
+    """(1 / order of the stabilizer, block bounds) for every weakly
+    order-preserving surjection of {1..n}; block j of an index k is
+    k[a:b] for the j-th bounds (a, b)."""
+    return tuple((Fraction(1, stabilizer_order(comp)),
+                  tuple(zip(accumulate(comp, initial=0), accumulate(comp))))
+                 for m in range(n + 1) for comp in compositions(n, m))
+
+
 def surjection_sum(k, value, zero):
     """Sum, added to zero, of value(phi_* k) / (order of the stabilizer
     of phi) over the weakly order-preserving surjections phi of {1..depth}.
 
     The empty index has one surjection, the empty one, of stabilizer 1.
     """
-    n = len(k)
-    return zero.combined((Fraction(1, stabilizer_order(comp)), value(push_index(comp, k)))
-                         for m in range(n + 1) for comp in compositions(n, m))
+    k = check_index(k)
+    return zero.combined((q, value(tuple(sum(k[a:b]) for a, b in bounds)))
+                         for q, bounds in _surjections(len(k)))
 
 
 @lru_cache(maxsize=None)
@@ -291,4 +302,4 @@ def natural_regularize(k):
     stuffle_regularize(phi_* k) / (order of the stabilizer of phi).
     Depth 0 and 1 are degenerate: only the identity surjection exists.
     """
-    return surjection_sum(check_index(k), stuffle_regularize, RegPoly.zero())
+    return surjection_sum(k, stuffle_regularize, RegPoly.zero())

@@ -9,6 +9,12 @@ labeled as numeric evidence, and a confirmed one always has a residual below
 A spanning set is built once per (weight, extra depth, digits, value cache)
 and shared by every check that asks for it; its PSLQ reduction to an
 independent subset is computed once per spanning set, from its own values.
+The sets of one weight form a chain: extra depth 0 holds the products, and
+the set of extra depth e >= 1 is the set of depth e - 1 followed by the
+values of depth e, so its reduction continues the shorter set's kept and
+dropped lists.  Each weight's product part is thus evaluated (in one
+`eval_many` batch) and reduced once, whatever the extra depths asked for.
+An extra depth below 0 lists the same entries as 0 and gets that set.
 """
 
 import json
@@ -38,6 +44,7 @@ from .numeric import (
     default_cache,
     eval_admissible,
     eval_combo,
+    eval_many,
 )
 from .regularization import (
     MzvCombo,
@@ -149,12 +156,16 @@ def _pslq(values, digits):
 
 @dataclass(frozen=True)
 class SpanningSet:
-    """Labeled values spanning the product part plus a depth-bounded part."""
+    """Labeled values spanning the product part plus a depth-bounded part.
+
+    `shorter`, when set, is the spanning set of one less extra depth; its
+    entries are the first entries of this one."""
 
     weight: int
     max_extra_depth: int
     digits: int
     entries: tuple  # of (label, BigReal), every value, none dropped
+    shorter: "SpanningSet" = field(default=None, compare=False, repr=False)
 
     def labels(self):
         return [label for label, _ in self.entries]
@@ -164,10 +175,14 @@ class SpanningSet:
         """(kept, dropped): the entries without each value that is
         integer-relation dependent on the values kept before it, so the
         final detection runs on an independent list.  Computed once per
-        spanning set, from its own values."""
-        kept = []
-        dropped = []
-        for label, value in self.entries:
+        spanning set, from its own values.  A set built on a shorter one
+        continues that set's reduction, which is what the entries they
+        share would give again."""
+        kept, dropped, start = [], [], 0
+        if self.shorter is not None:
+            kept, dropped = map(list, self.shorter.reduced)
+            start = len(self.shorter.entries)
+        for label, value in self.entries[start:]:
             rel = _pslq([v.value for _, v in kept] + [value.value],
                         self.digits) if kept else None
             if rel is None:
@@ -180,8 +195,8 @@ class SpanningSet:
         return tuple(kept), tuple(dropped)
 
 
-def _admissible_of_weight(w):
-    return [k for k in indices_of_weight(w) if is_admissible(k)]
+def _admissible_of_weight(w, n=None):
+    return [k for k in indices_of_weight(w, n) if is_admissible(k)]
 
 
 def build_spanning_set(target_weight, max_extra_depth, digits=DEFAULT_DIGITS,
@@ -191,14 +206,24 @@ def build_spanning_set(target_weight, max_extra_depth, digits=DEFAULT_DIGITS,
     most max_extra_depth.  Unordered product pairs are listed once.
 
     One SpanningSet per (target weight, max_extra_depth, digits, value
-    cache) is built and then shared; cache=None means the process-wide
+    cache) is built and then shared; a max_extra_depth below 0 lists the
+    same entries as 0 and gets that set.  cache=None means the process-wide
     cache at the time of the call."""
-    return _spanning_set(target_weight, max_extra_depth, digits,
+    return _spanning_set(target_weight, max(max_extra_depth, 0), digits,
                          default_cache() if cache is None else cache)
 
 
 @lru_cache(maxsize=64)
 def _spanning_set(target_weight, max_extra_depth, digits, cache):
+    if max_extra_depth:
+        # the set of one less extra depth, then the values of this depth
+        shorter = _spanning_set(target_weight, max_extra_depth - 1, digits, cache)
+        ks = _admissible_of_weight(target_weight, max_extra_depth)
+        entries = shorter.entries + tuple(
+            ("z%s" % format_index(k), v) for k, v in zip(ks, eval_many(ks, digits, cache)))
+        return SpanningSet(target_weight, max_extra_depth, digits, entries, shorter)
+    factors = [k for w in range(2, target_weight - 1) for k in _admissible_of_weight(w)]
+    value = dict(zip(factors, eval_many(factors, digits, cache)))
     entries = []
     seen = set()
     for wa in range(2, target_weight - 1):
@@ -212,16 +237,8 @@ def _spanning_set(target_weight, max_extra_depth, digits, cache):
                     continue
                 seen.add(pair)
                 label = "z%s*z%s" % (format_index(pair[0]), format_index(pair[1]))
-                value = eval_admissible(pair[0], digits, cache) * \
-                    eval_admissible(pair[1], digits, cache)
-                entries.append((label, value))
-    for n in range(1, max_extra_depth + 1):
-        for idx in indices_of_weight(target_weight, n):
-            if not is_admissible(idx):
-                continue
-            entries.append(("z%s" % format_index(idx),
-                            eval_admissible(idx, digits, cache)))
-    return SpanningSet(target_weight, max_extra_depth, digits, tuple(entries))
+                entries.append((label, value[pair[0]] * value[pair[1]]))
+    return SpanningSet(target_weight, 0, digits, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

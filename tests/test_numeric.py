@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_str
 
 from mzvkit import numeric, relations
 from mzvkit.indices import admissible_indices, cone_weight, enumerate_surjections, \
@@ -30,6 +30,7 @@ from mzvkit.numeric import (
     eval_admissible,
     eval_combo,
     eval_constant_term,
+    eval_many,
     richardson_extrapolate,
 )
 from mzvkit.regularization import MzvCombo, shuffle_regularize, stuffle_regularize
@@ -129,34 +130,139 @@ def _per_prefix_reference(word, nterms, prec):
     return total
 
 
-def _check_prefix_values(k, digits):
+def _check_prefix_values(ks, digits):
+    # ks: indices of one weight, whose words and dual words share one trie
     workdigits = numeric._workdigits(digits)
-    eword = word_of_index(k)[::-1]
-    length = len(eword)
+    length = sum(ks[0])
     nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
     prec = dps_to_prec(workdigits) + numeric._GUARD_BITS
-    left = [_per_prefix_reference(eword[:j], nterms, prec) for j in range(length + 1)]
-    right = [_per_prefix_reference(numeric._dual_word(eword[j:]), nterms, prec)
-             for j in range(length + 1)]
-    assert numeric._prefix_values(eword, nterms, prec) == left, k
-    assert numeric._prefix_values(numeric._dual_word(eword), nterms, prec) == right[::-1], k
-    total = sum(a * b for a, b in zip(left, right))
-    expected = from_man_exp(total, -2 * prec, dps_to_prec(workdigits), round_nearest)
-    assert numeric._convolution_eval(k, workdigits) == expected, k
+    ewords = [word_of_index(k)[::-1] for k in ks]
+    values = numeric._prefix_values(
+        ewords + [numeric._dual_word(e) for e in ewords], nterms, prec)
+    expected = []
+    for k, eword in zip(ks, ewords):
+        left = [_per_prefix_reference(eword[:j], nterms, prec) for j in range(length + 1)]
+        right = [_per_prefix_reference(numeric._dual_word(eword[j:]), nterms, prec)
+                 for j in range(length + 1)]
+        assert [values[eword[:j]] for j in range(length + 1)] == left, k
+        assert [values[numeric._dual_word(eword[j:])] for j in range(length + 1)] == right, k
+        total = sum(a * b for a, b in zip(left, right))
+        expected.append(to_str(from_man_exp(total, -2 * prec, dps_to_prec(workdigits),
+                                            round_nearest), workdigits))
+    assert numeric._evaluate(ks, workdigits) == expected, ks
 
 
 def test_prefix_values_match_per_prefix_passes():
     for w in range(2, 9):
-        for k in admissible_indices(w):
-            _check_prefix_values(k, 60)
+        _check_prefix_values(admissible_indices(w), 60)
 
 
-def test_prefix_values_match_per_prefix_passes_at_400_digits():
+def _highprec_pairs():
+    # one index of weight 6, 7 and 8 with its dual, which differs from it
     for k in [(1, 3, 2), (2, 1, 1, 3), (1, 1, 3, 1, 2)]:
         k_dual = index_of_word(numeric._dual_word(word_of_index(k)))
         assert k_dual != k
-        for x in (k, k_dual):
-            _check_prefix_values(x, 400)
+        yield k, k_dual
+
+
+def test_prefix_values_match_per_prefix_passes_at_400_digits():
+    for pair in _highprec_pairs():
+        _check_prefix_values(list(pair), 400)
+
+
+def _bits(values):
+    return [(v.value, v.to_decimal(v.digits + 10)) for v in values]
+
+
+def test_batch_matches_one_at_a_time():
+    cases = [([k for w in range(2, 11) for k in admissible_indices(w)], 60)]
+    cases += [([x for pair in _highprec_pairs() for x in pair], d) for d in (120, 400)]
+    for ks, digits in cases:
+        single = [eval_admissible(k, digits, cache=ValueCache(None)) for k in ks]
+        assert _bits(eval_many(ks, digits, cache=ValueCache(None))) == _bits(single), digits
+
+
+def test_batch_edge_cases(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    cache = ValueCache(path)
+    # duplicates, the empty index and mixed weights in one batch
+    ks = [(2, 3), (), (2,), (2, 3), (1, 1, 3), (2,)]
+    values = eval_many(ks, 60, cache=cache)
+    assert _bits(values) == _bits(eval_admissible(k, 60, cache=ValueCache(None)) for k in ks)
+    assert _close(values[1].value, mpf(1), 55)
+    assert eval_many([], 60, cache=cache) == []
+    with open(path, encoding="utf-8") as fh:
+        assert sorted(json.loads(line)["index"] for line in fh) == ["()", "(1,1,3)", "(2)", "(2,3)"]
+    # a bad index or precision anywhere in a batch caches nothing
+    for bad, digits in [([(3,), (4,), (2, 1)], 60), ([(2, 1), (3,)], 60), ([(3,), (1,)], 60),
+                        ([(3,)], 0)]:
+        with pytest.raises(ValueError):
+            eval_many(bad, digits, cache=cache)
+        assert cache.get("(3)", 60) is None and cache.get("(4)", 60) is None
+    with open(path, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 4
+
+
+def test_batch_values_go_through_eval_admissible(monkeypatch):
+    """Each value of a batch is one eval_admissible call, and a value the
+    cache lacks is computed inside its call, after that call's cache lookup
+    missed, one trie pass per weight: a trace of eval_admissible and
+    ValueCache.get counts the computed values of a batch."""
+    cache = ValueCache(None)
+    eval_admissible((2,), 60, cache=cache)
+    log, depth = [], [0]
+    original, evaluate, get = numeric.eval_admissible, numeric._evaluate, ValueCache.get
+
+    def traced(k, *args, **kwargs):
+        log.append(("call", k))
+        depth[0] += 1
+        try:
+            return original(k, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def traced_evaluate(ks, workdigits):
+        log.append(("evaluate", depth[0], sorted(ks)))
+        return evaluate(ks, workdigits)
+
+    def traced_get(self, index_text, digits):
+        found = get(self, index_text, digits)
+        log.append(("get", index_text, found is not None))
+        return found
+
+    monkeypatch.setattr(numeric, "eval_admissible", traced)
+    monkeypatch.setattr(numeric, "_evaluate", traced_evaluate)
+    monkeypatch.setattr(ValueCache, "get", traced_get)
+    eval_many([(2,), (3,), (2, 2), (1, 2), (2,), (4,)], 60, cache=cache)
+    assert log == [
+        ("call", (2,)), ("get", "(2)", True),
+        ("call", (3,)), ("get", "(3)", False), ("evaluate", 1, [(1, 2), (3,)]),
+        ("call", (2, 2)), ("get", "(2,2)", False), ("evaluate", 1, [(2, 2), (4,)]),
+        ("call", (1, 2)), ("get", "(1,2)", False),
+        ("call", (2,)), ("get", "(2)", True),
+        ("call", (4,)), ("get", "(4)", False),
+    ]
+
+
+def test_overlapping_batches_in_threads_get_serial_bits():
+    ks = [k for w in range(2, 9) for k in admissible_indices(w)]
+    alone = ValueCache(None)
+    serial = dict(zip(ks, _bits(eval_many(ks, 60, cache=alone))))
+    batches = [ks[i:i + 40] for i in range(0, len(ks), 15)]
+    batches += [b[::-1] for b in batches]
+    shared = ValueCache(None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [(b, pool.submit(eval_many, b, 60, shared)) for b in batches]
+            for batch, f in futures:
+                assert _bits(f.result(timeout=300)) == [serial[k] for k in batch]
+    finally:
+        sys.setswitchinterval(interval)
+    for k in ks:
+        key = numeric.format_index(k)
+        assert shared.get(key, 60) == alone.get(key, 60) is not None, k
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +421,41 @@ def test_cache_skips_malformed_lines(tmp_path):
         assert reread.get(text, 60) == cache.get(text, 60) is not None
     with open(path, encoding="utf-8") as fh:
         assert [json.loads(line)["index"] for line in fh] == ["(2,3)", "(3)", "(4)"]
+
+
+def _edit_value(rec):
+    # another last digit, still a parsable value
+    value = rec["value"]
+    rec["value"] = value[:-1] + str((int(value[-1]) + 1) % 10)
+
+
+def _strip_digest(rec):
+    del rec["digest"]
+
+
+@pytest.mark.parametrize("alter", [_edit_value, _strip_digest])
+def test_cache_rejects_altered_records(tmp_path, alter):
+    path = str(tmp_path / "cache.jsonl")
+    eval_many([(2, 3), (5,)], 60, cache=ValueCache(path))
+    with open(path, encoding="utf-8") as fh:
+        recs = [json.loads(line) for line in fh]
+    assert all(len(rec["digest"]) == 8 for rec in recs)
+    alter(recs[1])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in recs)
+    with pytest.warns(UserWarning, match="skipped 1 malformed or altered"):
+        cache = ValueCache(path)
+    assert cache.get("(2,3)", 60) is not None and cache.get("(5)", 60) is None
+    fresh = eval_admissible((5,), 60, cache=ValueCache(None))
+    assert _bits([eval_admissible((5,), 60, cache=cache)]) == _bits([fresh])
+    # the file was rewritten once: a clean load warns no more and writes nothing
+    before = os.stat(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reread = ValueCache(path)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert reread.get("(5)", 60) == cache.get("(5)", 60) is not None
 
 
 def test_cache_rewrite_failure_keeps_the_file(tmp_path, monkeypatch):

@@ -100,6 +100,25 @@ class TestSpanningSet:
         assert a is not b
         assert a.labels() == b.labels()
 
+    def test_extra_depth_minus_one_is_the_depth_zero_span(self):
+        for w in range(1, 9):
+            assert build_spanning_set(w, -1) is build_spanning_set(w, 0)
+
+    def test_chained_reduction_matches_a_reduction_from_scratch(self):
+        # each extra depth continues the reduction of the one below it
+        for w in range(1, 9):
+            for e in range(-1, 3):
+                span = build_spanning_set(w, e)
+                kept, dropped = [], []
+                for label, value in span.entries:
+                    rel = _pslq([v.value for _, v in kept] + [value.value],
+                                span.digits) if kept else None
+                    if rel is None:
+                        kept.append((label, value))
+                    else:
+                        dropped.append(label)
+                assert span.reduced == (tuple(kept), tuple(dropped)), (w, e)
+
     @pytest.mark.parametrize("hand_built_first", [True, False])
     def test_each_span_reports_its_own_labels(self, hand_built_first):
         # same weight, extra depth and digits, other values: each span is
