@@ -19,9 +19,11 @@ matches the limit of the weakly-ordered weighted direct sums.
 
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
-sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  Both
-are numeric.chain_total over the columns of m^-k_j mod p, one per slot,
-built by repeated column multiplication from the table of inverses.  The
+sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  For
+odd p = 2h + 1 the signed range in its 1/m order, 1..h, -h..-1, is 1..p-1
+mod p, so both are numeric.chain_total over the same columns of m^-k_j
+mod p for m = 1..p-1, one per slot, built by repeated column
+multiplication from the table of inverses.  The
 weak total comes scaled by n! (the tie weights become binomials), so the
 natural value is that total times (n!)^-1, which p > depth makes exist.
 """
@@ -153,12 +155,9 @@ def _inverses(p):
     return array("q", [0] + [pow(m, -1, p) for m in range(1, p)])
 
 
-def _inverse_powers(p, values, exponents):
-    """Columns [m^-a mod p for m in values], one per a in `exponents`, for
-    0 < |m| < p."""
-    inverses = _inverses(p)
-    # a negative m indexes inverses[p + m], the inverse of the same residue
-    return power_columns([inverses[m] for m in values], exponents, p)
+def _inverse_powers(p, exponents):
+    """Columns [m^-a mod p for m = 1..p-1], one per a in `exponents`."""
+    return power_columns(_inverses(p)[1:].tolist(), exponents, p)
 
 
 def zeta_A_component(k, p):
@@ -167,7 +166,7 @@ def zeta_A_component(k, p):
     _check_prime(p)
     if not k:
         return ModPValue(p, 1 % p)
-    return ModPValue(p, chain_total(_inverse_powers(p, range(1, p), k), modulus=p))
+    return ModPValue(p, chain_total(_inverse_powers(p, k), modulus=p))
 
 
 def zeta_natural_A_component(k, p):
@@ -184,8 +183,9 @@ def zeta_natural_A_component(k, p):
     if p <= n:
         raise ValueError("need p > depth for invertible tie weights, got "
                          "p=%d depth=%d" % (p, n))
-    half = (p - 1) // 2
-    values = list(range(1, half + 1)) + [-m for m in range(half, 0, -1)]
-    # the weak total comes scaled by n!, which p > n makes invertible
-    total = chain_total(_inverse_powers(p, values, k), weak=True, modulus=p)
+    if p == 2:
+        return ModPValue(p, 0)  # the range 0 < |m| < 1 is empty
+    # for odd p = 2h + 1 the 1/m order 1..h, -h..-1 is 1..p-1 mod p; the
+    # weak total comes scaled by n!, which p > n makes invertible
+    total = chain_total(_inverse_powers(p, k), weak=True, modulus=p)
     return ModPValue(p, total * pow(math.factorial(n), -1, p) % p)

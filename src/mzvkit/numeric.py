@@ -12,16 +12,25 @@ geometrically (one bit per term) instead of polynomially like the defining
 sum.  Admissibility guarantees each factor's innermost letter is B, which is
 what keeps the factors finite.
 
+The dual index, whose innermost-first word is dual(e), takes the same
+products with j and L - j swapped: its sum is the same integer, so the
+duality theorem value(k) = value(dual(k)) holds here bit for bit.  One
+cache record therefore serves a dual pair, keyed on its member of lower
+depth (ties going to the smaller tuple, `_record_key`), and a record
+stored at D' digits serves every request at D <= D' digits: the stored
+string is parsed at the working precision of D, which adds one rounding
+below |value| 10^-(D+15) and keeps the error bound 10^-(D+5).
+
 Every left factor is a prefix e_1..e_j of the word and every right factor
 dual(e_{j+1}..e_L) is the prefix of length L - j of dual(e), so all the
 factors of a value are prefix values of two words.  `eval_many` groups the
-values it has to compute by weight (the number of terms N and the
-precision depend only on the weight and the digits) and puts the words and
-dual words of a group into one prefix trie, so each prefix shared by
-several words is summed once (`_prefix_values`).  Each value of a batch
-still passes through its own `eval_admissible` call, which looks it up in
-the cache; the first call of a weight that misses computes the trie pass
-of the whole weight.  Each trie node is one
+records it has to compute, one per dual pair, by weight (the number of
+terms N and the precision depend only on the weight and the digits) and
+puts the words and dual words of a group into one prefix trie, so each
+prefix shared by several words is summed once (`_prefix_values`).  Each
+value of a batch still passes through its own `eval_admissible` call,
+which looks it up in the cache; the first call of a weight that misses
+computes the trie pass of the whole weight.  Each trie node is one
 whole-column step over m = 1..N: a B opens a summation slot from the
 exclusive prefix sums of its parent's column (`accumulate(col,
 initial=0)`), every letter floor-divides the column by m
@@ -69,6 +78,7 @@ import tempfile
 import threading
 import warnings
 import zlib
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, rshift
@@ -92,7 +102,7 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .indices import check_index, format_index, is_admissible, word_of_index
+from .indices import check_index, format_index, index_of_word, is_admissible, word_of_index
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
@@ -277,10 +287,17 @@ def _record(index_text, digits, value_text):
 class ValueCache:
     """Persistent (index, precision) -> decimal string store.
 
-    Backed by a JSON-lines file; hits are re-parsed at the recorded
-    precision, which makes them bit-identical to a fresh computation
-    (fresh computations are themselves canonicalized through the same
-    serialize/parse round trip).  Reads are lock-free; writes serialize.
+    Backed by a JSON-lines file.  A lookup at D digits (`get`, `in`) finds
+    the record of the smallest stored precision >= D for its index, from
+    a sorted tuple of the index's precisions kept on load and under the
+    `put` lock.  `eval_admissible` looks a value up under the member of its
+    dual pair that keys the pair (`_record_key`) and parses the stored
+    text at the working precision of the request: at the stored precision
+    that is bit-identical to a fresh computation (fresh computations go
+    through the same serialize/parse round trip), and a lower request gets
+    the stored value rounded to its precision.  Records that older files
+    hold under the other member of a pair load and stay in the file, but
+    no lookup asks for them.  Reads are lock-free; writes serialize.
     Each record carries a short digest over its index, precision and
     value.  Bad lines (a torn last line after a crash, a record with a
     missing key or an unparsable value, and a record whose digest is
@@ -297,6 +314,7 @@ class ValueCache:
     def __init__(self, path=None):
         self.path = path
         self._mem = {}
+        self._precisions = {}  # index text -> its stored precisions, ascending
         self._lock = threading.Lock()
         self._torn = False  # the file does not end with a newline
         if path is not None and os.path.exists(path):
@@ -315,7 +333,7 @@ class ValueCache:
                 except (ValueError, KeyError, TypeError, AttributeError):
                     bad += 1
                     continue
-                self._mem[key] = rec["value"]
+                self._add(*key, rec["value"])
             self._torn = bool(text) and not text.endswith("\n")
             if bad:
                 warnings.warn("value cache %s: skipped %d malformed or altered line(s); "
@@ -346,19 +364,41 @@ class ValueCache:
             raise
         self._torn = False
 
+    def _serving(self, index_text, digits):
+        """The stored precision that serves a request at `digits`: the
+        smallest one >= digits, or None."""
+        precisions = self._precisions.get(index_text, ())
+        i = bisect_left(precisions, digits)
+        return precisions[i] if i < len(precisions) else None
+
+    def _add(self, index_text, digits, value_text):
+        """Store one record unless its key is stored; whether it was stored."""
+        key = (index_text, digits)
+        if key in self._mem:
+            return False
+        # the value first, then a new tuple of precisions: a lock-free
+        # reader sees either the old tuple or the new one, and every
+        # precision in either has its value
+        self._mem[key] = value_text
+        precisions = self._precisions.get(index_text, ())
+        i = bisect_left(precisions, digits)
+        self._precisions[index_text] = precisions[:i] + (digits,) + precisions[i:]
+        return True
+
     def get(self, index_text, digits):
-        return self._mem.get((index_text, digits))
+        """The value text of the smallest stored precision >= digits, or
+        None."""
+        stored = self._serving(index_text, digits)
+        return None if stored is None else self._mem[(index_text, stored)]
 
     def __contains__(self, key):
-        """Whether (index_text, digits) is stored."""
-        return key in self._mem
+        """Whether some precision >= digits is stored for (index_text, digits)."""
+        return self._serving(*key) is not None
 
     def put(self, index_text, digits, value_text):
         with self._lock:
-            key = (index_text, digits)
-            if key in self._mem:
+            if not self._add(index_text, digits, value_text):
                 return
-            self._mem[key] = value_text
             if self.path is not None:
                 line = _record(index_text, digits, value_text)
                 if self._torn:
@@ -391,6 +431,19 @@ def configure_cache(path):
 
 def _dual_word(w):
     return "".join("A" if c == "B" else "B" for c in reversed(w))
+
+
+@functools.lru_cache(maxsize=4096)
+def _record_key(k):
+    """The member of {k, dual(k)} whose record serves both, and its text:
+    the one of lower depth, ties going to the smaller tuple.
+
+    The convolution sum of the dual index takes the same products as that
+    of k, with j and L - j swapped, so `_evaluate` gives both the same
+    string."""
+    dual = index_of_word(_dual_word(word_of_index(k)))
+    member = min(k, dual, key=lambda x: (len(x), x))
+    return member, format_index(member)
 
 
 def _prefix_values(words, nterms, prec):
@@ -454,10 +507,12 @@ def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
     """Numeric values of admissible indices, in input order, each correct
     to well within 10^-(D-5).
 
-    Every index is checked before anything is computed.  Each value then
-    goes through `eval_admissible`, and at the first value of a weight that
-    the cache lacks, all the values of that weight it lacks are computed
-    in one trie pass; each is bit-identical to its value computed alone.
+    Every index is checked before anything is computed.  The batch is
+    deduplicated by record key, so an index and its dual are one value.
+    Each value then goes through `eval_admissible`, and at the first value
+    of a weight that the cache lacks, all the records of that weight it
+    lacks are computed in one trie pass; each is bit-identical to its
+    value computed alone.
     """
     ks = [check_index(k) for k in indices]
     for k in ks:
@@ -467,10 +522,11 @@ def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
         raise ValueError("digits must be positive")
     if cache is None:
         cache = default_cache()
-    missing = {}  # weight -> the indices of that weight the cache lacks, once each
+    missing = {}  # weight -> the record members of that weight the cache lacks
     for k in ks:
-        if (format_index(k), digits) not in cache:
-            missing.setdefault(sum(k), {})[k] = None
+        member, key = _record_key(k)
+        if (key, digits) not in cache:
+            missing.setdefault(sum(k), {})[member] = None
     computed = {}
 
     def compute(k):
@@ -485,8 +541,11 @@ def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
 def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
     """Numeric value of an admissible index, correct to well within 10^-(D-5).
 
-    A value the cache lacks is computed as a batch of one; `eval_many`
-    passes `_compute`, which gives the value from its batch instead."""
+    One cache lookup, under the record key of the index's dual pair, at
+    the smallest stored precision >= D.  A value the cache lacks is that
+    member's value computed as a batch of one and stored at D digits;
+    `eval_many` passes `_compute`, which gives the value from its batch
+    instead."""
     k = check_index(k)
     if not is_admissible(k):
         raise ValueError("eval_admissible needs an admissible index, got %s"
@@ -495,10 +554,10 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
         raise ValueError("digits must be positive")
     if cache is None:
         cache = default_cache()
-    key = format_index(k)
+    member, key = _record_key(k)
     stored = cache.get(key, digits)
     if stored is None:
-        stored = _compute(k) if _compute else _evaluate([k], _workdigits(digits))[0]
+        stored = _compute(member) if _compute else _evaluate([member], _workdigits(digits))[0]
         cache.put(key, digits, stored)
     return BigReal(mp.make_mpf(from_str(stored, _prec(digits), round_nearest)),
                    mp.make_mpf(_power_of_ten(-(digits + 5), digits)), digits)

@@ -6,6 +6,7 @@ frozen combinations.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -201,20 +202,17 @@ def test_prime_helpers():
 
 def test_inverse_table_built_once_per_prime():
     assert finite._inverses(11) is finite._inverses(11)
-    inv, inv_sq = finite._inverse_powers(11, [m for m in range(1, 11)] + [-m for m in range(1, 11)],
-                                         (1, 2))
+    inv, inv_sq = finite._inverse_powers(11, (1, 2))
     for m in range(1, 11):
         assert inv[m - 1] * m % 11 == 1
-        assert inv_sq[m + 9] * m * m % 11 == 1
+        assert inv_sq[m - 1] * m * m % 11 == 1
 
 
 def test_power_tables_match_pow():
     for p in primes_in_range(2, 1000):
-        for sign in (1, -1):
-            values = [sign * m for m in range(1, p)]
-            columns = finite._inverse_powers(p, values, (1, 2, 3, 4))
-            for a, column in zip((1, 2, 3, 4), columns):
-                assert column == [pow(m, -a, p) for m in values], (p, a, sign)
+        columns = finite._inverse_powers(p, (1, 2, 3, 4))
+        for a, column in zip((1, 2, 3, 4), columns):
+            assert column == [pow(m, -a, p) for m in range(1, p)], (p, a)
 
 
 def test_inverse_tables_are_bounded():
@@ -302,6 +300,27 @@ def test_natural_A_brute_force_via_cone_weight():
                 term = num * pow(den, -1, p) % p
                 for m, e in zip(tup, k):
                     term = term * pow(m % p, -e, p) % p
+                total = (total + term) % p
+            assert zeta_natural_A_component(k, p).residue == total, (k, p)
+
+
+def test_natural_A_brute_force_over_weak_chains_of_signed_m():
+    # the weak chains of 0 < |m| < p/2 in the 1/m order 1..h, -h..-1,
+    # enumerated as weakly increasing positions, each maximal run of r
+    # equal entries weighing 1/r!; the residues of that order are 1..p-1
+    for p in (5, 7, 11, 13):
+        half = (p - 1) // 2
+        signed = list(range(1, half + 1)) + list(range(-half, 0))
+        assert [m % p for m in signed] == list(range(1, p))
+        for k in [(2,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 1, 3), (1, 1, 1, 1),
+                  (3, 1, 1, 2)]:
+            total = 0
+            for chain in itertools.combinations_with_replacement(signed, len(k)):
+                term = 1
+                for _, run in itertools.groupby(chain):
+                    term = term * pow(math.factorial(len(list(run))), -1, p) % p
+                for m, e in zip(chain, k):
+                    term = term * pow(m, -e, p) % p
                 total = (total + term) % p
             assert zeta_natural_A_component(k, p).residue == total, (k, p)
 

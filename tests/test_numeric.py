@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_str
+from mpmath.libmp import dps_to_prec, from_man_exp, from_str, round_nearest, to_str
 
 from mzvkit import numeric, relations
 from mzvkit.indices import admissible_indices, cone_weight, enumerate_surjections, \
@@ -104,10 +104,11 @@ def test_naive_truncation_oracle():
 
 
 def test_precision_doubling_stability():
+    # a cache per precision, so the 80-digit record cannot serve 60 digits
     for w in range(2, 9):
         for k in admissible_indices(w):
-            a = eval_admissible(k, 60)
-            b = eval_admissible(k, 80)
+            a = eval_admissible(k, 60, cache=ValueCache(None))
+            b = eval_admissible(k, 80, cache=ValueCache(None))
             assert _close(a.value, b.value, 55), k
 
 
@@ -157,10 +158,14 @@ def test_prefix_values_match_per_prefix_passes():
         _check_prefix_values(admissible_indices(w), 60)
 
 
+def _dual(k):
+    return index_of_word(numeric._dual_word(word_of_index(k)))
+
+
 def _highprec_pairs():
     # one index of weight 6, 7 and 8 with its dual, which differs from it
     for k in [(1, 3, 2), (2, 1, 1, 3), (1, 1, 3, 1, 2)]:
-        k_dual = index_of_word(numeric._dual_word(word_of_index(k)))
+        k_dual = _dual(k)
         assert k_dual != k
         yield k, k_dual
 
@@ -185,14 +190,14 @@ def test_batch_matches_one_at_a_time():
 def test_batch_edge_cases(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = ValueCache(path)
-    # duplicates, the empty index and mixed weights in one batch
-    ks = [(2, 3), (), (2,), (2, 3), (1, 1, 3), (2,)]
+    # duplicates, a dual pair, the empty index and mixed weights in one batch
+    ks = [(2, 3), (), (2,), (2, 3), (1, 1, 3), (2,), (1, 2, 2)]
     values = eval_many(ks, 60, cache=cache)
     assert _bits(values) == _bits(eval_admissible(k, 60, cache=ValueCache(None)) for k in ks)
     assert _close(values[1].value, mpf(1), 55)
     assert eval_many([], 60, cache=cache) == []
     with open(path, encoding="utf-8") as fh:
-        assert sorted(json.loads(line)["index"] for line in fh) == ["()", "(1,1,3)", "(2)", "(2,3)"]
+        assert sorted(json.loads(line)["index"] for line in fh) == ["()", "(1,4)", "(2)", "(2,3)"]
     # a bad index or precision anywhere in a batch caches nothing
     for bad, digits in [([(3,), (4,), (2, 1)], 60), ([(2, 1), (3,)], 60), ([(3,), (1,)], 60),
                         ([(3,)], 0)]:
@@ -236,9 +241,9 @@ def test_batch_values_go_through_eval_admissible(monkeypatch):
     eval_many([(2,), (3,), (2, 2), (1, 2), (2,), (4,)], 60, cache=cache)
     assert log == [
         ("call", (2,)), ("get", "(2)", True),
-        ("call", (3,)), ("get", "(3)", False), ("evaluate", 1, [(1, 2), (3,)]),
+        ("call", (3,)), ("get", "(3)", False), ("evaluate", 1, [(3,)]),
         ("call", (2, 2)), ("get", "(2,2)", False), ("evaluate", 1, [(2, 2), (4,)]),
-        ("call", (1, 2)), ("get", "(1,2)", False),
+        ("call", (1, 2)), ("get", "(3)", True),
         ("call", (2,)), ("get", "(2)", True),
         ("call", (4,)), ("get", "(4)", False),
     ]
@@ -261,7 +266,7 @@ def test_overlapping_batches_in_threads_get_serial_bits():
     finally:
         sys.setswitchinterval(interval)
     for k in ks:
-        key = numeric.format_index(k)
+        key = numeric._record_key(k)[1]
         assert shared.get(key, 60) == alone.get(key, 60) is not None, k
 
 
@@ -363,8 +368,9 @@ def test_bigreal_zero_tolerance_is_d_minus_ten():
 # cache
 
 def test_cache_bit_identity(tmp_path):
+    # (1,2,2) is the dual of (2,3), whose record serves both
     path = str(tmp_path / "cache.jsonl")
-    v1 = eval_admissible((2, 3), 60, cache=ValueCache(path))
+    v1 = eval_admissible((1, 2, 2), 60, cache=ValueCache(path))
     reloaded = ValueCache(path)
     assert reloaded.get("(2,3)", 60) is not None
     v2 = eval_admissible((2, 3), 60, cache=reloaded)
@@ -375,6 +381,120 @@ def test_cache_bit_identity(tmp_path):
     assert len(recs) == 1
     assert recs[0]["index"] == "(2,3)"
     assert recs[0]["precision"] == 60
+
+
+def test_dual_indices_evaluate_to_the_same_string():
+    # the convolution sums of k and its dual take the same products, so a
+    # weight's duals, batched, give the same strings as the weight itself
+    workdigits = numeric._workdigits(60)
+    for w in range(2, 11):
+        ks = admissible_indices(w)
+        duals = [_dual(k) for k in ks]
+        assert numeric._evaluate(duals, workdigits) == numeric._evaluate(ks, workdigits), w
+        for k, k_dual in zip(ks, duals):
+            member, text = numeric._record_key(k)
+            assert numeric._record_key(k_dual) == (member, text), k
+            assert member == min(k, k_dual, key=lambda x: (len(x), x))
+            assert text == numeric.format_index(member)
+
+
+def test_stored_precision_serves_lower_requests(tmp_path, monkeypatch):
+    ks = [x for pair in _highprec_pairs() for x in pair]
+    fresh = {d: eval_many(ks, d, cache=ValueCache(None)) for d in (60, 120)}
+    path = str(tmp_path / "cache.jsonl")
+    cache = ValueCache(path)
+    eval_many(ks, 400, cache=cache)
+
+    def refuse(ks, workdigits):
+        raise AssertionError("computed %r" % (ks,))
+
+    monkeypatch.setattr(numeric, "_evaluate", refuse)
+    for digits in (120, 60):
+        for k, served, f in zip(ks, eval_many(ks, digits, cache=cache), fresh[digits]):
+            assert served.digits == digits and served.err == f.err, (k, digits)
+            assert _close(served.value, f.value, digits - 5), (k, digits)
+            assert eval_admissible(k, digits, cache=cache).value == served.value, (k, digits)
+    with open(path, encoding="utf-8") as fh:
+        recs = [json.loads(line) for line in fh]
+    # one 400-digit record per dual pair, none added by the lower requests
+    assert [(rec["index"], rec["precision"]) for rec in recs] == [
+        ("(1,3,2)", 400), ("(1,4,2)", 400), ("(3,1,4)", 400)]
+
+
+def test_get_serves_the_smallest_stored_precision_at_least_the_request(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    cache = ValueCache(path)
+    for digits in (120, 60, 400):
+        cache.put("(2)", digits, "%d.5" % digits)
+    requests = [1, 59, 60, 61, 120, 121, 400, 401]
+    for c in (cache, ValueCache(path)):
+        assert [c.get("(2)", d) for d in requests] == \
+            ["60.5", "60.5", "60.5", "120.5", "120.5", "400.5", "400.5", None]
+        assert [("(2)", d) in c for d in requests] == [True] * 7 + [False]
+        assert c.get("(3)", 1) is None and ("(3)", 1) not in c
+
+
+def test_puts_and_gets_of_many_precisions_in_threads():
+    # readers never see a precision below the request; no put is lost
+    cache = ValueCache(None)
+    precisions = list(range(10, 410, 10))
+    order = precisions[1::2] + precisions[::2]
+
+    def put_all(shift):
+        for d in order[shift:] + order[:shift]:
+            cache.put("(2)", d, "%d" % d)
+
+    def get_all(_):
+        for d in range(1, 420):
+            found = cache.get("(2)", d)
+            assert found is None or int(found) >= d, (d, found)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(f, i) for i in range(4) for f in (put_all, get_all)]
+            for f in futures:
+                f.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [cache.get("(2)", d) for d in precisions] == ["%d" % d for d in precisions]
+    assert cache.get("(2)", 15) == "20" and cache.get("(2)", 401) is None
+
+
+# three records written before records were keyed on dual pairs: (1,2) is
+# the dual of (3) and (1,1,3) that of (1,4), so only the record of (3) is
+# served now
+_UNPAIRED_RECORDS = [
+    '{"index": "(1,2)", "precision": 20, "value": "1.20205690315959428539973816151145",'
+    ' "digest": "a5a9dfcc"}',
+    '{"index": "(3)", "precision": 20, "value": "1.20205690315959428539973816151145",'
+    ' "digest": "c479587c"}',
+    '{"index": "(1,1,3)", "precision": 30, "value": '
+    '"0.0965511599894437344656455314289427640320103723", "digest": "da1a1b31"}',
+]
+
+
+def test_cache_file_of_unpaired_records_loads_without_warnings(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in _UNPAIRED_RECORDS)
+    before = os.stat(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ValueCache(path)
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    values = [json.loads(line)["value"] for line in _UNPAIRED_RECORDS]
+    assert cache.get("(3)", 20) == values[1] and cache.get("(1,4)", 30) is None
+    # both members of a pair get the stored bits, and the value of (1,1,3)
+    # computed again under (1,4) has the bits its old record holds
+    for k, digits, text in [((3,), 20, values[1]), ((1, 2), 20, values[1]),
+                            ((1, 1, 3), 30, values[2]), ((1, 4), 30, values[2])]:
+        parsed = from_str(text, numeric._prec(digits), round_nearest)
+        assert eval_admissible(k, digits, cache=cache).value._mpf_ == parsed, k
+    with open(path, encoding="utf-8") as fh:
+        assert [json.loads(line)["index"] for line in fh] == ["(1,2)", "(3)", "(1,1,3)", "(1,4)"]
 
 
 def test_cache_distinguishes_precision(tmp_path):
@@ -435,10 +555,12 @@ def _strip_digest(rec):
 
 @pytest.mark.parametrize("alter", [_edit_value, _strip_digest])
 def test_cache_rejects_altered_records(tmp_path, alter):
+    # the duals of (2,3) and (5,) write the records of (2,3) and (5,)
     path = str(tmp_path / "cache.jsonl")
-    eval_many([(2, 3), (5,)], 60, cache=ValueCache(path))
+    eval_many([(1, 2, 2), (1, 1, 1, 2)], 60, cache=ValueCache(path))
     with open(path, encoding="utf-8") as fh:
         recs = [json.loads(line) for line in fh]
+    assert [rec["index"] for rec in recs] == ["(2,3)", "(5)"]
     assert all(len(rec["digest"]) == 8 for rec in recs)
     alter(recs[1])
     with open(path, "w", encoding="utf-8") as fh:
