@@ -63,16 +63,6 @@ def parse_int_range(text):
     return lo, hi
 
 
-def combo_json(combo):
-    items = sorted(combo.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {format_index(k): str(c) for k, c in items}
-
-
-def regpoly_json(poly):
-    return {"T^%d" % j: combo_json(poly.coefficient(j))
-            for j in sorted(poly.terms)}
-
-
 # ---------------------------------------------------------------------------
 # handlers return (payload, rows, all_confirmed)
 
@@ -93,11 +83,11 @@ def cmd_reg(args):
     payload = {
         "index": format_index(k),
         "scheme": scheme,
-        "polynomial": regpoly_json(poly),
-        "constant_term": combo_json(poly.constant_term()),
+        "polynomial": poly.to_json_obj(),
+        "constant_term": poly.constant_term().to_json_obj(),
     }
-    rows = [{"T_degree": j, "combo": json.dumps(combo_json(poly.coefficient(j)))}
-            for j in sorted(poly.terms)]
+    rows = [{"T_degree": j, "combo": json.dumps(combo.to_json_obj())}
+            for j, combo in sorted(poly.terms.items())]
     return payload, rows, True
 
 
@@ -111,7 +101,7 @@ def cmd_finite_eval(args):
     payload = {
         "index": format_index(k),
         "scheme": args.scheme,
-        "combo": combo_json(combo),
+        "combo": combo.to_json_obj(),
         "value": value.to_decimal(),
         "digits": args.digits,
     }

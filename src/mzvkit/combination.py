@@ -2,31 +2,33 @@
 
 Every symbolic object of the package is a dict `terms` from keys to nonzero
 coefficients: admissible indices (MzvCombo), powers of T (RegPoly),
-exponent tuples (MultiPoly) and permutations (GroupRingElem).  Sums,
-negation, scaling, equality and hashing act on the dicts alone.  Each
-product is a product of keys extended bilinearly, as the stuffle and
-shuffle algebras are defined: a subclass says how two keys multiply.
+exponent tuples (MultiPoly), permutations (GroupRingElem) and the indices
+of a weight-truncated series table (SeriesTrunc).  Sums, negation,
+scaling, equality and hashing act on the dicts alone.  Each product is a
+product of keys extended bilinearly, as the stuffle and shuffle algebras
+are defined: a subclass says how two keys multiply.
 
 A sum of many terms, combined(pairs, products), and every product go
 through one accumulator.  It keeps integer numerators in one dict per
 denominator, so adding a term multiplies and adds integers and builds no
-Fraction.  A coefficient that is a combination itself (a RegPoly's
-MzvCombo) is summed under its outer key, as one more level of the same
-dicts.  At the end the denominators are brought to their lcm, and each
-key of the result gets one coefficient, built once (keys with equal
-numerators share it).
+Fraction.  A coefficient that is a combination itself (the MzvCombo of a
+RegPoly or a SeriesTrunc) is summed under its outer key, as one more
+level of the same dicts.  At the end the denominators are brought to
+their lcm, and each key of the result gets one coefficient, built once
+(keys with equal numerators share it).
 
 A subclass supplies these hooks:
 
   _like(terms)    a result in the same space from terms without zero
                   coefficients, validating nothing again (the default
                   suits a class whose only slot is `terms`);
-  _space()        what must agree between operands (a variable count or a
-                  group size), None when nothing does;
+  _space()        what must agree between operands (a variable count, a
+                  group size or a series shape), None when nothing does;
   _scalar(q)      the coefficient rule for a scalar factor;
   _ratio(n, d)    the coefficient n/d built once per key of a sum (a
                   Fraction unless the coefficients are integers);
-  _key_product    (k1, k2) -> iterable of (key, multiplicity) pairs;
+  _key_product    (k1, k2) -> iterable of (key, multiplicity) pairs, for
+                  the classes that multiply;
   _nested         True when the coefficients are combinations themselves.
 
 Operands of another type get NotImplemented, so Python raises TypeError

@@ -9,15 +9,16 @@ subspaces is the cross-check used by the callers.  The pivot columns are
 the first column basis in scan order, which does not depend on the order
 or the repetition of the rows, so neither does the returned basis.
 
-certified_nullspace returns the same basis from an elimination modulo
-the word-size prime PRIME, with a proof over Q on two sides.  Rank mod p
-is at most rank over Q, so the nullity over Q is at most the nullity
-mod p; no free column mod p therefore proves the kernel is 0.  Otherwise
-each kernel vector mod p is lifted by rational reconstruction and checked
-exactly, A v = 0 over Z; the checked vectors are independent, so the
-nullity over Q is at least the nullity mod p, and the two bounds meet.  A
-reconstruction that fails, or a vector that fails the check, sends the
-system to the Bareiss nullspace instead.
+certified_nullspace returns the same basis from a Gauss-Jordan
+elimination modulo the word-size prime PRIME, which inserts the rows one
+at a time into a fully reduced basis, with a proof over Q on two sides.
+Rank mod p is at most rank over Q, so the nullity over Q is at most the
+nullity mod p; no free column mod p therefore proves the kernel is 0.
+Otherwise each kernel vector mod p is lifted by rational reconstruction
+and checked exactly, A v = 0 over Z; the checked vectors are
+independent, so the nullity over Q is at least the nullity mod p, and
+the two bounds meet.  A reconstruction that fails, or a vector that
+fails the check, sends the system to the Bareiss nullspace instead.
 
 reduce_rows computes a canonical reduced row echelon form over Fraction,
 which makes span comparison a simple equality test.
@@ -155,43 +156,36 @@ def _subtract_multiple(row, prow, col, p):
 def _rref_mod_p(rows, scan, p):
     """Pivot rows of the reduced row echelon form of rows mod p.
 
-    Columns are renamed to their positions in `scan` and eliminated in
-    that order.  A column is a pivot iff it is independent of the columns
-    before it, whichever row is chosen as its pivot row, so the sparsest
-    candidate is chosen, which keeps the fill low.  Returns {pivot
-    position: row dict}, each pivot 1 and alone in its column.
+    Columns are renamed to their positions in `scan`.  Each row is
+    inserted into a fully reduced basis: it is reduced by the pivot rows
+    so far (each zero at every other pivot column, so one pass clears
+    them all), its first remaining column becomes a pivot, and that
+    column is cleared from the earlier pivot rows.  The working set never
+    exceeds the final RREF, which is unique, so the row order does not
+    matter.  Returns {pivot position: row dict}, each pivot 1 and alone in
+    its column.
     """
-    rest = []
+    pivots = {}
     for row in rows:
         r = {}
         for pos, c in enumerate(scan):
             x = row[c] % p
             if x:
                 r[pos] = x
-        if r:
-            rest.append(r)
-    pivots = {}
-    for col in range(len(scan)):
-        cand = [r for r in rest if col in r]
-        if not cand:
+        # a pivot row adds only non-pivot columns, so the pivot columns of
+        # r are known before the pass
+        for col in [c for c in r if c in pivots]:
+            _subtract_multiple(r, pivots[col], col, p)
+        if not r:
             continue
-        prow = min(cand, key=len)
-        inv = pow(prow[col], -1, p)
-        for c in prow:
-            prow[c] = prow[c] * inv % p
-        pivots[col] = prow
-        for r in cand:
-            if r is not prow:
-                _subtract_multiple(r, prow, col, p)
-        rest = [r for r in rest if r and r is not prow]
-    # back-substitute, latest pivot first: each row used is already free
-    # of every later pivot column
-    order = sorted(pivots)
-    for i in range(len(order) - 1, 0, -1):
-        col = order[i]
-        for earlier in order[:i]:
-            if col in pivots[earlier]:
-                _subtract_multiple(pivots[earlier], pivots[col], col, p)
+        col = min(r)
+        inv = pow(r[col], -1, p)
+        for c in r:
+            r[c] = r[c] * inv % p
+        for prow in pivots.values():
+            if col in prow:
+                _subtract_multiple(prow, r, col, p)
+        pivots[col] = r
     return pivots
 
 

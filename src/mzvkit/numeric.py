@@ -102,7 +102,14 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .indices import check_index, format_index, index_of_word, is_admissible, word_of_index
+from .indices import (
+    check_index,
+    format_index,
+    index_of_word,
+    is_admissible,
+    parse_index,
+    word_of_index,
+)
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
@@ -295,16 +302,17 @@ class ValueCache:
     text at the working precision of the request: at the stored precision
     that is bit-identical to a fresh computation (fresh computations go
     through the same serialize/parse round trip), and a lower request gets
-    the stored value rounded to its precision.  Records that older files
-    hold under the other member of a pair load and stay in the file, but
-    no lookup asks for them.  Reads are lock-free; writes serialize.
-    Each record carries a short digest over its index, precision and
-    value.  Bad lines (a torn last line after a crash, a record with a
-    missing key or an unparsable value, and a record whose digest is
-    missing or does not match, such as a value edited by hand or a record
-    written before records had digests) are skipped with one warning, so
-    their values are computed again, and the file is then rewritten once
-    with the good records only; a load that skips nothing writes nothing.
+    the stored value rounded to its precision.  A record that an older
+    file holds under the other member of a pair loads under the pair's
+    key, since both values are the same bits.  Reads are lock-free;
+    writes serialize.  Each record carries a short digest over its index,
+    precision and value.  Bad lines (a torn last line after a crash, a
+    record with a missing key, an unparsable value or an index text that
+    is not an admissible index, and a record whose digest is missing or
+    does not match, such as a value edited by hand or a record written
+    before records had digests) are skipped with one warning, so their
+    values are computed again, and the file is then rewritten once with
+    the good records only; a load that skips nothing writes nothing.
     Records another process appends between that load and the rewrite are
     lost, and computed again when next needed.  The digest detects edits
     and damage, not a forger: anyone who can write the file can write a
@@ -326,14 +334,19 @@ class ValueCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    key = (rec["index"], int(rec["precision"]))
+                    digits = int(rec["precision"])
                     from_str(rec["value"], 53)  # syntax check only
-                    if rec["digest"] != _digest(*key, rec["value"]):
+                    if rec["digest"] != _digest(rec["index"], digits, rec["value"]):
                         raise ValueError("digest mismatch")
+                    k = parse_index(rec["index"])
+                    if not is_admissible(k):
+                        raise ValueError("not an admissible index")
                 except (ValueError, KeyError, TypeError, AttributeError):
                     bad += 1
                     continue
-                self._add(*key, rec["value"])
+                # older files may hold the other member of a dual pair; its
+                # value is bit-identical, so it serves under the pair's key
+                self._add(_record_key(k)[1], digits, rec["value"])
             self._torn = bool(text) and not text.endswith("\n")
             if bad:
                 warnings.warn("value cache %s: skipped %d malformed or altered line(s); "

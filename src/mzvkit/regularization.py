@@ -109,7 +109,9 @@ class MzvCombo(Combination):
         return "MzvCombo(" + " + ".join(bits) + ")"
 
     def to_json_obj(self):
-        return {format_index(k): str(c) for k, c in sorted(self.terms.items())}
+        """{index text: coefficient text}, listed by depth, then index."""
+        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return {format_index(k): str(c) for k, c in items}
 
     @classmethod
     def from_json_obj(cls, obj):

@@ -2,10 +2,12 @@
 
 A depth-n series stores, for every index (k_1,...,k_n) with all entries
 >= 1 and total weight at most K, the coefficient of the monomial
-x_1^{k_1-1} ... x_n^{k_n-1}.  Coefficients are symbolic combinations of
-admissible values (mode "symbolic") or their high-precision evaluations
-(mode "numeric").  Three coefficient schemes exist, each the constant term
-of regularize(scheme, k):
+x_1^{k_1-1} ... x_n^{k_n-1}.  Coefficients are exact combinations of
+admissible values (MzvCombo), and a table is a combination.Combination
+over its indices, so sums, differences, scaling and equality come from
+that algebra; a numeric cell is eval_combo(s.coefficient(k), digits).
+Three coefficient schemes exist, each the constant term of
+regularize(scheme, k):
 
   natural   constant term of the surjection-weighted series regularization
   stuffle   constant term of the series regularization
@@ -22,10 +24,9 @@ identity for the natural series,
 whose coefficientwise numeric defect series_shuffle_check measures.
 """
 
-from fractions import Fraction
-
+from .combination import Combination
 from .groupring import shuffle_operator
-from .indices import format_index, indices_of_weight, is_admissible, word_of_index
+from .indices import indices_of_weight, is_admissible, word_of_index
 from .matrices import substitution_forms
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
 from .polynomials import MultiPoly
@@ -71,51 +72,66 @@ def regularize(scheme, k):
     return shuffle_regularize(word_of_index(k))
 
 
-class SeriesTrunc:
-    """Truncated coefficient table of a depth-n generating function."""
+def _domain(n, K):
+    """Every index of depth n and weight n..K."""
+    return (k for w in range(n, K + 1) for k in indices_of_weight(w, n))
 
-    __slots__ = ("n", "K", "coefficients", "mode", "digits")
 
-    def __init__(self, n, K, coefficients, mode, digits=None):
+class SeriesTrunc(Combination):
+    """Truncated coefficient table of a depth-n generating function: a
+    combination of the indices of depth n and weight <= K with MzvCombo
+    coefficients.  Zero cells are not stored."""
+
+    __slots__ = ("n", "K")
+
+    _nested = True
+
+    def __init__(self, n, K, terms):
         if n < 0 or K < n:
             raise ValueError("need 0 <= n <= K")
-        if mode not in ("symbolic", "numeric"):
-            raise ValueError("mode must be 'symbolic' or 'numeric'")
         self.n = n
         self.K = K
-        self.mode = mode
-        self.digits = digits
         clean = {}
-        for k, v in coefficients.items():
+        for k, v in terms.items():
             k = tuple(k)
             if len(k) != n or any(p < 1 for p in k):
                 raise ValueError("bad index %r for depth %d" % (k, n))
             if sum(k) > K:
                 raise ValueError("index %r exceeds weight bound %d" % (k, K))
-            clean[k] = v
-        self.coefficients = clean
+            if not isinstance(v, MzvCombo):
+                raise TypeError("series coefficients must be MzvCombo, got %s"
+                                % type(v).__name__)
+            if v:
+                clean[k] = v
+        self.terms = clean
 
-    def _zero(self):
-        if self.mode == "symbolic":
-            return MzvCombo.zero()
-        return BigReal.from_rational(0, self.digits or DEFAULT_DIGITS)
+    def _like(self, terms):
+        new = super()._like(terms)
+        new.n = self.n
+        new.K = self.K
+        return new
+
+    def _space(self):
+        return (self.n, self.K)
+
+    # a scalar multiple, but no product of two tables: block_product
+    # multiplies tables in disjoint variables
+    __mul__ = __rmul__ = Combination.scaled
 
     def coefficient(self, k):
-        return self.coefficients.get(tuple(k), self._zero())
+        return self.terms.get(tuple(k), MzvCombo.zero())
 
     def indices(self):
-        return sorted(self.coefficients)
+        """The whole domain, zero cells included, in sorted order."""
+        return sorted(_domain(self.n, self.K))
 
     def permute(self, sigma):
         """Variable permutation: the result coefficient at k picks up the
         source coefficient at (k_{sigma^{-1}(1)}, ..., k_{sigma^{-1}(n)})."""
         if sorted(sigma) != list(range(1, self.n + 1)):
             raise ValueError("sigma must be a permutation of 1..%d" % self.n)
-        out = {}
-        for k, v in self.coefficients.items():
-            target = tuple(k[sigma[j] - 1] for j in range(self.n))
-            out[target] = out[target] + v if target in out else v
-        return SeriesTrunc(self.n, self.K, out, self.mode, self.digits)
+        # a bijection of the keys: nothing to add up
+        return self._like({tuple(k[s - 1] for s in sigma): v for k, v in self.terms.items()})
 
     def act_matrix(self, gamma):
         """(f|_gamma)(x) = f(x gamma^{-1}), coefficient by coefficient.
@@ -124,46 +140,21 @@ class SeriesTrunc:
         forms of matrices.substitution_forms; total degree is preserved, so
         no mass leaves the truncation.
         """
-        n = self.n
-        if len(gamma) != n:
-            raise ValueError("matrix size %d does not match depth %d" % (len(gamma), n))
+        if len(gamma) != self.n:
+            raise ValueError("matrix size %d does not match depth %d" % (len(gamma), self.n))
         forms = substitution_forms(gamma)
-        out = {}
-        for k, v in self.coefficients.items():
+        acc = self._sum()
+        for k, v in self.terms.items():
             expansion = MultiPoly.monomial(tuple(e - 1 for e in k)).substitute(forms)
             for expo, q in expansion.terms.items():
-                target = tuple(x + 1 for x in expo)
-                term = v.scaled(q)
-                out[target] = out[target] + term if target in out else term
-        return SeriesTrunc(n, self.K, out, self.mode, self.digits)
-
-    def __sub__(self, other):
-        if not isinstance(other, SeriesTrunc):
-            return NotImplemented
-        if (self.n, self.K, self.mode) != (other.n, other.K, other.mode):
-            raise ValueError("series shapes differ")
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = (out[k] - v) if k in out else (self._zero() - v)
-        return SeriesTrunc(self.n, self.K, out, self.mode, self.digits)
-
-    def __add__(self, other):
-        if not isinstance(other, SeriesTrunc):
-            return NotImplemented
-        if (self.n, self.K, self.mode) != (other.n, other.K, other.mode):
-            raise ValueError("series shapes differ")
-        out = dict(self.coefficients)
-        for k, v in other.coefficients.items():
-            out[k] = (out[k] + v) if k in out else v
-        return SeriesTrunc(self.n, self.K, out, self.mode, self.digits)
+                acc.add({tuple(x + 1 for x in expo): v}, *q.as_integer_ratio())
+        return self._like(acc.total())
 
     def __repr__(self):
-        return ("SeriesTrunc(n=%d, K=%d, mode=%s, %d coefficients)"
-                % (self.n, self.K, self.mode, len(self.coefficients)))
+        return "SeriesTrunc(n=%d, K=%d, %d coefficients)" % (self.n, self.K, len(self.terms))
 
 
-def build_series(scheme, n, K, mode="symbolic", digits=DEFAULT_DIGITS,
-                 admissible_only=False, cache=None):
+def build_series(scheme, n, K, admissible_only=False):
     """Coefficient table of the depth-n generating function, weight <= K.
 
     The depth-0 series is the constant 1.  With admissible_only=True the
@@ -176,21 +167,9 @@ def build_series(scheme, n, K, mode="symbolic", digits=DEFAULT_DIGITS,
         raise ValueError("depth must be nonnegative")
     if K < n:
         raise ValueError("weight bound %d cannot hold indices of depth %d" % (K, n))
-    coeffs = {}
-    if n == 0:
-        one = MzvCombo.one()
-        coeffs[()] = one if mode == "symbolic" else eval_combo(one, digits, cache)
-        return SeriesTrunc(0, K, coeffs, mode, digits if mode == "numeric" else None)
-    for w in range(n, K + 1):
-        for k in indices_of_weight(w, n):
-            if admissible_only and not is_admissible(k):
-                continue
-            combo = regularize(scheme, k).constant_term()
-            if mode == "symbolic":
-                coeffs[k] = combo
-            else:
-                coeffs[k] = eval_combo(combo, digits, cache)
-    return SeriesTrunc(n, K, coeffs, mode, digits if mode == "numeric" else None)
+    return SeriesTrunc(n, K, {k: regularize(scheme, k).constant_term()
+                              for k in _domain(n, K)
+                              if not admissible_only or is_admissible(k)})
 
 
 def block_product(a, b, K=None):
@@ -202,21 +181,12 @@ def block_product(a, b, K=None):
     """
     if not isinstance(a, SeriesTrunc) or not isinstance(b, SeriesTrunc):
         raise TypeError("expected SeriesTrunc operands")
-    if a.mode != b.mode:
-        raise ValueError("cannot mix symbolic and numeric series")
     if K is None:
         K = min(a.K, b.K)
-    out = {}
-    for ka, va in a.coefficients.items():
-        wa = sum(ka)
-        for kb, vb in b.coefficients.items():
-            if wa + sum(kb) > K:
-                continue
-            out[ka + kb] = va * vb
-    digits = None
-    if a.mode == "numeric":
-        digits = min(a.digits or DEFAULT_DIGITS, b.digits or DEFAULT_DIGITS)
-    return SeriesTrunc(a.n + b.n, K, out, a.mode, digits)
+    return SeriesTrunc(a.n + b.n, K, {ka + kb: va * vb
+                                      for ka, va in a.terms.items()
+                                      for kb, vb in b.terms.items()
+                                      if sum(ka) + sum(kb) <= K})
 
 
 def series_shuffle_check(n, i, K, scheme="natural", digits=DEFAULT_DIGITS,
@@ -232,32 +202,12 @@ def series_shuffle_check(n, i, K, scheme="natural", digits=DEFAULT_DIGITS,
     scheme = normalize_scheme(scheme)
     if not 1 <= i <= n - 1:
         raise ValueError("need 1 <= i <= n-1")
-    left = build_series(scheme, i, K, "symbolic", admissible_only=admissible_only)
-    right = build_series(scheme, n - i, K, "symbolic", admissible_only=admissible_only)
-    full = build_series(scheme, n, K, "symbolic", admissible_only=admissible_only)
-    lhs = block_product(left, right, K)
-    rhs = None
-    for sigma in sorted(shuffle_operator(n, i).support()):
-        acted = full.permute(sigma)
-        rhs = acted if rhs is None else rhs + acted
+    left, right, full = (build_series(scheme, d, K, admissible_only) for d in (i, n - i, n))
+    defect = block_product(left, right, K).combined(
+        (-1, full.permute(sigma)) for sigma in sorted(shuffle_operator(n, i).support()))
     worst = BigReal.from_rational(0, digits)
-    for k in sorted(set(lhs.coefficients) | set(rhs.coefficients)):
-        diff = lhs.coefficient(k) - rhs.coefficient(k)
-        if diff.is_zero():
-            continue
-        mag = abs(eval_combo(diff, digits, cache))
+    for k in sorted(defect.terms):
+        mag = abs(eval_combo(defect.terms[k], digits, cache))
         if mag.value > worst.value:
             worst = mag
     return worst
-
-
-def series_table_rows(series):
-    """(index text, value) rows in deterministic order, for reporting."""
-    rows = []
-    for k in series.indices():
-        v = series.coefficients[k]
-        if isinstance(v, BigReal):
-            rows.append((format_index(k), v.to_decimal()))
-        else:
-            rows.append((format_index(k), repr(v)))
-    return rows

@@ -397,6 +397,40 @@ class TestCertifiedNullspace:
         with pytest.raises(ValueError):
             certified_nullspace([[1]], 1, pivot_order="diagonal")
 
+    @staticmethod
+    def dense_rref_mod_p(rows, scan, p):
+        """Textbook Gauss-Jordan mod p on dense rows, columns in scan order."""
+        m = [[row[c] % p for c in scan] for row in rows]
+        rank = 0
+        pivots = {}
+        for col in range(len(scan)):
+            r = next((i for i in range(rank, len(m)) if m[i][col]), None)
+            if r is None:
+                continue
+            m[rank], m[r] = m[r], m[rank]
+            inv = pow(m[rank][col], -1, p)
+            m[rank] = [x * inv % p for x in m[rank]]
+            for i in range(len(m)):
+                if i != rank and m[i][col]:
+                    f = m[i][col]
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+            pivots[col] = rank
+            rank += 1
+        return {col: {c: x for c, x in enumerate(m[r]) if x} for col, r in pivots.items()}
+
+    def test_rref_mod_p_matches_dense_gauss_jordan(self):
+        rng = random.Random(61)
+        for trial in range(60):
+            rows, ncols = self.low_rank_system(rng)
+            if rows and trial % 2:
+                rows += [list(rng.choice(rows)) for _ in range(rng.randrange(1, 4))]
+                rng.shuffle(rows)
+            for p in (7, 101, linalg.PRIME):
+                for order in PIVOT_ORDERS:
+                    scan = linalg._column_scan(ncols, order)
+                    assert (linalg._rref_mod_p(rows, scan, p)
+                            == self.dense_rref_mod_p(rows, scan, p)), (rows, p, order)
+
     def test_rational_reconstruction(self):
         p = linalg.PRIME
         for a in (0, 1, -1, 7, -630, 10 ** 9):

@@ -463,8 +463,8 @@ def test_puts_and_gets_of_many_precisions_in_threads():
 
 
 # three records written before records were keyed on dual pairs: (1,2) is
-# the dual of (3) and (1,1,3) that of (1,4), so only the record of (3) is
-# served now
+# the dual of (3) and (1,1,3) that of (1,4); the record of (1,1,3) is
+# served under its pair's key (1,4)
 _UNPAIRED_RECORDS = [
     '{"index": "(1,2)", "precision": 20, "value": "1.20205690315959428539973816151145",'
     ' "digest": "a5a9dfcc"}',
@@ -486,15 +486,19 @@ def test_cache_file_of_unpaired_records_loads_without_warnings(tmp_path):
     after = os.stat(path)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     values = [json.loads(line)["value"] for line in _UNPAIRED_RECORDS]
-    assert cache.get("(3)", 20) == values[1] and cache.get("(1,4)", 30) is None
-    # both members of a pair get the stored bits, and the value of (1,1,3)
-    # computed again under (1,4) has the bits its old record holds
+    assert cache.get("(3)", 20) == values[1] and cache.get("(1,4)", 30) == values[2]
+    # both members of a pair get the stored bits, and they are the bits of
+    # a fresh computation
     for k, digits, text in [((3,), 20, values[1]), ((1, 2), 20, values[1]),
                             ((1, 1, 3), 30, values[2]), ((1, 4), 30, values[2])]:
         parsed = from_str(text, numeric._prec(digits), round_nearest)
         assert eval_admissible(k, digits, cache=cache).value._mpf_ == parsed, k
+        assert eval_admissible(k, digits, cache=ValueCache(None)).value._mpf_ == parsed, k
+    # nothing was computed again, so nothing was appended
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     with open(path, encoding="utf-8") as fh:
-        assert [json.loads(line)["index"] for line in fh] == ["(1,2)", "(3)", "(1,1,3)", "(1,4)"]
+        assert [json.loads(line)["index"] for line in fh] == ["(1,2)", "(3)", "(1,1,3)"]
 
 
 def test_cache_distinguishes_precision(tmp_path):
@@ -541,6 +545,21 @@ def test_cache_skips_malformed_lines(tmp_path):
         assert reread.get(text, 60) == cache.get(text, 60) is not None
     with open(path, encoding="utf-8") as fh:
         assert [json.loads(line)["index"] for line in fh] == ["(2,3)", "(3)", "(4)"]
+
+
+def test_cache_skips_records_that_name_no_admissible_index(tmp_path):
+    # digests that match, over index texts that are no admissible index
+    path = str(tmp_path / "cache.jsonl")
+    value = json.loads(_UNPAIRED_RECORDS[2])["value"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_UNPAIRED_RECORDS[2] + "\n")
+        fh.writelines(numeric._record(text, 30, value) for text in ["(2,1)", "(0,3)", "zeta"])
+    with pytest.warns(UserWarning, match="skipped 3 malformed"):
+        cache = ValueCache(path)
+    assert cache.get("(1,4)", 30) == value
+    # the one rewrite keeps the good record, under its pair's key
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == numeric._record("(1,4)", 30, value)
 
 
 def _edit_value(rec):

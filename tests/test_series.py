@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from mzvkit.matrices import mat_mul, perm_matrix, upper_ones
-from mzvkit.numeric import BigReal, eval_admissible
+from mzvkit.groupring import shuffle_operator
+from mzvkit.indices import admissible_indices, indices_of_weight
+from mzvkit.matrices import mat_mul, perm_matrix, substitution_forms, upper_ones
+from mzvkit.numeric import eval_admissible, eval_combo
 from mzvkit.polynomials import MultiPoly
 from mzvkit.regularization import MzvCombo
 from mzvkit.series import (
@@ -15,7 +17,6 @@ from mzvkit.series import (
     build_series,
     normalize_scheme,
     series_shuffle_check,
-    series_table_rows,
 )
 
 
@@ -37,6 +38,8 @@ class TestBuildSeries:
         assert s.coefficient((1,)).is_zero()
         assert s.coefficient((2,)) == z(2)
         assert s.coefficient((3,)) == z(3)
+        # a numeric cell is its combination evaluated, bit for bit
+        assert eval_combo(s.coefficient((2,)), 50).value == eval_admissible((2,), 50).value
 
     def test_admissible_coefficient_is_plain_value(self):
         s = build_series("*", 2, 4)
@@ -53,7 +56,7 @@ class TestBuildSeries:
     def test_natural_depth_one_equals_stuffle(self):
         a = build_series("natural", 1, 5)
         b = build_series("stuffle", 1, 5)
-        assert a.coefficients == b.coefficients
+        assert a.terms == b.terms
 
     def test_depth_zero(self):
         s = build_series("natural", 0, 3)
@@ -63,30 +66,103 @@ class TestBuildSeries:
         s = build_series("natural", 2, 4)
         assert s.indices() == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 
-    def test_numeric_mode(self):
-        s = build_series("stuffle", 1, 3, mode="numeric", digits=50)
-        direct = eval_admissible((2,), 50)
-        # same cache canonicalization: bit-identical values
-        assert s.coefficient((2,)).value == direct.value
-
-    def test_numeric_natural_table(self):
-        s = build_series("natural", 2, 4, mode="numeric", digits=40)
-        assert len(s.coefficients) == 6
-        assert all(isinstance(v, BigReal) for v in s.coefficients.values())
-        rows = series_table_rows(s)
-        assert len(rows) == 6 and rows[0][0] == "(1,1)"
+    def test_indices_include_zero_cells(self):
+        # (1,1) is a zero cell: not stored, but part of the domain
+        s = build_series("natural", 2, 4)
+        assert (1, 1) not in s.terms and (1, 1) in s.indices()
+        assert SeriesTrunc(2, 4, {}).indices() == s.indices()
+        assert build_series("stuffle", 2, 4, admissible_only=True).indices() == s.indices()
 
     def test_weight_bound_guard(self):
         with pytest.raises(ValueError):
             build_series("natural", 3, 2)
         with pytest.raises(ValueError):
-            SeriesTrunc(2, 4, {(2, 3): MzvCombo.zero()}, "symbolic")
+            SeriesTrunc(2, 4, {(2, 3): MzvCombo.zero()})
+        with pytest.raises(TypeError):
+            SeriesTrunc(1, 3, {(2,): Fraction(1)})
+
+
+def _random_table(rng, n, K):
+    """A depth-n table with random rational combinations of a few
+    admissible values, some cells left empty."""
+    values = [k for w in (2, 3, 4) for k in admissible_indices(w)]
+    table = {}
+    for w in range(n, K + 1):
+        for k in indices_of_weight(w, n):
+            if rng.random() < 0.7:
+                table[k] = MzvCombo({v: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                                     for v in rng.sample(values, 2)})
+    return SeriesTrunc(n, K, table)
+
+
+def _pairwise(cells):
+    """Reference sum of (index, MzvCombo) cells, one pairwise addition at
+    a time."""
+    out = {}
+    for k, v in cells:
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+class TestSeriesAlgebra:
+    def test_sums_from_combination(self):
+        rng = random.Random(7)
+        s, t = _random_table(rng, 2, 5), _random_table(rng, 2, 5)
+        total, diff = s + t, s - t
+        for k in s.indices():
+            assert total.coefficient(k) == s.coefficient(k) + t.coefficient(k)
+            assert diff.coefficient(k) == s.coefficient(k) - t.coefficient(k)
+            assert (-s).coefficient(k) == -s.coefficient(k)
+        assert (s - s).is_zero() and not (s - s)
+        assert s + s == s.scaled(2) == 2 * s
+        assert s == SeriesTrunc(2, 5, dict(s.terms)) and s != t
+        assert hash(s) == hash(SeriesTrunc(2, 5, dict(s.terms)))
+        assert s.combined([(1, t), (-1, t)]) == s
+
+    def test_shape_mismatch_rejected(self):
+        s = build_series("natural", 2, 5)
+        for other in (build_series("natural", 2, 4), build_series("natural", 3, 5)):
+            with pytest.raises(ValueError):
+                s + other
+            with pytest.raises(ValueError):
+                s - other
+        with pytest.raises(TypeError):
+            s + z(2)
+        with pytest.raises(TypeError):
+            s * s
+
+    def test_act_matrix_matches_pairwise_sums(self):
+        rng = random.Random(43)
+        for n, gammas in [(2, [upper_ones(2), mat_mul(upper_ones(2), perm_matrix((2, 1)))]),
+                          (3, [upper_ones(3), mat_mul(perm_matrix((3, 1, 2)), upper_ones(3))])]:
+            s = _random_table(rng, n, 6)
+            for gamma in gammas:
+                cells = []
+                forms = substitution_forms(gamma)
+                for k, v in s.terms.items():
+                    expansion = MultiPoly.monomial(tuple(e - 1 for e in k)).substitute(forms)
+                    cells += [(tuple(e + 1 for e in expo), v.scaled(q))
+                              for expo, q in expansion.terms.items()]
+                assert s.act_matrix(gamma) == SeriesTrunc(n, 6, _pairwise(cells))
+
+    def test_shuffle_defect_matches_pairwise_sums(self):
+        rng = random.Random(44)
+        n, i, K = 3, 1, 6
+        left, right, full = (_random_table(rng, d, K) for d in (i, n - i, n))
+        lhs = block_product(left, right, K)
+        sigmas = sorted(shuffle_operator(n, i).support())
+        defect = lhs.combined((-1, full.permute(sigma)) for sigma in sigmas)
+        cells = list(lhs.terms.items())
+        for sigma in sigmas:
+            cells += [(k, -v) for k, v in full.permute(sigma).terms.items()]
+        assert defect == SeriesTrunc(n, K, _pairwise(cells))
+        assert not defect.is_zero()
 
 
 class TestSeriesActions:
     def test_permute_transport(self):
         table = {(1, 2): z(3), (2, 1): z(1, 2).scaled(2)}
-        s = SeriesTrunc(2, 3, table, "symbolic")
+        s = SeriesTrunc(2, 3, table)
         swapped = s.permute((2, 1))
         assert swapped.coefficient((2, 1)) == z(3)
         assert swapped.coefficient((1, 2)) == z(1, 2).scaled(2)
@@ -98,8 +174,7 @@ class TestSeriesActions:
             sigma = tuple(rng.sample(range(1, 4), 3))
             a = s.permute(sigma)
             b = s.act_matrix(perm_matrix(sigma))
-            keys = set(a.coefficients) | set(b.coefficients)
-            assert all(a.coefficient(k) == b.coefficient(k) for k in keys)
+            assert a == b
 
     def test_action_contravariant(self):
         s = build_series("natural", 2, 5)
@@ -107,13 +182,12 @@ class TestSeriesActions:
         g2 = perm_matrix((2, 1))
         lhs = s.act_matrix(mat_mul(g1, g2))
         rhs = s.act_matrix(g1).act_matrix(g2)
-        keys = set(lhs.coefficients) | set(rhs.coefficients)
-        assert all(lhs.coefficient(k) == rhs.coefficient(k) for k in keys)
+        assert lhs == rhs
 
     def test_action_preserves_weight(self):
         s = build_series("natural", 2, 5)
         acted = s.act_matrix(upper_ones(2))
-        assert all(sum(k) <= 5 for k in acted.coefficients)
+        assert all(sum(k) <= 5 for k in acted.terms)
 
     def test_action_matches_polynomial_model(self):
         # a table whose every value is a rational multiple of one fixed
@@ -127,7 +201,7 @@ class TestSeriesActions:
                 q = Fraction(rng.randrange(-5, 6))
                 ratios[k] = q
                 table[k] = z(2).scaled(q)
-        s = SeriesTrunc(n, K, table, "symbolic")
+        s = SeriesTrunc(n, K, table)
         poly = MultiPoly(n, {tuple(p - 1 for p in k): q
                              for k, q in ratios.items() if q})
         gamma = mat_mul(upper_ones(2), perm_matrix((2, 1)))
@@ -145,13 +219,7 @@ class TestSeriesActions:
         # symbolic values multiply through the quasi-shuffle expansion
         assert prod.coefficient((2, 3)) == z(2, 3) + z(3, 2) + z(5)
         assert prod.n == 2
-        assert all(sum(k) <= 5 for k in prod.coefficients)
-
-    def test_mode_mixing_rejected(self):
-        a = build_series("stuffle", 1, 3)
-        b = build_series("stuffle", 1, 3, mode="numeric", digits=30)
-        with pytest.raises(ValueError):
-            block_product(a, b)
+        assert all(sum(k) <= 5 for k in prod.terms)
 
 
 class TestShuffleIdentity:
@@ -162,7 +230,6 @@ class TestShuffleIdentity:
     def test_weighted_scheme_cancels_symbolically(self):
         # the identity holds term by term in the quasi-shuffle algebra, so
         # the symbolic difference is empty before any numerics
-        from mzvkit.groupring import shuffle_operator
         for n, i, K in [(2, 1, 6), (3, 2, 6)]:
             left = build_series("natural", i, K)
             right = build_series("natural", n - i, K)
@@ -172,9 +239,7 @@ class TestShuffleIdentity:
             for sigma in sorted(shuffle_operator(n, i).support()):
                 acted = full.permute(sigma)
                 rhs = acted if rhs is None else rhs + acted
-            keys = set(lhs.coefficients) | set(rhs.coefficients)
-            assert all((lhs.coefficient(k) - rhs.coefficient(k)).is_zero()
-                       for k in keys)
+            assert (lhs - rhs).is_zero()
 
     def test_admissible_truncation_breaks_identity(self):
         d = series_shuffle_check(2, 1, 5, scheme="stuffle",
