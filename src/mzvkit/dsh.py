@@ -19,12 +19,11 @@ solvers take a pivot_order; dsh_dimension and cyclic_invariance_kernels
 build their condition matrix once and eliminate it under both
 PIVOT_ORDERS.
 
-dsh_dimension eliminates with linalg.certified_nullspace: modulo a prime,
-with the kernel proved over Q (rank mod p bounds the nullity from above,
-exactly checked kernel vectors from below), and the Bareiss nullspace
-when reconstruction or the check fails.  It raises ArithmeticError unless
-the two kernels span the same space.  The other solvers, and so the
-cyclic-invariance kernel, run the Bareiss nullspace.
+The nullspace is linalg's one kernel: Gauss-Jordan modulo a prime, with
+the kernel proved over Q (rank mod p bounds the nullity from above, exactly
+checked kernel vectors from below), and Bareiss elimination when
+reconstruction or the check fails.  dsh_dimension raises ArithmeticError
+unless the kernels of the two pivot orders span the same space.
 
 The cyclic-invariance kernel adds one more constraint family: form
 
@@ -38,8 +37,8 @@ space to zero; degree 0 keeps the constants.
 from fractions import Fraction
 
 from .groupring import GroupRingElem, cycle_perm, shuffle_operator
-from .linalg import PIVOT_ORDERS, certified_nullspace, nullspace, span_equal
-from .matrices import mat_inverse_unimodular, substitution_forms, upper_ones
+from .linalg import PIVOT_ORDERS, nullspace, span_equal
+from .matrices import upper_ones
 from .polynomials import MultiPoly, diagonal_translation_invariant, monomial_exponents
 
 __all__ = [
@@ -143,10 +142,11 @@ def _dsh_condition_rows(n, d):
         raise ValueError("need n >= 1 and d >= 0")
     exponents = monomial_exponents(n, d)
     basis = [MultiPoly.monomial(e) for e in exponents]
-    # f|_{P^{-1}} substitutes x P, the same forms for every monomial; the
-    # forms have integer coefficients, so the twisted monomials do too
-    forms = [[(e.index(1), c.numerator) for e, c in f.terms.items()]
-             for f in substitution_forms(mat_inverse_unimodular(upper_ones(n)))]
+    # f|_{P^{-1}} substitutes x P: x_j becomes column j of P, the form
+    # x_1 + ... + x_j, the same for every monomial; the forms have integer
+    # coefficients, so the twisted monomials do too
+    p = upper_ones(n)
+    forms = [[(i, p[i][j]) for i in range(n) if p[i][j]] for j in range(n)]
     plain = [{e: 1} for e in exponents]
     twisted = _substituted_monomials(exponents, forms)
     families = []
@@ -165,11 +165,11 @@ def double_shuffle_space(n, d, pivot_order="left"):
 def dsh_dimension(n, d):
     """dim of the double shuffle space, checked by every pivot order.
 
-    The condition matrix is built once and its certified kernel computed
-    under each of PIVOT_ORDERS; ArithmeticError if the kernels differ.
+    The condition matrix is built once and its kernel computed under each
+    of PIVOT_ORDERS; ArithmeticError if the kernels differ.
     """
     basis, rows = _dsh_condition_rows(n, d)
-    kernels = [certified_nullspace(rows, len(basis), pivot_order=order)
+    kernels = [nullspace(rows, len(basis), pivot_order=order)
                for order in PIVOT_ORDERS]
     if not span_equal(*kernels, len(basis)):
         raise ArithmeticError("elimination paths disagree for n=%d d=%d: dims %r"

@@ -11,11 +11,11 @@ with both factors regularized in one scheme (series scheme for zeta_F,
 integral scheme for zeta_F_sharp).  The n+1 signed products are summed in
 one Combination.combined call, as full polynomials in T: every term goes
 into the integer accumulator under its (T-degree, index) path, and each
-coefficient of the result is one Fraction.  For the default sign
-convention the sum is T-free; that is checked at runtime on the whole
-polynomial, and the constant term is the value.  The surjection-weighted
-variant zeta_natural_F, the regularization.surjection_sum of zeta_F,
-matches the limit of the weakly-ordered weighted direct sums.
+coefficient of the result is one Fraction.  The sum is T-free; that is
+checked at runtime on the whole polynomial, and the constant term is the
+value.  The surjection-weighted variant zeta_natural_F, the
+regularization.surjection_sum of zeta_F, matches the limit of the
+weakly-ordered weighted direct sums.
 
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
@@ -43,41 +43,29 @@ from .regularization import (
     surjection_sum,
 )
 
-SIGN_CONVENTIONS = ("tail", "head")
 
-
-def _antipode_poly(k, reg_of_index, sign_convention):
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError("sign_convention must be one of %r" % (SIGN_CONVENTIONS,))
-    # the audit-only head convention starts the exponent one slot earlier
-    shift = 0 if sign_convention == "tail" else 1
+def _antipode_poly(k, reg_of_index):
     return RegPoly.zero().combined(
-        products=(((-1) ** weight(k[max(i - shift, 0):]), reg_of_index(k[:i]),
-                   reg_of_index(k[i:][::-1])) for i in range(len(k) + 1)))
+        products=(((-1) ** weight(k[i:]), reg_of_index(k[:i]), reg_of_index(k[i:][::-1]))
+                  for i in range(len(k) + 1)))
 
 
-def _constant_term_checked(poly, k, sign_convention, label):
-    if sign_convention == "tail" and poly.degree() > 0:
+def _constant_term_checked(poly, k, label):
+    if poly.degree() > 0:
         raise ArithmeticError(
             "%s(%s) produced T-dependent terms; the splitting sum should be "
-            "T-free under the tail sign convention" % (label, format_index(k)))
+            "T-free" % (label, format_index(k)))
     return poly.constant_term()
 
 
 @lru_cache(maxsize=None)
-def _zeta_F(k, sign_convention):
-    poly = _antipode_poly(k, stuffle_regularize, sign_convention)
-    return _constant_term_checked(poly, k, sign_convention, "zeta_F")
+def _zeta_F(k):
+    return _constant_term_checked(_antipode_poly(k, stuffle_regularize), k, "zeta_F")
 
 
-def zeta_F(k, sign_convention="tail"):
-    """Symbolic finite value with series-regularized factors, as an MzvCombo.
-
-    sign_convention="head" keeps the rejected alternative exponent available
-    for auditing; it does not match the direct-sum limit and its splitting
-    sum need not be T-free (the T part is discarded).
-    """
-    return _zeta_F(check_index(k), sign_convention)
+def zeta_F(k):
+    """Symbolic finite value with series-regularized factors, as an MzvCombo."""
+    return _zeta_F(check_index(k))
 
 
 def _sharp_reg(k):
@@ -85,25 +73,26 @@ def _sharp_reg(k):
 
 
 @lru_cache(maxsize=None)
-def _zeta_F_sharp(k, sign_convention):
-    poly = _antipode_poly(k, _sharp_reg, sign_convention)
-    return _constant_term_checked(poly, k, sign_convention, "zeta_F_sharp")
+def _zeta_F_sharp(k):
+    return _constant_term_checked(_antipode_poly(k, _sharp_reg), k, "zeta_F_sharp")
 
 
-def zeta_F_sharp(k, sign_convention="tail"):
+def zeta_F_sharp(k):
     """Finite value with integral-scheme (shuffle) regularized factors."""
-    return _zeta_F_sharp(check_index(k), sign_convention)
+    return _zeta_F_sharp(check_index(k))
 
 
 @lru_cache(maxsize=None)
-def _zeta_natural_F(k, sign_convention):
-    return surjection_sum(k, lambda j: _zeta_F(j, sign_convention), MzvCombo.zero())
+def _zeta_natural_F(k):
+    # the module attribute _zeta_F is read at each call, so a wrapper put
+    # in its place sees this work too
+    return surjection_sum(k, _zeta_F, MzvCombo.zero())
 
 
-def zeta_natural_F(k, sign_convention="tail"):
+def zeta_natural_F(k):
     """Surjection-weighted finite value: sum of zeta_F over collapsed indices,
     each divided by the order of the collapse's stabilizer."""
-    return _zeta_natural_F(check_index(k), sign_convention)
+    return _zeta_natural_F(check_index(k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,30 @@
-"""Exact rational linear algebra: fraction-free nullspaces and RREF.
+"""Exact rational linear algebra: one certified kernel, and RREF.
 
-The nullspace routine runs Bareiss elimination on an integer copy of the
-input (every intermediate division is exact, and checked: a remainder
-raises ArithmeticError; no fractions appear until back-substitution) and
-returns a primitive integer basis.  The pivot column order is selectable;
-running the same system with both orders and comparing the spanned
-subspaces is the cross-check used by the callers.  The pivot columns are
-the first column basis in scan order, which does not depend on the order
-or the repetition of the rows, so neither does the returned basis.
+nullspace returns a primitive integer basis of the right kernel from a
+Gauss-Jordan elimination modulo the word-size prime PRIME, which inserts
+the rows one at a time into a fully reduced basis, with a proof over Q on
+two sides.  Rank mod p is at most rank over Q, so the nullity over Q is
+at most the nullity mod p; no free column mod p therefore proves the
+kernel is 0.  Otherwise each kernel vector mod p is lifted by rational
+reconstruction and checked exactly, A v = 0 over Z; the checked vectors
+are independent, so the nullity over Q is at least the nullity mod p, and
+the two bounds meet.  A reconstruction that fails, or a vector that fails
+the check, sends the system to Bareiss elimination instead.
 
-certified_nullspace returns the same basis from a Gauss-Jordan
-elimination modulo the word-size prime PRIME, which inserts the rows one
-at a time into a fully reduced basis, with a proof over Q on two sides.
-Rank mod p is at most rank over Q, so the nullity over Q is at most the
-nullity mod p; no free column mod p therefore proves the kernel is 0.
-Otherwise each kernel vector mod p is lifted by rational reconstruction
-and checked exactly, A v = 0 over Z; the checked vectors are
-independent, so the nullity over Q is at least the nullity mod p, and
-the two bounds meet.  A reconstruction that fails, or a vector that
-fails the check, sends the system to the Bareiss nullspace instead.
+The pivot column order is selectable; running the same system with both
+orders and comparing the spanned subspaces is the cross-check used by the
+callers.  The pivot columns are the first column basis in scan order,
+which does not depend on the order or the repetition of the rows, so
+neither does the returned basis.
+
+_bareiss is the fraction-free forward elimination over Z (every
+intermediate division is exact, and checked: a remainder raises
+ArithmeticError).  It serves the fallback kernel _bareiss_nullspace, which
+the tests also use as the reference, and matrices.mat_det.
 
 reduce_rows computes a canonical reduced row echelon form over Fraction,
-which makes span comparison a simple equality test.
+which makes span comparison a simple equality test and inverts unimodular
+matrices in matrices.mat_inverse_unimodular.
 """
 
 from fractions import Fraction
@@ -29,7 +32,6 @@ from math import gcd, isqrt, lcm
 
 __all__ = [
     "nullspace",
-    "certified_nullspace",
     "reduce_rows",
     "span_equal",
     "matvec",
@@ -37,7 +39,7 @@ __all__ = [
 
 PIVOT_ORDERS = ("left", "right")
 
-# the prime of certified_nullspace: below 2^64, and rational reconstruction
+# the prime of nullspace: below 2^64, and rational reconstruction
 # recovers entries up to sqrt(PRIME / 2), about 1.07e9
 PRIME = 2 ** 61 - 1
 
@@ -82,21 +84,19 @@ def matvec(rows, vec):
     return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, vec)) for row in rows]
 
 
-def nullspace(rows, ncols, pivot_order="left"):
-    """Primitive integer basis of the right kernel {v | A v = 0}.
+def _bareiss(m, col_scan):
+    """Bareiss fraction-free forward elimination of the integer rows m, in place.
 
-    pivot_order chooses whether elimination scans candidate pivot columns
-    left to right or right to left; the kernel is the same subspace either
-    way, but the elimination path (and the raw basis) differs, which is
-    what makes the two runs a useful consistency check.
+    Returns (pivots, sign): the (row, col) pivots in elimination order and
+    the sign of the row swaps.  Each pivot is, up to sign, a minor of the
+    input; for a nonsingular square m scanned left to right, sign times
+    the last pivot is det m.
     """
-    col_scan = _column_scan(ncols, pivot_order)
-    m = _integer_rows(rows, ncols)
-
-    # Bareiss fraction-free elimination.  prev is the previous pivot; every
-    # division below is exact by the Sylvester identity.
-    pivots = []  # (row, col) in elimination order
+    # prev is the previous pivot; every division below is exact by the
+    # Sylvester identity
+    pivots = []
     used_cols = set()
+    sign = 1
     k = 0
     prev = 1
     while k < len(m):
@@ -110,7 +110,9 @@ def nullspace(rows, ncols, pivot_order="left"):
                 break
         if piv_row is None:
             break
-        m[k], m[piv_row] = m[piv_row], m[k]
+        if piv_row != k:
+            m[k], m[piv_row] = m[piv_row], m[k]
+            sign = -sign
         p = m[k][piv_col]
         for r in range(k + 1, len(m)):
             factor = m[r][piv_col]
@@ -118,7 +120,7 @@ def nullspace(rows, ncols, pivot_order="left"):
             top = m[k]
             # the uniform update keeps every entry an exact minor, so the
             # division by the previous pivot never truncates
-            for c in range(ncols):
+            for c in range(len(top)):
                 num = p * row[c] - factor * top[c]
                 if num % prev:
                     raise ArithmeticError("Bareiss division by %d is not exact" % prev)
@@ -127,10 +129,21 @@ def nullspace(rows, ncols, pivot_order="left"):
         used_cols.add(piv_col)
         prev = p
         k += 1
+    return pivots, sign
 
-    free_cols = [c for c in col_scan if c not in used_cols]
+
+def _bareiss_nullspace(rows, ncols, pivot_order="left"):
+    """nullspace(rows, ncols, pivot_order) by Bareiss elimination over Z
+    and back-substitution over Fraction: the fallback of nullspace, and
+    the reference its tests compare against."""
+    col_scan = _column_scan(ncols, pivot_order)
+    m = _integer_rows(rows, ncols)
+    pivots, _ = _bareiss(m, col_scan)
+    used_cols = {c for _, c in pivots}
     basis = []
-    for fc in free_cols:
+    for fc in col_scan:
+        if fc in used_cols:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in reversed(pivots):
@@ -202,9 +215,14 @@ def _rational(x, p):
     return Fraction(r1, s1)
 
 
-def certified_nullspace(rows, ncols, pivot_order="left"):
-    """nullspace(rows, ncols, pivot_order), computed modulo PRIME and
-    proved over Q.
+def nullspace(rows, ncols, pivot_order="left"):
+    """Primitive integer basis of the right kernel {v | A v = 0}, computed
+    modulo PRIME and proved over Q.
+
+    pivot_order chooses whether elimination scans candidate pivot columns
+    left to right or right to left; the kernel is the same subspace either
+    way, but the free columns (and the basis) differ, which is what makes
+    the two runs a useful consistency check.
 
     Gauss-Jordan mod PRIME gives the rank r and, per free column, the
     kernel vector of the reduced echelon form.  No free column proves the
@@ -215,7 +233,7 @@ def certified_nullspace(rows, ncols, pivot_order="left"):
     bound gives <= ; they span the kernel.  Their last nonzero entries in
     scan order are the free columns, which fixes those as the free columns
     over Q, so the basis is Bareiss's, vector for vector.  A failed
-    reconstruction or check falls back to nullspace.
+    reconstruction or check falls back to Bareiss elimination.
     """
     scan = _column_scan(ncols, pivot_order)
     m = _integer_rows(rows, ncols)
@@ -232,11 +250,11 @@ def certified_nullspace(rows, ncols, pivot_order="left"):
             if x:
                 q = _rational(-x, p)
                 if q is None:
-                    return nullspace(rows, ncols, pivot_order)
+                    return _bareiss_nullspace(rows, ncols, pivot_order)
                 vec[scan[pc]] = q
         vec = _primitive(vec)
         if any(sum(a * b for a, b in zip(row, vec)) for row in m):
-            return nullspace(rows, ncols, pivot_order)
+            return _bareiss_nullspace(rows, ncols, pivot_order)
         basis.append(vec)
     basis.sort()
     return basis

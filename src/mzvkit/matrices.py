@@ -3,7 +3,10 @@
 Matrices are tuples of row tuples with integer entries.  The action used
 throughout is on row vectors: (f|_g)(x) = f(x g^{-1}), so the action is
 contravariant, f|_{gh} = (f|_g)|_h.  Only matrices invertible over the
-integers (determinant +-1) act; anything else is rejected.
+integers (determinant +-1) act; anything else is rejected.  Both
+eliminations come from linalg: mat_det is the sign of the row swaps times
+the last Bareiss pivot, and mat_inverse_unimodular reads m^-1 off the
+reduced row echelon form of [m | I].
 
 The special matrices built here generate an embedded copy of the symmetric
 group on n+1 letters inside GL_n(Z):
@@ -20,10 +23,10 @@ n+1 to the vector whose coordinates sum to the negated total, so the
 matrix of sigma has columns vec(sigma(j)) - vec(sigma(n+1)).
 """
 
-from fractions import Fraction
 from itertools import permutations
 
 from .groupring import _check_perm
+from .linalg import _bareiss, reduce_rows
 from .polynomials import MultiPoly
 
 __all__ = [
@@ -68,35 +71,17 @@ def mat_mul(a, b):
                  for i in range(n))
 
 
-def _gauss_jordan(m):
-    """(det m, m^-1 as Fraction rows or None) from one Gauss-Jordan pass on [m | I]."""
-    n = _check_matrix(m)
-    aug = [list(map(Fraction, m[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return 0, None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        pivot = aug[col][col]
-        det *= pivot
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    # integer entries make the determinant an integer
-    if det.denominator != 1:
-        raise ArithmeticError("determinant of an integer matrix came out as %s" % det)
-    return det.numerator, [row[n:] for row in aug]
-
-
 def mat_det(m):
-    """Exact determinant of an integer matrix."""
-    return _gauss_jordan(m)[0]
+    """Exact determinant of an integer matrix: the sign of the row swaps
+    times the last Bareiss pivot.
+
+    Bareiss runs on the raw rows; dividing a row by its content or fixing
+    its sign, as the kernels do, would change the determinant.
+    """
+    n = _check_matrix(m)
+    rows = [list(row) for row in m]
+    pivots, sign = _bareiss(rows, range(n))
+    return sign * rows[-1][-1] if len(pivots) == n else 0
 
 
 def mat_inverse_unimodular(m):
@@ -105,13 +90,16 @@ def mat_inverse_unimodular(m):
     Raises ValueError for any other determinant: those matrices do not act
     on polynomial rings with integer substitutions.
     """
-    det, inv = _gauss_jordan(m)
-    if det not in (1, -1):
-        raise ValueError("matrix is not invertible over the integers (det=%d)" % det)
-    # the entries are integers because the determinant is a unit
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ArithmeticError("inverse of a unimodular matrix has a non-integer entry")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    n = _check_matrix(m)
+    red = reduce_rows([row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m)],
+                      2 * n)
+    # [m | I] reduces to [I | m^-1] exactly when m is invertible, and
+    # m^-1 is an integer matrix exactly when det m is a unit, since
+    # det m * det m^-1 = 1
+    if (any(row[i] != 1 for i, row in enumerate(red))
+            or any(x.denominator != 1 for row in red for x in row[n:])):
+        raise ValueError("matrix is not invertible over the integers (det=%d)" % mat_det(m))
+    return tuple(tuple(int(x) for x in row[n:]) for row in red)
 
 
 def perm_matrix(sigma):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from mpmath import mp
 
-from mzvkit.dsh import cyclic_invariance_kernel
+from mzvkit.dsh import _cyclic_condition_rows, cyclic_invariance_kernel
 from mzvkit.finite import (
     primes_in_range,
     zeta_F,
@@ -33,7 +33,7 @@ from mzvkit.indices import (
     stabilizer_order,
     surjection_values,
 )
-from mzvkit.linalg import PIVOT_ORDERS
+from mzvkit.linalg import PIVOT_ORDERS, _bareiss_nullspace
 from mzvkit.matrices import (
     antidiagonal,
     iota_matrix,
@@ -211,9 +211,11 @@ def test_criterion_09_cyclic_invariance_kernel_trivial():
     with criterion(9, "cyclic-invariance kernel is 0, both pivot orders",
                    budget=60.0):
         for n, d in [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]:
+            basis, rows = _cyclic_condition_rows(n, d)
             for order in PIVOT_ORDERS:
-                basis = cyclic_invariance_kernel(n, d, pivot_order=order)
-                assert basis == [], (n, d, order)
+                assert cyclic_invariance_kernel(n, d, pivot_order=order) == [], (n, d, order)
+                # Bareiss elimination of the same rows is the second opinion
+                assert _bareiss_nullspace(rows, len(basis), order) == [], (n, d, order)
 
 
 def test_criterion_10_regularized_product_rule():

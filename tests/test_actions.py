@@ -3,7 +3,8 @@ and the exact nullspace routines."""
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from itertools import permutations
+from math import comb, gcd, prod
 
 import pytest
 
@@ -23,7 +24,7 @@ from mzvkit import linalg
 from mzvkit.dsh import _dsh_condition_rows
 from mzvkit.linalg import (
     PIVOT_ORDERS,
-    certified_nullspace,
+    _bareiss_nullspace,
     matvec,
     nullspace,
     reduce_rows,
@@ -73,12 +74,36 @@ class TestMatrices:
         assert mat_mul(a, mat_identity(2)) == a
         assert mat_mul(mat_identity(2), a) == a
 
+    @staticmethod
+    def leibniz_det(m):
+        """Sum over permutations of the sign times the product of entries."""
+        n = len(m)
+        total = 0
+        for sigma in permutations(range(n)):
+            inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+            total += (-1) ** inversions * prod(m[i][sigma[i]] for i in range(n))
+        return total
+
     def test_det(self):
         assert mat_det(((1, 2), (3, 4))) == -2
         assert mat_det(((1, 2), (2, 4))) == 0
         assert mat_det(upper_ones(5)) == 1
         assert mat_det(antidiagonal(4)) == 1
         assert mat_det(antidiagonal(3)) == -1
+        rng = random.Random(37)
+        singular = 0
+        for trial in range(120):
+            n = rng.randrange(1, 5)
+            m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 3 == 0:
+                # one row a multiple of another makes m singular
+                i, j = rng.sample(range(n), 2)
+                m[i] = [rng.randrange(-2, 3) * x for x in m[j]]
+            m = tuple(map(tuple, m))
+            det = self.leibniz_det(m)
+            singular += det == 0
+            assert mat_det(m) == det, m
+        assert singular >= 10
 
     def test_inverse_upper_ones(self):
         # inverse of the all-ones triangle is the difference operator
@@ -87,6 +112,11 @@ class TestMatrices:
         assert mat_mul(inv, upper_ones(n)) == mat_identity(n)
         assert inv == tuple(tuple(1 if i == j else (-1 if j == i + 1 else 0)
                                   for j in range(n)) for i in range(n))
+
+    def test_inverse_of_every_iota_matrix(self):
+        for n in range(1, 5):
+            for g in build_iota(n).values():
+                assert mat_mul(g, mat_inverse_unimodular(g)) == mat_identity(n)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
@@ -278,19 +308,24 @@ def rref_nullspace(rows, ncols):
 
 
 class TestNullspace:
+    """The kernel contract, on the modular nullspace here and on the
+    Bareiss fallback in TestBareissNullspace."""
+
+    kernel = staticmethod(nullspace)
+
     def test_known_kernel(self):
-        assert nullspace([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
+        assert self.kernel([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
 
     def test_full_kernel_no_rows(self):
-        basis = nullspace([], 3)
+        basis = self.kernel([], 3)
         assert len(basis) == 3
         assert span_equal(basis, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 
     def test_zero_kernel(self):
-        assert nullspace([[1, 0], [0, 1]], 2) == []
+        assert self.kernel([[1, 0], [0, 1]], 2) == []
 
     def test_fraction_input(self):
-        basis = nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2)
+        basis = self.kernel([[Fraction(1, 2), Fraction(1, 3)]], 2)
         assert basis == [(2, -3)]
 
     def test_random_systems(self):
@@ -300,8 +335,8 @@ class TestNullspace:
             ncols = rng.randrange(1, 9)
             rows = [[rng.randrange(-5, 6) for _ in range(ncols)]
                     for _ in range(nrows)]
-            left = nullspace(rows, ncols, pivot_order="left")
-            right = nullspace(rows, ncols, pivot_order="right")
+            left = self.kernel(rows, ncols, pivot_order="left")
+            right = self.kernel(rows, ncols, pivot_order="right")
             rank = len(reduce_rows(rows, ncols))
             assert len(left) == len(right) == ncols - rank
             for v in left + right:
@@ -329,7 +364,7 @@ class TestNullspace:
         for rows, ncols in systems:
             as_fractions = [[Fraction(x) for x in row] for row in rows]
             for order in PIVOT_ORDERS:
-                assert nullspace(rows, ncols, order) == nullspace(as_fractions, ncols, order)
+                assert self.kernel(rows, ncols, order) == self.kernel(as_fractions, ncols, order)
 
     def test_reduce_rows_canonical(self):
         rng = random.Random(29)
@@ -344,12 +379,16 @@ class TestNullspace:
 
     def test_bad_pivot_order(self):
         with pytest.raises(ValueError):
-            nullspace([[1]], 1, pivot_order="diagonal")
+            self.kernel([[1]], 1, pivot_order="diagonal")
+
+
+class TestBareissNullspace(TestNullspace):
+    kernel = staticmethod(_bareiss_nullspace)
 
 
 class TestCertifiedNullspace:
-    """certified_nullspace must return Bareiss's basis exactly, by the
-    modular path or by its fallback."""
+    """nullspace must return Bareiss's basis exactly, by the modular path
+    or by its fallback."""
 
     @staticmethod
     def low_rank_system(rng):
@@ -364,20 +403,20 @@ class TestCertifiedNullspace:
     @staticmethod
     def count_fallbacks(monkeypatch):
         calls = []
-        bareiss = linalg.nullspace
-        monkeypatch.setattr(linalg, "nullspace",
+        bareiss = linalg._bareiss_nullspace
+        monkeypatch.setattr(linalg, "_bareiss_nullspace",
                             lambda *args: calls.append(args) or bareiss(*args))
         return calls
 
     def test_dsh_rows_match_bareiss(self, monkeypatch):
         systems = [_dsh_condition_rows(n, d)
                    for n, top in ((2, 12), (3, 8), (4, 4)) for d in range(top + 1)]
-        expected = [[nullspace(rows, len(basis), order) for order in PIVOT_ORDERS]
+        expected = [[_bareiss_nullspace(rows, len(basis), order) for order in PIVOT_ORDERS]
                     for basis, rows in systems]
         # every dsh kernel is proved on the modular path, none by the fallback
         calls = self.count_fallbacks(monkeypatch)
         for (basis, rows), bases in zip(systems, expected):
-            assert [certified_nullspace(rows, len(basis), order)
+            assert [nullspace(rows, len(basis), order)
                     for order in PIVOT_ORDERS] == bases, len(basis)
         assert calls == []
 
@@ -386,16 +425,16 @@ class TestCertifiedNullspace:
         for _ in range(40):
             rows, ncols = self.low_rank_system(rng)
             for order in PIVOT_ORDERS:
-                assert certified_nullspace(rows, ncols, order) == nullspace(rows, ncols, order)
+                assert nullspace(rows, ncols, order) == _bareiss_nullspace(rows, ncols, order)
 
     def test_small_cases(self):
-        assert certified_nullspace([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
-        assert certified_nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(2, -3)]
-        assert certified_nullspace([[1, 0], [0, 1]], 2) == []
-        assert certified_nullspace([], 2) == [(0, 1), (1, 0)]
-        assert certified_nullspace([], 0) == []
+        assert nullspace([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
+        assert nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(2, -3)]
+        assert nullspace([[1, 0], [0, 1]], 2) == []
+        assert nullspace([], 2) == [(0, 1), (1, 0)]
+        assert nullspace([], 0) == []
         with pytest.raises(ValueError):
-            certified_nullspace([[1]], 1, pivot_order="diagonal")
+            nullspace([[1]], 1, pivot_order="diagonal")
 
     @staticmethod
     def dense_rref_mod_p(rows, scan, p):
@@ -444,7 +483,7 @@ class TestCertifiedNullspace:
         monkeypatch.setattr(linalg, "PRIME", 3)
         calls = self.count_fallbacks(monkeypatch)
         for order in PIVOT_ORDERS:
-            assert certified_nullspace([[1, 1], [1, 4]], 2, order) == []
+            assert nullspace([[1, 1], [1, 4]], 2, order) == []
         assert len(calls) == 2
 
     def test_entries_beyond_reconstruction_fall_back(self, monkeypatch):
@@ -452,6 +491,6 @@ class TestCertifiedNullspace:
         calls = self.count_fallbacks(monkeypatch)
         rows = [[1, 0, -2 ** 40], [0, 1, -3 ** 30]]
         for order in PIVOT_ORDERS:
-            assert certified_nullspace(rows, 3, order) == [(2 ** 40, 3 ** 30, 1)]
+            assert nullspace(rows, 3, order) == [(2 ** 40, 3 ** 30, 1)]
         assert len(calls) == 2
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvkit import dsh
+from mzvkit import dsh, linalg
 from mzvkit.dsh import (
     act_groupring,
     double_shuffle_space,
@@ -103,8 +103,8 @@ class TestDoubleShuffleSpace:
     def test_cross_check_wrapper(self, monkeypatch):
         assert dsh_dimension(2, 10) == 1
         # a right pivot order that loses the kernel must be caught
-        exact = dsh.certified_nullspace
-        monkeypatch.setattr(dsh, "certified_nullspace", lambda rows, ncols, pivot_order: (
+        exact = dsh.nullspace
+        monkeypatch.setattr(dsh, "nullspace", lambda rows, ncols, pivot_order: (
             exact(rows, ncols, pivot_order=pivot_order) if pivot_order == "left" else []))
         with pytest.raises(ArithmeticError):
             dsh_dimension(2, 10)
@@ -121,6 +121,41 @@ class TestDoubleShuffleSpace:
     def test_vector_space_dimension(self):
         assert vector_space_dimension(2, 10) == 11
         assert vector_space_dimension(3, 4) == 15
+
+
+class TestModularKernelMatchesBareiss:
+    """Every solver gives the same output with the Bareiss kernel in place
+    of dsh.nullspace, and no system of the grid needs the Bareiss fallback."""
+
+    GRID = [(n, d) for n in (1, 2, 3) for d in range(0, 7)] + [(4, 2), (4, 4)]
+    EVEN = [(n, d) for n, d in GRID if d % 2 == 0]
+
+    @staticmethod
+    def check(monkeypatch, solve):
+        bareiss = linalg._bareiss_nullspace
+        fallbacks = []
+        monkeypatch.setattr(linalg, "_bareiss_nullspace",
+                            lambda *args: fallbacks.append(args) or bareiss(*args))
+        modular = solve()
+        assert fallbacks == []
+        monkeypatch.setattr(dsh, "nullspace", bareiss)
+        assert solve() == modular
+
+    @pytest.mark.parametrize("solver, grid", [
+        (double_shuffle_space, GRID),
+        (cyclic_invariance_kernel, EVEN),
+        (symmetric_dti_solutions, GRID),
+        (functional_equation_space, GRID[:-1]),
+    ], ids=["double_shuffle_space", "cyclic_invariance_kernel", "symmetric_dti_solutions",
+            "functional_equation_space"])
+    def test_solver(self, solver, grid, monkeypatch):
+        self.check(monkeypatch, lambda: [solver(n, d, pivot_order=order)
+                                         for n, d in grid for order in PIVOT_ORDERS])
+
+    def test_solvers_of_both_orders(self, monkeypatch):
+        self.check(monkeypatch, lambda: (
+            [cyclic_invariance_kernels(n, d) for n, d in self.EVEN],
+            [dimension_table(n, range(0, 9 - n)) for n in (1, 2, 3, 4)]))
 
 
 class TestConditionRows:

@@ -65,23 +65,8 @@ def test_zeta_F_matches_direct_sum_limit():
             assert abs(lim - sym.value) < 1e-3, k
 
 
-def test_sign_convention_selected_by_direct_sum_oracle():
-    # the tail exponent matches the defining limit; the audit-only head
-    # exponent does not (frozen counterexamples at (1,1) and (2,1))
-    assert zeta_F((1, 1), "head").is_zero()
-    assert zeta_F((2, 1), "head") == z(3)
-    for k in [(1, 1), (2, 1)]:
-        lim = _extrapolated(direct_sum_F, k)
-        head = eval_combo(zeta_F(k, "head"), 40)
-        with mp.workdps(50):
-            assert abs(lim - head.value) > 1e-1, k
-    with pytest.raises(ValueError):
-        zeta_F((2,), "sideways")
-
-
 def test_zeta_F_total_is_t_free():
-    # the splitting sum must collapse to T^0 under the tail convention;
-    # zeta_F raises otherwise, so evaluating everywhere is the assertion
+    # the splitting sum must collapse to T^0; zeta_F raises otherwise, so evaluating everywhere is the assertion
     for w in range(1, 8):
         for k in indices_of_weight(w):
             zeta_F(k)
@@ -90,21 +75,18 @@ def test_zeta_F_total_is_t_free():
 
 def test_t_dependent_splitting_sum_raises_under_tail():
     # factors that keep a T part (here each nonempty factor gets + T) leave
-    # T in the full splitting polynomial, which the tail check must reject;
-    # the audit-only head convention discards the T part instead
+    # T in the full splitting polynomial, which the check must reject
     def reg_with_t(j):
         poly = stuffle_regularize(j)
         return poly + RegPoly.T() if j else poly
 
     for k in [(2,), (2, 3), (1, 2, 2)]:
-        poly = finite._antipode_poly(k, reg_with_t, "tail")
+        poly = finite._antipode_poly(k, reg_with_t)
         assert poly.degree() > 0
         with pytest.raises(ArithmeticError, match="T-dependent"):
-            finite._constant_term_checked(poly, k, "tail", "zeta_F")
-        head = finite._antipode_poly(k, reg_with_t, "head")
-        assert finite._constant_term_checked(head, k, "head", "zeta_F") == head.constant_term()
-        honest = finite._antipode_poly(k, stuffle_regularize, "tail")
-        assert finite._constant_term_checked(honest, k, "tail", "zeta_F") == zeta_F(k)
+            finite._constant_term_checked(poly, k, "zeta_F")
+        honest = finite._antipode_poly(k, stuffle_regularize)
+        assert finite._constant_term_checked(honest, k, "zeta_F") == zeta_F(k)
 
 
 # ---------------------------------------------------------------------------
