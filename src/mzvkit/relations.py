@@ -15,16 +15,26 @@ values of depth e, so its reduction continues the shorter set's kept and
 dropped lists.  Each weight's product part is thus evaluated (in one
 `eval_many` batch) and reduced once, whatever the extra depths asked for.
 An extra depth below 0 lists the same entries as 0 and gets that set.
+
+The integer-relation search `_pslq` is a port of mpmath 1.3's fixed-point
+PSLQ (Ferguson-Bailey-Arno) that returns mpmath's relation for every input.
+It rounds the inputs and the tolerance as mpmath does at the working
+precision and runs mpmath's integer steps in the same order, so each
+integer it computes is mpmath's.  It drops only work: dicts become lists,
+the matrix A that mpmath updates but never reads is gone, and a reduction
+step (t*X) >> prec, whose rounded t is always T*2^prec, becomes the exact
+T*X, skipped when T = 0.  Its precision is an argument, so it reads no
+global state and concurrent searches need no lock.
 """
 
 import json
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 
-from mpmath import mp, mpf, pslq
+from mpmath import pslq  # noqa: F401  the reference _pslq reproduces, kept under this name
+from mpmath.libmp import mpf_pos, round_nearest, sqrt_fixed, to_fixed
 
 from .finite import zeta_F, zeta_natural_F
 from .indices import (
@@ -40,7 +50,8 @@ from .indices import (
 from .numeric import (
     DEFAULT_DIGITS,
     BigReal,
-    _workdigits,
+    _power_of_ten,
+    _prec,
     default_cache,
     eval_admissible,
     eval_combo,
@@ -136,19 +147,100 @@ def congruence_rhs(k, digits=DEFAULT_DIGITS, cache=None):
 
 _PSLQ_MAXSTEPS = 5000
 _PSLQ_MAXCOEFF = 10 ** 6
-
-# mpmath's pslq works at the global context precision, which is process-wide
-# state; this lock keeps concurrent searches from changing it under each other
-_PSLQ_LOCK = threading.Lock()
+_PSLQ_EXTRA_BITS = 60
 
 
-def _pslq(values, digits):
-    # 10^-(D-10) for D >= 20; below that the residual bound of
-    # verify_congruence, 10^-(D//2), so a low precision still has a tolerance
-    with _PSLQ_LOCK, mp.workdps(_workdigits(digits)):
-        tol = mpf(10) ** (-max(digits - 10, digits // 2))
-        return pslq(values, tol=tol, maxcoeff=_PSLQ_MAXCOEFF,
-                    maxsteps=_PSLQ_MAXSTEPS)
+def _pslq(values, digits, maxcoeff=_PSLQ_MAXCOEFF, maxsteps=_PSLQ_MAXSTEPS):
+    """Integer relation of the mpf `values`, or None: the result of
+    mpmath's `pslq(values, tol, maxcoeff, maxsteps)` at the working
+    precision of `digits`, computed without setting that precision.
+
+    The tolerance is 10^-(D-10) for D >= 20; below that it is the residual
+    bound of verify_congruence, 10^-(D//2), so a low precision still has a
+    tolerance.  Raises ValueError on a zero entry, as mpmath does.
+    """
+    n = len(values)
+    if n < 2:
+        raise ValueError("n cannot be less than 2")
+    wprec = _prec(digits)
+    prec = wprec + _PSLQ_EXTRA_BITS
+    half = 1 << (prec - 1)
+    tol = to_fixed(_power_of_ten(-max(digits - 10, digits // 2), digits), prec)
+    x = [to_fixed(mpf_pos(v._mpf_, wprec, round_nearest), prec) for v in values]
+    minx = min(map(abs, x))
+    if not minx:
+        raise ValueError("PSLQ requires a vector of nonzero numbers")
+    if minx < tol // 100:
+        return None
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    weights = [(g ** i, prec * (i - 1)) for i in range(1, n)]
+    # H[i][j] is mpmath's H[i+1, j+1]; B[j][k] is its B[k+1, j+1] over
+    # 2^prec, so B is kept by columns and its entries are the relations
+    B = [[int(i == k) for k in range(n)] for i in range(n)]
+    H = [[0] * n for _ in range(n)]
+    s, t = [0] * n, 0
+    for k in range(n - 1, -1, -1):
+        t += x[k] ** 2 >> prec
+        s[k] = sqrt_fixed(t, prec)
+    t = s[0]
+    y = [(xk << prec) // t for xk in x]
+    s = [(sk << prec) // t for sk in s]
+    for i in range(n):
+        if i < n - 1 and s[i]:
+            H[i][i] = (s[i + 1] << prec) // s[i]
+        for j in range(i):
+            sjj1 = s[j] * s[j + 1]
+            if sjj1:
+                H[i][j] = ((-y[i] * y[j]) << prec) // sjj1
+
+    def reduce(i, j):
+        # row i of H less T times row j, column j of B plus T times column i
+        Hi, Hj = H[i], H[j]
+        T = (((Hi[j] << prec) // Hj[j]) + half) >> prec
+        if T:
+            y[j] += T * y[i]
+            for k in range(j + 1):
+                Hi[k] -= T * Hj[k]
+            Bi, Bj = B[i], B[j]
+            for k in range(n):
+                Bj[k] += T * Bi[k]
+
+    for i in range(1, n):
+        for j in range(i - 1, -1, -1):
+            if H[j][j]:
+                reduce(i, j)
+    for _ in range(maxsteps):
+        m, szmax = -1, -1
+        for i, (gi, shift) in enumerate(weights):
+            sz = (gi * abs(H[i][i])) >> shift
+            if sz > szmax:
+                m, szmax = i, sz
+        y[m], y[m + 1] = y[m + 1], y[m]
+        H[m], H[m + 1] = H[m + 1], H[m]
+        B[m], B[m + 1] = B[m + 1], B[m]
+        if m <= n - 3:
+            Hm = H[m]
+            t0 = sqrt_fixed((Hm[m] ** 2 + Hm[m + 1] ** 2) >> prec, prec)
+            if not t0:
+                break
+            t1 = (Hm[m] << prec) // t0
+            t2 = (Hm[m + 1] << prec) // t0
+            for Hi in H[m:]:
+                t3, t4 = Hi[m], Hi[m + 1]
+                Hi[m] = (t1 * t3 + t2 * t4) >> prec
+                Hi[m + 1] = (-t2 * t3 + t1 * t4) >> prec
+        for i in range(m + 1, n):
+            for j in range(min(i - 1, m + 1), -1, -1):
+                if not H[j][j]:
+                    break  # precision exhausted, as mpmath reads it
+                reduce(i, j)
+        for yi, column in zip(y, B):
+            if abs(yi) < tol and max(map(abs, column)) < maxcoeff:
+                return column
+        recnorm = max(abs(h) for row in H for h in row)
+        if not recnorm or ((1 << (2 * prec)) // recnorm >> prec) // 100 >= maxcoeff:
+            break
+    return None
 
 
 # ---------------------------------------------------------------------------

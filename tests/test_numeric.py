@@ -634,7 +634,7 @@ def test_thread_safety_same_bits():
     for k, v in zip([(1, 3), (2, 2)] * 3, results):
         assert v.to_decimal(70) == serial[k]
 
-    # congruence checks: BigReal arithmetic and the PSLQ lock under threads
+    # congruence checks: BigReal arithmetic and lock-free PSLQ under threads
     targets = [(1, 4), (2, 3), (1, 1, 4), (2, 2, 2), (1, 3, 2)]
     relations._spanning_set.cache_clear()
     serial = [check_main_congruence(k, 60, cache=ValueCache(None)).to_json()

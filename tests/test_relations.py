@@ -6,15 +6,22 @@ value)."""
 
 import io
 import json
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
+from mzvkit import relations
 from mzvkit.cli import main
 from mzvkit.finite import zeta_natural_F
 from mzvkit.numeric import (
     BigReal,
     ValueCache,
+    _workdigits,
     default_cache,
     eval_admissible,
     eval_combo,
@@ -30,6 +37,7 @@ from mzvkit.relations import (
     congruence_rhs,
     contraction_expansion,
     opposite_parity_indices,
+    pslq,
     verify_congruence,
     verify_contraction_congruence,
     verify_word_dual_congruence,
@@ -370,3 +378,131 @@ class TestEnumeration:
         assert (2,) not in idxs
         assert all((sum(k) + len(k)) % 2 == 1 for k in idxs)
         assert (4, 1, 1) in idxs and (6,) in idxs
+
+
+# ---------------------------------------------------------------------------
+# the list-based PSLQ against mpmath's
+
+def _reference(values, digits, maxcoeff=10 ** 6, maxsteps=5000):
+    """mpmath's pslq as the verdicts ran it before the port: at the working
+    precision of `digits`, set globally, with the same tolerance."""
+    with mp.workdps(_workdigits(digits)):
+        tol = mpf(10) ** (-max(digits - 10, digits // 2))
+        return pslq(values, tol=tol, maxcoeff=maxcoeff, maxsteps=maxsteps)
+
+
+@pytest.fixture(scope="module")
+def sweep_vectors():
+    """Every (values, digits) that the weight <= 8 sweep passes to _pslq:
+    its verdicts and its span reductions, from a fresh value cache."""
+    seen = []
+    search = relations._pslq
+
+    def record(values, digits):
+        seen.append((list(values), digits))
+        return search(values, digits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_pslq", record)
+        cache = ValueCache(None)
+        for k in opposite_parity_indices(8, 4):
+            check_main_congruence(k, cache=cache)
+    return seen
+
+
+def _random_vectors():
+    """One seeded vector of each length 2..8 at 8, 20, 60 and 120 digits;
+    every other one has a planted relation of height up to 10^4."""
+    rng = random.Random(16)
+    out = []
+    for digits in (8, 20, 60, 120):
+        with mp.workdps(digits + 20):
+            for n in range(2, 9):
+                values = [mpf(rng.getrandbits(600) * rng.choice((-1, 1)))
+                          / mpf(2) ** rng.randint(595, 605) for _ in range(n)]
+                if len(out) % 2:
+                    coeffs = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(n - 1)]
+                    values[-1] = sum(c * v for c, v in zip(coeffs, values)) \
+                        / rng.randint(1, 10 ** 4)
+                out.append((values, digits))
+    return out
+
+
+class TestPslqPort:
+    def test_sweep_vectors_match_mpmath(self, sweep_vectors):
+        assert len(sweep_vectors) == 147
+        for values, digits in sweep_vectors:
+            assert _pslq(values, digits) == _reference(values, digits)
+
+    def test_random_vectors_match_mpmath(self):
+        results = []
+        for values, digits in _random_vectors():
+            got = _pslq(values, digits)
+            assert got == _reference(values, digits), (len(values), digits)
+            results.append(got)
+        # both outcomes are exercised
+        assert any(r is None for r in results) and any(r is not None for r in results)
+
+    def test_zero_entry_raises_in_both(self):
+        values = [mpf(1), mpf(0), mpf(3)]
+        with pytest.raises(ValueError):
+            _pslq(values, 60)
+        with pytest.raises(ValueError):
+            _reference(values, 60)
+
+    def test_entry_below_tolerance_returns_none_in_both(self):
+        # tol is 10^-10 at 20 digits, and 10^-13 is below tol/100
+        with mp.workdps(40):
+            values = [mpf(1), mpf(10) ** -13]
+        assert _pslq(values, 20) is None
+        assert _reference(values, 20) is None
+
+    def test_relation_above_maxcoeff_returns_none_in_both(self):
+        with mp.workdps(80):
+            values = [mpf(1), mpf(1) / 1234567]
+        assert _pslq(values, 60) is None
+        assert _reference(values, 60) is None
+        big = 10 ** 7
+        assert _pslq(values, 60, maxcoeff=big) == \
+            _reference(values, 60, maxcoeff=big) == [1, -1234567]
+
+    def test_exhausted_maxsteps_returns_none_in_both(self):
+        with mp.workdps(80):
+            a, b, c = mpf(2).sqrt(), mpf(3).sqrt(), mpf(5).sqrt()
+            values = [a, b, c, 37 * a - 91 * b + 53 * c]
+        assert _pslq(values, 60, maxsteps=2) is None
+        assert _reference(values, 60, maxsteps=2) is None
+        assert _pslq(values, 60) == _reference(values, 60) is not None
+
+    def test_concurrent_searches_ignore_the_global_precision(self, sweep_vectors):
+        # eight threads search while another keeps changing mp.dps; the
+        # search reads no global precision, so each result is the serial one
+        jobs = [(values, digits) for digits in (8, 30, 60, 120)
+                for values, _ in sweep_vectors]
+        serial = [_pslq(values, digits) for values, digits in jobs]
+        results = [None] * len(jobs)
+        stop = threading.Event()
+
+        def churn():
+            rng = random.Random(0)
+            while not stop.is_set():
+                mp.dps = rng.randint(15, 500)
+
+        def search(first):
+            for i in range(first, len(jobs), 8):
+                results[i] = _pslq(*jobs[i])
+
+        dps, interval = mp.dps, sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        churner = threading.Thread(target=churn)
+        churner.start()
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(search, range(8), timeout=300))
+        finally:
+            stop.set()
+            churner.join(timeout=30)
+            sys.setswitchinterval(interval)
+            mp.dps = dps
+        assert not churner.is_alive()
+        assert results == serial
