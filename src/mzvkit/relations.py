@@ -150,10 +150,10 @@ _PSLQ_MAXCOEFF = 10 ** 6
 _PSLQ_EXTRA_BITS = 60
 
 
-def _pslq(values, digits, maxcoeff=_PSLQ_MAXCOEFF, maxsteps=_PSLQ_MAXSTEPS):
+def _pslq(values, digits):
     """Integer relation of the mpf `values`, or None: the result of
-    mpmath's `pslq(values, tol, maxcoeff, maxsteps)` at the working
-    precision of `digits`, computed without setting that precision.
+    mpmath's `pslq(values, tol, _PSLQ_MAXCOEFF, _PSLQ_MAXSTEPS)` at the
+    working precision of `digits`, computed without setting that precision.
 
     The tolerance is 10^-(D-10) for D >= 20; below that it is the residual
     bound of verify_congruence, 10^-(D//2), so a low precision still has a
@@ -209,7 +209,8 @@ def _pslq(values, digits, maxcoeff=_PSLQ_MAXCOEFF, maxsteps=_PSLQ_MAXSTEPS):
         for j in range(i - 1, -1, -1):
             if H[j][j]:
                 reduce(i, j)
-    for _ in range(maxsteps):
+    maxcoeff = _PSLQ_MAXCOEFF
+    for _ in range(_PSLQ_MAXSTEPS):
         m, szmax = -1, -1
         for i, (gi, shift) in enumerate(weights):
             sz = (gi * abs(H[i][i])) >> shift

@@ -457,22 +457,24 @@ class TestPslqPort:
         assert _pslq(values, 20) is None
         assert _reference(values, 20) is None
 
-    def test_relation_above_maxcoeff_returns_none_in_both(self):
+    def test_relation_above_maxcoeff_returns_none_in_both(self, monkeypatch):
         with mp.workdps(80):
             values = [mpf(1), mpf(1) / 1234567]
         assert _pslq(values, 60) is None
         assert _reference(values, 60) is None
         big = 10 ** 7
-        assert _pslq(values, 60, maxcoeff=big) == \
+        monkeypatch.setattr(relations, "_PSLQ_MAXCOEFF", big)
+        assert _pslq(values, 60) == \
             _reference(values, 60, maxcoeff=big) == [1, -1234567]
 
-    def test_exhausted_maxsteps_returns_none_in_both(self):
+    def test_exhausted_maxsteps_returns_none_in_both(self, monkeypatch):
         with mp.workdps(80):
             a, b, c = mpf(2).sqrt(), mpf(3).sqrt(), mpf(5).sqrt()
             values = [a, b, c, 37 * a - 91 * b + 53 * c]
-        assert _pslq(values, 60, maxsteps=2) is None
-        assert _reference(values, 60, maxsteps=2) is None
         assert _pslq(values, 60) == _reference(values, 60) is not None
+        monkeypatch.setattr(relations, "_PSLQ_MAXSTEPS", 2)
+        assert _pslq(values, 60) is None
+        assert _reference(values, 60, maxsteps=2) is None
 
     def test_concurrent_searches_ignore_the_global_precision(self, sweep_vectors):
         # eight threads search while another keeps changing mp.dps; the
