@@ -3,7 +3,9 @@
 Subcommands: eval, reg, finite (eval/modp), modp, dsh (dim/prop66/groupring),
 relations.  Global flags --digits, --cache, --format {json,csv}.  The exit
 code is 0 exactly when every requested verdict is confirmed; informational
-queries always exit 0 unless they raise.
+queries exit 0 unless they fail, with the message on stderr and nothing on
+stdout: 2 for invalid input (ValueError), 1 for a failed exactness check
+(ArithmeticError).
 """
 
 import argparse
@@ -11,7 +13,7 @@ import csv
 import json
 import sys
 
-from .dsh import cyclic_invariance_kernels, dimension_table
+from .dsh import cyclic_invariance_kernel, dimension_table
 from .finite import (
     primes_in_range,
     zeta_A_component,
@@ -23,9 +25,7 @@ from .finite import (
 from .groupring import groupring_identity_check
 from . import indices
 from .indices import format_index
-from .linalg import span_equal
 from .numeric import DEFAULT_DIGITS, configure_cache, eval_admissible, eval_combo
-from .polynomials import monomial_exponents
 from .relations import (
     build_spanning_set,
     check_main_congruence,
@@ -140,15 +140,13 @@ def cmd_dsh_dim(args):
 
 
 def cmd_dsh_prop66(args):
-    bases = cyclic_invariance_kernels(args.n, args.d)
-    monos = monomial_exponents(args.n, args.d)
-    vectors = [[tuple(f.coefficient(e) for e in monos) for f in basis] for basis in bases]
-    agree = span_equal(*vectors, len(monos))
-    row = {"n": args.n, "d": args.d, "kernel_dim": len(bases[0]),
-           "pivot_orders_agree": agree}
+    # the kernel raises ArithmeticError unless the pivot orders agree
+    basis = cyclic_invariance_kernel(args.n, args.d)
+    row = {"n": args.n, "d": args.d, "kernel_dim": len(basis),
+           "pivot_orders_agree": True}
     payload = dict(row)
-    payload["basis"] = [str(f) for f in bases[0]]
-    return payload, [row], agree
+    payload["basis"] = [str(f) for f in basis]
+    return payload, [row], True
 
 
 def cmd_dsh_groupring(args):
@@ -310,6 +308,10 @@ def main(argv=None, out=None):
     except ValueError as exc:
         print("mzv: error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a failed exactness check: no result is printed
+        print("mzv: error: %s" % exc, file=sys.stderr)
+        return 1
     _emit(payload, rows, args.fmt, out)
     return 0 if ok else 1
 

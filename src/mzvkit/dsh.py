@@ -14,16 +14,14 @@ tuples with integer coefficients: a permutation sends a monomial to a
 monomial, and the P^{-1} twist of a monomial is the twist of a monomial
 one degree lower times one linear form, memoized per call.  A condition
 row that repeats an earlier one is dropped: it does not change the row
-space, and about half the double shuffle rows are such repeats.  The
-solvers take a pivot_order; dsh_dimension and cyclic_invariance_kernels
-build their condition matrix once and eliminate it under both
-PIVOT_ORDERS.
+space, and about half the double shuffle rows are such repeats.
 
 The nullspace is linalg's one kernel: Gauss-Jordan modulo a prime, with
 the kernel proved over Q (rank mod p bounds the nullity from above, exactly
 checked kernel vectors from below), and Bareiss elimination when
-reconstruction or the check fails.  dsh_dimension raises ArithmeticError
-unless the kernels of the two pivot orders span the same space.
+reconstruction or the check fails.  Every solver eliminates its one
+condition matrix under each of PIVOT_ORDERS and raises ArithmeticError
+unless the kernels span the same space; it returns the "left" basis.
 
 The cyclic-invariance kernel adds one more constraint family: form
 
@@ -49,7 +47,6 @@ __all__ = [
     "dimension_table",
     "divided_difference",
     "cyclic_invariance_kernel",
-    "cyclic_invariance_kernels",
     "symmetric_slice_basis",
     "symmetric_dti_solutions",
     "functional_equation_space",
@@ -104,12 +101,24 @@ def _permuted_image(terms, elem):
     return {e: c for e, c in out.items() if c}
 
 
-def _kernel(basis, rows, pivot_order):
+def _kernel(basis, rows):
     """The combinations of basis killed by the condition rows, one per
-    primitive integer nullspace vector."""
+    primitive integer nullspace vector under the "left" pivot order.
+
+    The rows are eliminated under each of PIVOT_ORDERS; ArithmeticError
+    unless the kernels span the same space.
+    """
+    kernels = [nullspace(rows, len(basis), pivot_order=order) for order in PIVOT_ORDERS]
+    if not span_equal(*kernels, len(basis)):
+        raise ArithmeticError("pivot orders disagree on a kernel in %d unknowns: dims %r"
+                              % (len(basis), [len(k) for k in kernels]))
     zero = MultiPoly.zero(basis[0].nvars)
-    return [zero.combined((c, b) for c, b in zip(vec, basis) if c)
-            for vec in nullspace(rows, len(basis), pivot_order=pivot_order)]
+    return [zero.combined((c, b) for c, b in zip(vec, basis) if c) for vec in kernels[0]]
+
+
+def _require_degree(n, d):
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
 
 
 def _substituted_monomials(exponents, forms):
@@ -138,8 +147,7 @@ def _substituted_monomials(exponents, forms):
 def _dsh_condition_rows(n, d):
     """The degree-d monomial basis in n variables and the double shuffle
     conditions on it."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+    _require_degree(n, d)
     exponents = monomial_exponents(n, d)
     basis = [MultiPoly.monomial(e) for e in exponents]
     # f|_{P^{-1}} substitutes x P: x_j becomes column j of P, the form
@@ -157,24 +165,14 @@ def _dsh_condition_rows(n, d):
     return basis, _rows_from_images(*families)
 
 
-def double_shuffle_space(n, d, pivot_order="left"):
+def double_shuffle_space(n, d):
     """Basis of the double shuffle space in n variables, degree d."""
-    return _kernel(*_dsh_condition_rows(n, d), pivot_order)
+    return _kernel(*_dsh_condition_rows(n, d))
 
 
 def dsh_dimension(n, d):
-    """dim of the double shuffle space, checked by every pivot order.
-
-    The condition matrix is built once and its kernel computed under each
-    of PIVOT_ORDERS; ArithmeticError if the kernels differ.
-    """
-    basis, rows = _dsh_condition_rows(n, d)
-    kernels = [nullspace(rows, len(basis), pivot_order=order)
-               for order in PIVOT_ORDERS]
-    if not span_equal(*kernels, len(basis)):
-        raise ArithmeticError("elimination paths disagree for n=%d d=%d: dims %r"
-                              % (n, d, [len(k) for k in kernels]))
-    return len(kernels[0])
+    """dim of the double shuffle space, checked by every pivot order."""
+    return len(double_shuffle_space(n, d))
 
 
 def dimension_table(n, degrees):
@@ -216,20 +214,13 @@ def _cyclic_condition_rows(n, d):
     return basis, rows + _rows_from_images([g.terms for g in defects])
 
 
-def cyclic_invariance_kernel(n, d, pivot_order="left"):
+def cyclic_invariance_kernel(n, d):
     """Members of the double shuffle space whose divided difference is cyclic.
 
     Requires even d (the odd case is outside the statement being checked).
     Expected: empty basis for even d >= 2; for d = 0 the constants remain.
     """
-    return _kernel(*_cyclic_condition_rows(n, d), pivot_order)
-
-
-def cyclic_invariance_kernels(n, d):
-    """cyclic_invariance_kernel under each of PIVOT_ORDERS, from one
-    condition matrix."""
-    basis, rows = _cyclic_condition_rows(n, d)
-    return [_kernel(basis, rows, order) for order in PIVOT_ORDERS]
+    return _kernel(*_cyclic_condition_rows(n, d))
 
 
 def symmetric_slice_basis(n, d):
@@ -243,19 +234,20 @@ def symmetric_slice_basis(n, d):
     return out
 
 
-def symmetric_dti_solutions(n, d, pivot_order="left"):
+def symmetric_dti_solutions(n, d):
     """Symmetric f of degree d with x_1-weighted first derivative translation invariant.
 
     Solves, over the symmetric slice, the condition that d/dx_1 (x_1 f) has
     partial derivatives summing to zero.  Only constants should survive.
     """
+    _require_degree(n, d)
     basis = symmetric_slice_basis(n, d)
     x1 = MultiPoly.variable(1, n)
     images = [(x1 * f).partial(1).diagonal_derivative().terms for f in basis]
-    return _kernel(basis, _rows_from_images(images), pivot_order)
+    return _kernel(basis, _rows_from_images(images))
 
 
-def functional_equation_space(n, d, pivot_order="left"):
+def functional_equation_space(n, d):
     """Homogeneous f of degree d with the two-sided divided-difference balance.
 
     The constraint, in n+1 variables:
@@ -263,6 +255,7 @@ def functional_equation_space(n, d, pivot_order="left"):
       x_{n+1} (f(x_2-x_1,..,x_{n+1}-x_1) - f(x_2,..,x_{n+1}))
         = x_1 (f(x_2-x_1,..,x_{n+1}-x_1) - f(x_1,..,x_n)).
     """
+    _require_degree(n, d)
     basis = [MultiPoly.monomial(e) for e in monomial_exponents(n, d)]
     shifted, dropped_first, leading = _shift_vars(n)
     m = n + 1
@@ -273,7 +266,7 @@ def functional_equation_space(n, d, pivot_order="left"):
         a = f.substitute(shifted)
         images.append((xm * (a - f.substitute(dropped_first))
                        - x1 * (a - f.substitute(leading))).terms)
-    return _kernel(basis, _rows_from_images(images), pivot_order)
+    return _kernel(basis, _rows_from_images(images))
 
 
 def second_order_divergence(f):

@@ -75,6 +75,8 @@ def parse_index(text):
 
 def compositions(total, parts):
     """All tuples of `parts` positive integers summing to `total`."""
+    if parts < 0:
+        raise ValueError("parts must be >= 0, got %d" % parts)
     if parts == 0:
         if total == 0:
             yield ()
@@ -90,6 +92,8 @@ def compositions(total, parts):
 
 def compositions_nonneg(total, parts):
     """All tuples of `parts` integers >= 0 summing to `total`."""
+    if parts < 0:
+        raise ValueError("parts must be >= 0, got %d" % parts)
     if parts == 0:
         if total == 0:
             yield ()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from mzvkit import dsh
 from mzvkit.cli import main, parse_index, parse_int_range
 
 
@@ -132,6 +133,22 @@ class TestDsh:
         assert payload["kernel_dim"] == 1
         assert payload["pivot_orders_agree"] is True
         assert payload["basis"] == ["MultiPoly(1, 1)"]
+
+    @pytest.mark.parametrize("argv", [["prop66", "--n", "1", "--d", "0"],
+                                      ["dim", "--n", "2", "--d", "10"]],
+                             ids=["prop66", "dim"])
+    def test_failed_exactness_check_is_reported(self, argv, monkeypatch, capsys):
+        # a right pivot order that loses the kernel: the pivot orders
+        # disagree, and the error is a message with nothing on stdout
+        exact = dsh.nullspace
+        monkeypatch.setattr(dsh, "nullspace", lambda rows, ncols, pivot_order: (
+            exact(rows, ncols, pivot_order=pivot_order) if pivot_order == "left" else []))
+        rc = main(["dsh"] + argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("mzv: error: pivot orders disagree")
+        assert "Traceback" not in captured.err
 
     def test_groupring(self):
         rc, payload = run_json(["dsh", "groupring", "--n", "3"])

@@ -17,7 +17,6 @@ from mzvkit.dsh import (
     act_groupring,
     double_shuffle_space,
     cyclic_invariance_kernel,
-    cyclic_invariance_kernels,
     dimension_table,
     divided_difference,
     dsh_dimension,
@@ -28,7 +27,7 @@ from mzvkit.dsh import (
     vector_space_dimension,
 )
 from mzvkit.groupring import GroupRingElem, shuffle_operator
-from mzvkit.linalg import PIVOT_ORDERS, reduce_rows, span_equal
+from mzvkit.linalg import PIVOT_ORDERS, nullspace, reduce_rows, span_equal
 from mzvkit.matrices import (
     act_matrix,
     cyclic_action_matrix,
@@ -93,21 +92,27 @@ class TestDoubleShuffleSpace:
 
     def test_pivot_orders_agree_on_span(self):
         for n, d in [(2, 6), (2, 12), (3, 8)]:
-            monos = monomial_exponents(n, d)
-            vecs = {}
-            for order in ("left", "right"):
-                basis = double_shuffle_space(n, d, pivot_order=order)
-                vecs[order] = [tuple(f.coefficient(e) for e in monos) for f in basis]
-            assert span_equal(vecs["left"], vecs["right"], len(monos))
+            basis, rows = dsh._dsh_condition_rows(n, d)
+            left, right = [nullspace(rows, len(basis), pivot_order=order)
+                           for order in ("left", "right")]
+            assert left and span_equal(left, right, len(basis))
 
-    def test_cross_check_wrapper(self, monkeypatch):
-        assert dsh_dimension(2, 10) == 1
+    @pytest.mark.parametrize("solve, n, d", [
+        (double_shuffle_space, 2, 10),
+        (dsh_dimension, 2, 10),
+        (cyclic_invariance_kernel, 1, 0),
+        (symmetric_dti_solutions, 2, 0),
+        (functional_equation_space, 1, 0),
+    ], ids=["double_shuffle_space", "dsh_dimension", "cyclic_invariance_kernel",
+            "symmetric_dti_solutions", "functional_equation_space"])
+    def test_cross_check_wrapper(self, solve, n, d, monkeypatch):
+        assert solve(n, d)
         # a right pivot order that loses the kernel must be caught
         exact = dsh.nullspace
         monkeypatch.setattr(dsh, "nullspace", lambda rows, ncols, pivot_order: (
             exact(rows, ncols, pivot_order=pivot_order) if pivot_order == "left" else []))
         with pytest.raises(ArithmeticError):
-            dsh_dimension(2, 10)
+            solve(n, d)
 
     def test_cyclic_action_sign(self):
         # every basis member is an eigenvector of the cyclic matrix with
@@ -149,13 +154,11 @@ class TestModularKernelMatchesBareiss:
     ], ids=["double_shuffle_space", "cyclic_invariance_kernel", "symmetric_dti_solutions",
             "functional_equation_space"])
     def test_solver(self, solver, grid, monkeypatch):
-        self.check(monkeypatch, lambda: [solver(n, d, pivot_order=order)
-                                         for n, d in grid for order in PIVOT_ORDERS])
+        self.check(monkeypatch, lambda: [solver(n, d) for n, d in grid])
 
     def test_solvers_of_both_orders(self, monkeypatch):
-        self.check(monkeypatch, lambda: (
-            [cyclic_invariance_kernels(n, d) for n, d in self.EVEN],
-            [dimension_table(n, range(0, 9 - n)) for n in (1, 2, 3, 4)]))
+        self.check(monkeypatch, lambda: [dimension_table(n, range(0, 9 - n))
+                                         for n in (1, 2, 3, 4)])
 
 
 class TestConditionRows:
@@ -226,8 +229,7 @@ class TestDividedDifference:
 class TestCyclicInvarianceKernel:
     def test_kernel_is_zero(self):
         for n, d in [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]:
-            for order in ("left", "right"):
-                assert cyclic_invariance_kernel(n, d, pivot_order=order) == []
+            assert cyclic_invariance_kernel(n, d) == []
 
     def test_degree_zero_keeps_constants(self):
         ker = cyclic_invariance_kernel(1, 0)
@@ -237,18 +239,17 @@ class TestCyclicInvarianceKernel:
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             cyclic_invariance_kernel(2, 3)
-        with pytest.raises(ValueError):
-            cyclic_invariance_kernels(2, 3)
 
     def test_kernels_build_the_matrix_once(self, monkeypatch):
-        calls = []
-        build = dsh._dsh_condition_rows
+        calls, orders = [], []
+        build, exact = dsh._dsh_condition_rows, dsh.nullspace
         monkeypatch.setattr(dsh, "_dsh_condition_rows",
                             lambda n, d: calls.append((n, d)) or build(n, d))
-        kernels = cyclic_invariance_kernels(2, 0)
-        assert calls == [(2, 0)]
-        assert kernels == [cyclic_invariance_kernel(2, 0, pivot_order=order)
-                           for order in PIVOT_ORDERS]
+        monkeypatch.setattr(dsh, "nullspace", lambda rows, ncols, pivot_order: (
+            orders.append(pivot_order) or exact(rows, ncols, pivot_order=pivot_order)))
+        assert cyclic_invariance_kernel(1, 0) == [MultiPoly.one(1)]
+        assert calls == [(1, 0)]
+        assert orders == list(PIVOT_ORDERS)
 
 
 class TestTranslationInvariance:
@@ -279,6 +280,13 @@ class TestTranslationInvariance:
             assert len(sols) == 1 and sols[0] == MultiPoly.one(n)
             for d in range(1, 5):
                 assert symmetric_dti_solutions(n, d) == []
+
+    @pytest.mark.parametrize("solve", [symmetric_dti_solutions, functional_equation_space],
+                             ids=["symmetric_dti_solutions", "functional_equation_space"])
+    def test_solver_rejects_bad_sizes(self, solve):
+        for n, d in [(0, 0), (0, 1), (2, -1)]:
+            with pytest.raises(ValueError, match="need n >= 1 and d >= 0"):
+                solve(n, d)
 
     def test_chain_rule_identity(self):
         # d/dx_1 d/dx_{n+1} of (x_{n+1}-x_1) f(x_2-x_1,...) equals the

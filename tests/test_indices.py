@@ -10,6 +10,7 @@ from mzvkit.indices import (
     brute_force_surjections,
     check_index,
     compositions,
+    compositions_nonneg,
     cone_weight,
     depth,
     enumerate_surjections,
@@ -56,6 +57,21 @@ def test_index_text_roundtrip():
         parse_index("1,2")
     with pytest.raises(ValueError):
         parse_index("(1,,2)")
+
+
+def test_negative_parts_rejected():
+    # a negative number of parts is an error, not an unbounded recursion
+    from mzvkit.dsh import vector_space_dimension
+    from mzvkit.polynomials import monomial_exponents
+
+    for enumerate_ in (compositions, compositions_nonneg, indices_of_weight):
+        with pytest.raises(ValueError):
+            list(enumerate_(5, -1))
+    with pytest.raises(ValueError):
+        monomial_exponents(-1, 2)
+    with pytest.raises(ValueError):
+        vector_space_dimension(-1, 2)
+    assert list(compositions(0, 0)) == [()] and list(compositions_nonneg(2, 0)) == []
 
 
 def test_surjection_small_cases():
