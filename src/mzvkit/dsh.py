@@ -12,9 +12,11 @@ basis.  Every solver runs one pipeline: basis, images, condition rows, a
 nullspace of linalg, polynomials.  The images are built over exponent
 tuples with integer coefficients: a permutation sends a monomial to a
 monomial, and the P^{-1} twist of a monomial is the twist of a monomial
-one degree lower times one linear form, memoized per call.  A condition
-row that repeats an earlier one is dropped: it does not change the row
-space, and about half the double shuffle rows are such repeats.
+one degree lower times one linear form, memoized per call.  Each target
+monomial of an image family gives one sparse condition row {column:
+coefficient}, built straight from the images, in linalg's row format.  A
+condition row that repeats an earlier one is dropped: it does not change
+the row space, and about half the double shuffle rows are such repeats.
 
 The nullspace is linalg's one kernel: Gauss-Jordan modulo a prime, with
 the kernel proved over Q (rank mod p bounds the nullity from above, exactly
@@ -74,15 +76,19 @@ def _rows_from_images(*families):
 
     A family lists, for one linear map, the term dict (exponent ->
     coefficient) of the image of each basis element; each target monomial
-    of a family gives one row, whose columns follow the basis ordering.  A
-    repeated row adds nothing to the row space, so only its first
-    occurrence is kept.
+    of a family, in sorted order, gives one row {column: coefficient},
+    whose columns are the positions in the basis of the elements whose
+    image has that term, in increasing order.  A repeated row adds nothing
+    to the row space, so only its first occurrence is kept.
     """
     rows = {}
     for images in families:
-        targets = sorted({e for img in images for e in img})
-        rows.update(dict.fromkeys(tuple(img.get(e, 0) for img in images) for e in targets))
-    return list(rows)
+        by_target = {}
+        for col, img in enumerate(images):
+            for e, x in img.items():
+                by_target.setdefault(e, {})[col] = x
+        rows.update(dict.fromkeys(tuple(by_target[e].items()) for e in sorted(by_target)))
+    return [dict(row) for row in rows]
 
 
 def _permuted_image(terms, elem):

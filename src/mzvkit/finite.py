@@ -23,9 +23,10 @@ sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  For
 odd p = 2h + 1 the signed range in its 1/m order, 1..h, -h..-1, is 1..p-1
 mod p, so both are numeric.chain_total over the same columns of m^-k_j
 mod p for m = 1..p-1, one per slot, built by repeated column
-multiplication from the table of inverses.  The
-weak total comes scaled by n! (the tie weights become binomials), so the
-natural value is that total times (n!)^-1, which p > depth makes exist.
+multiplication from the table of inverses.  chain_total sums exact
+integers, and the total is reduced mod p once, here.  The weak total comes
+scaled by n! (the tie weights become binomials), so the natural value is
+that total times (n!)^-1, which p > depth makes exist.
 """
 
 import math
@@ -146,7 +147,8 @@ def _inverses(p):
 
 def _inverse_powers(p, exponents):
     """Columns [m^-a mod p for m = 1..p-1], one per a in `exponents`."""
-    return power_columns(_inverses(p)[1:].tolist(), exponents, p)
+    return [[x % p for x in column]
+            for column in power_columns(_inverses(p)[1:].tolist(), exponents)]
 
 
 def zeta_A_component(k, p):
@@ -155,7 +157,7 @@ def zeta_A_component(k, p):
     _check_prime(p)
     if not k:
         return ModPValue(p, 1 % p)
-    return ModPValue(p, chain_total(_inverse_powers(p, k), modulus=p))
+    return ModPValue(p, chain_total(_inverse_powers(p, k)) % p)
 
 
 def zeta_natural_A_component(k, p):
@@ -176,5 +178,5 @@ def zeta_natural_A_component(k, p):
         return ModPValue(p, 0)  # the range 0 < |m| < 1 is empty
     # for odd p = 2h + 1 the 1/m order 1..h, -h..-1 is 1..p-1 mod p; the
     # weak total comes scaled by n!, which p > n makes invertible
-    total = chain_total(_inverse_powers(p, k), weak=True, modulus=p)
-    return ModPValue(p, total * pow(math.factorial(n), -1, p) % p)
+    total = chain_total(_inverse_powers(p, k), weak=True)
+    return ModPValue(p, total % p * pow(math.factorial(n), -1, p) % p)

@@ -91,7 +91,8 @@ def compositions(total, parts):
 
 
 def compositions_nonneg(total, parts):
-    """All tuples of `parts` integers >= 0 summing to `total`."""
+    """All tuples of `parts` integers >= 0 summing to `total`; none when
+    `total` is negative."""
     if parts < 0:
         raise ValueError("parts must be >= 0, got %d" % parts)
     if parts == 0:
@@ -99,7 +100,8 @@ def compositions_nonneg(total, parts):
             yield ()
         return
     if parts == 1:
-        yield (total,)
+        if total >= 0:
+            yield (total,)
         return
     for first in range(total + 1):
         for rest in compositions_nonneg(total - first, parts - 1):

@@ -1,5 +1,11 @@
 """Exact rational linear algebra: one certified kernel, and RREF.
 
+The eliminations (nullspace, its Bareiss fallback, and _rref_mod_p) take
+sparse rows: a row is a mapping {column: coefficient}, the coefficients
+int or Fraction, an absent column zero, so an elimination reads only the
+nonzero entries.  The one dense matrix is the one Bareiss works on, which
+_bareiss_nullspace builds once.
+
 nullspace returns a primitive integer basis of the right kernel from a
 Gauss-Jordan elimination modulo the word-size prime PRIME, which inserts
 the rows one at a time into a fully reduced basis, with a proof over Q on
@@ -60,14 +66,15 @@ def _primitive(vec):
 
 
 def _integer_rows(rows, ncols):
-    """Each nonzero row as a primitive integer row; zero rows are dropped."""
+    """Each nonzero {column: coefficient} row as a primitive integer row
+    of its nonzero entries; zero rows are dropped."""
     out = []
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("row length %d != %d" % (len(row), ncols))
-        row = _primitive(row)
-        if any(row):
-            out.append(list(row))
+        if not all(0 <= c < ncols for c in row):
+            raise ValueError("row %r has a column outside 0..%d" % (row, ncols - 1))
+        cols = [c for c in row if row[c]]
+        if cols:
+            out.append(dict(zip(cols, _primitive([row[c] for c in cols]))))
     return out
 
 
@@ -137,7 +144,7 @@ def _bareiss_nullspace(rows, ncols, pivot_order="left"):
     and back-substitution over Fraction: the fallback of nullspace, and
     the reference its tests compare against."""
     col_scan = _column_scan(ncols, pivot_order)
-    m = _integer_rows(rows, ncols)
+    m = [[row.get(c, 0) for c in range(ncols)] for row in _integer_rows(rows, ncols)]
     pivots, _ = _bareiss(m, col_scan)
     used_cols = {c for _, c in pivots}
     basis = []
@@ -167,7 +174,8 @@ def _subtract_multiple(row, prow, col, p):
 
 
 def _rref_mod_p(rows, scan, p):
-    """Pivot rows of the reduced row echelon form of rows mod p.
+    """Pivot rows of the reduced row echelon form of the integer
+    {column: coefficient} rows mod p.
 
     Columns are renamed to their positions in `scan`.  Each row is
     inserted into a fully reduced basis: it is reduced by the pivot rows
@@ -178,13 +186,10 @@ def _rref_mod_p(rows, scan, p):
     matter.  Returns {pivot position: row dict}, each pivot 1 and alone in
     its column.
     """
+    position = {c: pos for pos, c in enumerate(scan)}
     pivots = {}
     for row in rows:
-        r = {}
-        for pos, c in enumerate(scan):
-            x = row[c] % p
-            if x:
-                r[pos] = x
+        r = {position[c]: x % p for c, x in row.items() if x % p}
         # a pivot row adds only non-pivot columns, so the pivot columns of
         # r are known before the pass
         for col in [c for c in r if c in pivots]:
@@ -216,8 +221,9 @@ def _rational(x, p):
 
 
 def nullspace(rows, ncols, pivot_order="left"):
-    """Primitive integer basis of the right kernel {v | A v = 0}, computed
-    modulo PRIME and proved over Q.
+    """Primitive integer basis of the right kernel {v | A v = 0} of the
+    {column: coefficient} rows of A, computed modulo PRIME and proved over
+    Q.  The basis vectors are dense tuples of length ncols.
 
     pivot_order chooses whether elimination scans candidate pivot columns
     left to right or right to left; the kernel is the same subspace either
@@ -253,7 +259,7 @@ def nullspace(rows, ncols, pivot_order="left"):
                     return _bareiss_nullspace(rows, ncols, pivot_order)
                 vec[scan[pc]] = q
         vec = _primitive(vec)
-        if any(sum(a * b for a, b in zip(row, vec)) for row in m):
+        if any(sum(x * vec[c] for c, x in row.items()) for row in m):
             return _bareiss_nullspace(rows, ncols, pivot_order)
         basis.append(vec)
     basis.sort()

@@ -63,11 +63,12 @@ i!, so on the scaled levels
     C_j = sum_{i<j} C(j, i) E_i w_{i+1} .. w_j
 
 and the weak total is n! times the weighted sum.  Each level is a few
-column products and one prefix sum, reduced once by the modulus if there
-is one.  The truncated direct sums over signed integer tuples (ordered
-strictly or weakly by 1/m, the weak case weighted by inverse factorials
-of the tie run lengths) take the integer columns (L/m)^a, L = lcm(1..M-1),
-and divide the total by L^weight (and n!) as one exact `Fraction`.
+column products and one prefix sum over exact integers; the mod-p sums of
+`finite` reduce the total once, at the caller.  The truncated direct sums
+over signed integer tuples (ordered strictly or weakly by 1/m, the weak
+case weighted by inverse factorials of the tie run lengths) take the
+integer columns (L/m)^a, L = lcm(1..M-1), and divide the total by
+L^weight (and n!) as one exact `Fraction`.
 """
 
 import functools
@@ -116,6 +117,11 @@ _GUARD_DIGITS = 15
 _GUARD_BITS = 32
 
 
+def _check_digits(digits):
+    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
+        raise ValueError("digits must be a positive integer, got %r" % (digits,))
+
+
 def _workdigits(digits):
     return digits + _GUARD_DIGITS
 
@@ -131,15 +137,15 @@ def _power_of_ten(e, digits):
     return mpf_pow_int(ften, e, _prec(digits), round_nearest)
 
 
-def chain_total(columns, weak=False, modulus=None):
+def chain_total(columns, weak=False):
     """Sum over the chains of the weight columns w_1..w_n (n >= 1).
 
     The columns are lists of integers of one length N.  A chain picks
     positions t_1 < .. < t_n (t_1 <= .. <= t_n when `weak` is set) and
     contributes w_1[t_1] * .. * w_n[t_n]; a weak chain also weighs 1/r!
     for each maximal run of r equal positions, and the weak total is
-    returned scaled by n!, which makes it an integer.  With a `modulus`
-    the total and every prefix level are reduced by it.
+    returned scaled by n!, which makes it an integer.  The levels are
+    exact integers; a caller that wants a residue reduces the total once.
     """
     n = len(columns)
     # prefixes[i][t]: level i (times i! when weak) summed over the
@@ -157,25 +163,17 @@ def chain_total(columns, weak=False, modulus=None):
         else:
             level = map(mul, prefixes[-1], column)
         if j == n:
-            total = sum(level)
-            return total if modulus is None else total % modulus
-        prefixes.append(_listed(accumulate(level, initial=0), modulus))
+            return sum(level)
+        prefixes.append(list(accumulate(level, initial=0)))
 
 
-def power_columns(base, exponents, modulus=None):
+def power_columns(base, exponents):
     """The columns [x^a for x in base], one per a in `exponents` (all >= 1),
-    each built from the one before by a column multiplication; with a
-    `modulus` every column is reduced by it."""
+    each built from the one before by a column multiplication."""
     powers = [base]
     for _ in range(1, max(exponents)):
-        powers.append(_listed(map(mul, powers[-1], base), modulus))
+        powers.append(list(map(mul, powers[-1], base)))
     return [powers[a - 1] for a in exponents]
-
-
-def _listed(values, modulus):
-    """The iterable `values` as a list, each entry reduced by `modulus`
-    unless it is None."""
-    return list(values) if modulus is None else [x % modulus for x in values]
 
 
 class BigReal:
@@ -205,12 +203,10 @@ class BigReal:
 
     @classmethod
     def from_rational(cls, q, digits=DEFAULT_DIGITS):
+        _check_digits(digits)
         q = Fraction(q)
         v = from_rational(q.numerator, q.denominator, _prec(digits), round_nearest)
         return cls._rounded(v, fzero, digits)
-
-    def tolerance(self):
-        return mp.make_mpf(_power_of_ten(-(self.digits - 10), self.digits))
 
     def is_zero(self):
         return mpf_le(mpf_abs(self.value._mpf_),
@@ -531,8 +527,7 @@ def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
     for k in ks:
         if not is_admissible(k):
             raise ValueError("not an admissible index: %s" % format_index(k))
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    _check_digits(digits)
     if cache is None:
         cache = default_cache()
     missing = {}  # weight -> the record members of that weight the cache lacks
@@ -563,8 +558,7 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
     if not is_admissible(k):
         raise ValueError("eval_admissible needs an admissible index, got %s"
                          % format_index(k))
-    if digits < 1:
-        raise ValueError("digits must be positive")
+    _check_digits(digits)
     if cache is None:
         cache = default_cache()
     member, key = _record_key(k)

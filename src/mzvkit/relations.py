@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, prod
 
 from mpmath import pslq  # noqa: F401  the reference _pslq reproduces, kept under this name
 from mpmath.libmp import mpf_pos, round_nearest, sqrt_fixed, to_fixed
@@ -118,22 +118,12 @@ def boundary_expansion(k):
     cannot be distributed over an empty tuple.
     """
     k = _check_opposite_parity(k)
-    n = len(k)
     terms = []
-    for ell in compositions_nonneg(k[0], n - 1):
-        coef = 1
-        for i in range(1, n):
-            coef *= comb(k[i] + ell[i - 1] - 1, ell[i - 1])
-        target = tuple(k[i] + ell[i - 1] for i in range(1, n))
-        sign = -((-1) ** k[0])
-        terms.append((sign * coef, _stuffle_const(target)))
-    for ell in compositions_nonneg(k[-1], n - 1):
-        coef = 1
-        for i in range(n - 1):
-            coef *= comb(k[i] + ell[i] - 1, ell[i])
-        target = tuple(k[i] + ell[i] for i in range(n - 1))
-        sign = (-1) ** k[-1]
-        terms.append((sign * coef, _stuffle_const(target)))
+    for part, rest, sign in ((k[0], k[1:], -((-1) ** k[0])), (k[-1], k[:-1], (-1) ** k[-1])):
+        for ell in compositions_nonneg(part, len(rest)):
+            coef = prod(comb(a + e - 1, e) for a, e in zip(rest, ell))
+            target = tuple(a + e for a, e in zip(rest, ell))
+            terms.append((sign * coef, _stuffle_const(target)))
     return MzvCombo.zero().combined(terms)
 
 

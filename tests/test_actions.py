@@ -288,6 +288,11 @@ class TestGroupRing:
         assert e.support() == {(1, 2, 3, 4), (2, 1, 3, 4)}
 
 
+def sparse(rows):
+    """Dense literal rows as {column: coefficient} rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 def rref_nullspace(rows, ncols):
     """Reference kernel via reduced row echelon form; independent of the
     fraction-free elimination path."""
@@ -309,9 +314,13 @@ def rref_nullspace(rows, ncols):
 
 class TestNullspace:
     """The kernel contract, on the modular nullspace here and on the
-    Bareiss fallback in TestBareissNullspace."""
+    Bareiss fallback in TestBareissNullspace.  The tests write dense rows,
+    which `kernel` passes on as {column: coefficient} rows."""
 
-    kernel = staticmethod(nullspace)
+    raw_kernel = staticmethod(nullspace)
+
+    def kernel(self, rows, *args, **kwargs):
+        return self.raw_kernel(sparse(rows), *args, **kwargs)
 
     def test_known_kernel(self):
         assert self.kernel([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
@@ -355,7 +364,8 @@ class TestNullspace:
         systems = []
         for n, d in ((2, 4), (3, 4), (3, 6)):
             basis, rows = _dsh_condition_rows(n, d)
-            systems.append((rows, len(basis)))
+            systems.append(([[row.get(c, 0) for c in range(len(basis))] for row in rows],
+                            len(basis)))
         for _ in range(30):
             ncols = rng.randrange(1, 9)
             rows = [[rng.randrange(-6, 7) * rng.choice((1, 1, 2, 3)) for _ in range(ncols)]
@@ -381,9 +391,14 @@ class TestNullspace:
         with pytest.raises(ValueError):
             self.kernel([[1]], 1, pivot_order="diagonal")
 
+    @pytest.mark.parametrize("row", [{2: 1}, {0: 1, -1: 2}])
+    def test_column_out_of_range(self, row):
+        with pytest.raises(ValueError, match="column outside"):
+            self.raw_kernel([{0: 1}, row], 2)
+
 
 class TestBareissNullspace(TestNullspace):
-    kernel = staticmethod(_bareiss_nullspace)
+    raw_kernel = staticmethod(_bareiss_nullspace)
 
 
 class TestCertifiedNullspace:
@@ -398,7 +413,7 @@ class TestCertifiedNullspace:
         right = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(rank)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if rank
                 else [0] * ncols for row in left]
-        return rows, ncols
+        return sparse(rows), ncols
 
     @staticmethod
     def count_fallbacks(monkeypatch):
@@ -428,18 +443,18 @@ class TestCertifiedNullspace:
                 assert nullspace(rows, ncols, order) == _bareiss_nullspace(rows, ncols, order)
 
     def test_small_cases(self):
-        assert nullspace([[1, 1, 0], [0, 1, 1]], 3) == [(1, -1, 1)]
-        assert nullspace([[Fraction(1, 2), Fraction(1, 3)]], 2) == [(2, -3)]
-        assert nullspace([[1, 0], [0, 1]], 2) == []
+        assert nullspace(sparse([[1, 1, 0], [0, 1, 1]]), 3) == [(1, -1, 1)]
+        assert nullspace(sparse([[Fraction(1, 2), Fraction(1, 3)]]), 2) == [(2, -3)]
+        assert nullspace(sparse([[1, 0], [0, 1]]), 2) == []
         assert nullspace([], 2) == [(0, 1), (1, 0)]
         assert nullspace([], 0) == []
         with pytest.raises(ValueError):
-            nullspace([[1]], 1, pivot_order="diagonal")
+            nullspace(sparse([[1]]), 1, pivot_order="diagonal")
 
     @staticmethod
     def dense_rref_mod_p(rows, scan, p):
         """Textbook Gauss-Jordan mod p on dense rows, columns in scan order."""
-        m = [[row[c] % p for c in scan] for row in rows]
+        m = [[row.get(c, 0) % p for c in scan] for row in rows]
         rank = 0
         pivots = {}
         for col in range(len(scan)):
@@ -462,7 +477,7 @@ class TestCertifiedNullspace:
         for trial in range(60):
             rows, ncols = self.low_rank_system(rng)
             if rows and trial % 2:
-                rows += [list(rng.choice(rows)) for _ in range(rng.randrange(1, 4))]
+                rows += [dict(rng.choice(rows)) for _ in range(rng.randrange(1, 4))]
                 rng.shuffle(rows)
             for p in (7, 101, linalg.PRIME):
                 for order in PIVOT_ORDERS:
@@ -483,13 +498,13 @@ class TestCertifiedNullspace:
         monkeypatch.setattr(linalg, "PRIME", 3)
         calls = self.count_fallbacks(monkeypatch)
         for order in PIVOT_ORDERS:
-            assert nullspace([[1, 1], [1, 4]], 2, order) == []
+            assert nullspace(sparse([[1, 1], [1, 4]]), 2, order) == []
         assert len(calls) == 2
 
     def test_entries_beyond_reconstruction_fall_back(self, monkeypatch):
         # the kernel (2^40, 3^30, 1) has entries beyond sqrt(PRIME / 2)
         calls = self.count_fallbacks(monkeypatch)
-        rows = [[1, 0, -2 ** 40], [0, 1, -3 ** 30]]
+        rows = sparse([[1, 0, -2 ** 40], [0, 1, -3 ** 30]])
         for order in PIVOT_ORDERS:
             assert nullspace(rows, 3, order) == [(2 ** 40, 3 ** 30, 1)]
         assert len(calls) == 2

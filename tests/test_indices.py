@@ -74,6 +74,17 @@ def test_negative_parts_rejected():
     assert list(compositions(0, 0)) == [()] and list(compositions_nonneg(2, 0)) == []
 
 
+def test_negative_total_has_no_compositions():
+    # a negative total has no tuple of nonnegative parts, whatever the depth
+    from mzvkit.dsh import symmetric_slice_basis, vector_space_dimension
+    from mzvkit.polynomials import monomial_exponents
+
+    assert list(compositions_nonneg(-1, 1)) == []
+    assert monomial_exponents(1, -1) == []
+    assert vector_space_dimension(1, -1) == vector_space_dimension(2, -1) == 0
+    assert symmetric_slice_basis(1, -1) == []
+
+
 def test_surjection_small_cases():
     # (2,1): the constant map only; (2,2): the identity only
     assert enumerate_surjections(2, 1) == [(2,)]
