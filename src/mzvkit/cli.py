@@ -34,7 +34,7 @@ from .relations import (
     verify_contraction_congruence,
     verify_word_dual_congruence,
 )
-from .series import normalize_scheme, regularize
+from .regularization import normalize_scheme, regularize
 
 __all__ = ["build_parser", "main"]
 

@@ -33,7 +33,8 @@ A subclass supplies these hooks:
 
 Operands of another type get NotImplemented, so Python raises TypeError
 (combined raises it directly); operands of the same type over different
-spaces raise ValueError.
+spaces raise ValueError.  A constructor validates each (key, coefficient)
+pair of its input and hands them to _merged, which adds up equal keys.
 """
 
 from fractions import Fraction
@@ -168,6 +169,17 @@ class Combination:
 
     def _space(self):
         return None
+
+    @staticmethod
+    def _merged(pairs):
+        """The term dict of validated (key, coefficient) pairs, the
+        constructors' one merge: the coefficients of equal keys add up, and
+        a key whose sum is zero is dropped."""
+        acc = {}
+        for key, c in pairs:
+            if c:
+                acc[key] = acc.get(key, 0) + c
+        return {key: c for key, c in acc.items() if c}
 
     def _same(self, other):
         """True for an operand of this type over the same space."""

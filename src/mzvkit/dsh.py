@@ -10,13 +10,16 @@ composed with the inverse all-ones triangular substitution:
 All conditions are exact linear constraints on the coefficients over a
 basis.  Every solver runs one pipeline: basis, images, condition rows, a
 nullspace of linalg, polynomials.  The images are built over exponent
-tuples with integer coefficients: a permutation sends a monomial to a
-monomial, and the P^{-1} twist of a monomial is the twist of a monomial
-one degree lower times one linear form, memoized per call.  Each target
-monomial of an image family gives one sparse condition row {column:
-coefficient}, built straight from the images, in linalg's row format.  A
-condition row that repeats an earlier one is dropped: it does not change
-the row space, and about half the double shuffle rows are such repeats.
+tuples with integer coefficients.  A permutation sends a monomial to a
+monomial: each permutation of a shuffle operator is mapped once over the
+degree-d exponent tuples by polynomials.permute_terms, the package's one
+permutation action, and each image term looks its target up.  The P^{-1}
+twist of a monomial is the twist of a monomial one degree lower times one
+linear form, memoized per call.  Each target monomial of an image family
+gives one sparse condition row {column: coefficient}, built straight from
+the images, in linalg's row format.  A condition row that repeats an
+earlier one is dropped: it does not change the row space, and about half
+the double shuffle rows are such repeats.
 
 The nullspace is linalg's one kernel: Gauss-Jordan modulo a prime, with
 the kernel proved over Q (rank mod p bounds the nullity from above, exactly
@@ -36,10 +39,15 @@ space to zero; degree 0 keeps the constants.
 
 from fractions import Fraction
 
-from .groupring import GroupRingElem, cycle_perm, shuffle_operator
+from .groupring import GroupRingElem, cycle_perm, invert_perm, shuffle_operator
 from .linalg import PIVOT_ORDERS, nullspace, span_equal
 from .matrices import upper_ones
-from .polynomials import MultiPoly, diagonal_translation_invariant, monomial_exponents
+from .polynomials import (
+    MultiPoly,
+    diagonal_translation_invariant,
+    monomial_exponents,
+    permute_terms,
+)
 
 __all__ = [
     "act_groupring",
@@ -89,22 +97,6 @@ def _rows_from_images(*families):
                 by_target.setdefault(e, {})[col] = x
         rows.update(dict.fromkeys(tuple(by_target[e].items()) for e in sorted(by_target)))
     return [dict(row) for row in rows]
-
-
-def _permuted_image(terms, elem):
-    """The term dict of f|_elem for f given by its term dict.
-
-    A permutation sends a monomial to a monomial, so the image is built
-    over plain exponent tuples, with the same convention as
-    MultiPoly.permute_variables.
-    """
-    out = {}
-    for sigma, c in elem.terms.items():
-        positions = [s - 1 for s in sigma]
-        for expo, coeff in terms.items():
-            key = tuple(map(expo.__getitem__, positions))
-            out[key] = out.get(key, 0) + c * coeff
-    return {e: c for e, c in out.items() if c}
 
 
 def _kernel(basis, rows):
@@ -163,11 +155,23 @@ def _dsh_condition_rows(n, d):
     forms = [[(i, p[i][j]) for i in range(n) if p[i][j]] for j in range(n)]
     plain = [{e: 1} for e in exponents]
     twisted = _substituted_monomials(exponents, forms)
+    identity = dict(zip(exponents, exponents))
     families = []
     for i in range(1, n):
-        sh = shuffle_operator(n, i)
-        families.append([_permuted_image(t, sh) for t in plain])
-        families.append([_permuted_image(t, sh) for t in twisted])
+        # permuting the keys of {e: e} by sigma^-1 leaves at each exponent
+        # tuple its image under sigma
+        moves = [(c, permute_terms(identity, invert_perm(sigma)))
+                 for sigma, c in shuffle_operator(n, i).terms.items()]
+        for images in (plain, twisted):
+            family = []
+            for terms in images:
+                out = {}
+                for c, moved in moves:
+                    for e, x in terms.items():
+                        key = moved[e]
+                        out[key] = out.get(key, 0) + c * x
+                family.append({e: x for e, x in out.items() if x})
+            families.append(family)
     return basis, _rows_from_images(*families)
 
 

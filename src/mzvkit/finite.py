@@ -7,15 +7,15 @@ by the antipode-type splitting sum
     sum_{i=0..n} (-1)^(k_{i+1}+...+k_n)
         reg(k_1..k_i) * reg(k_n..k_{i+1})
 
-with both factors regularized in one scheme (series scheme for zeta_F,
-integral scheme for zeta_F_sharp).  The n+1 signed products are summed in
-one Combination.combined call, as full polynomials in T: every term goes
-into the integer accumulator under its (T-degree, index) path, and each
-coefficient of the result is one Fraction.  The sum is T-free; that is
-checked at runtime on the whole polynomial, and the constant term is the
-value.  The surjection-weighted variant zeta_natural_F, the
-regularization.surjection_sum of zeta_F, matches the limit of the
-weakly-ordered weighted direct sums.
+with both factors regularized in one scheme by regularization.regularize
+("stuffle" for zeta_F, "shuffle" for zeta_F_sharp).  The n+1 signed
+products are summed in one Combination.combined call, as full polynomials
+in T: every term goes into the integer accumulator under its (T-degree,
+index) path, and each coefficient of the result is one Fraction.  The sum
+is T-free; that is checked at runtime on the whole polynomial, and the
+constant term is the value.  The surjection-weighted variant
+zeta_natural_F, the regularization.surjection_sum of zeta_F, matches the
+limit of the weakly-ordered weighted direct sums.
 
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
@@ -31,18 +31,12 @@ that total times (n!)^-1, which p > depth makes exist.
 
 import math
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .indices import check_index, format_index, weight, word_of_index
+from .indices import check_index, format_index, weight
 from .numeric import chain_total, power_columns
-from .regularization import (
-    MzvCombo,
-    RegPoly,
-    shuffle_regularize,
-    stuffle_regularize,
-    surjection_sum,
-)
+from .regularization import MzvCombo, RegPoly, regularize, surjection_sum
 
 
 def _antipode_poly(k, reg_of_index):
@@ -61,7 +55,7 @@ def _constant_term_checked(poly, k, label):
 
 @lru_cache(maxsize=None)
 def _zeta_F(k):
-    return _constant_term_checked(_antipode_poly(k, stuffle_regularize), k, "zeta_F")
+    return _constant_term_checked(_antipode_poly(k, partial(regularize, "stuffle")), k, "zeta_F")
 
 
 def zeta_F(k):
@@ -69,13 +63,10 @@ def zeta_F(k):
     return _zeta_F(check_index(k))
 
 
-def _sharp_reg(k):
-    return shuffle_regularize(word_of_index(k))
-
-
 @lru_cache(maxsize=None)
 def _zeta_F_sharp(k):
-    return _constant_term_checked(_antipode_poly(k, _sharp_reg), k, "zeta_F_sharp")
+    return _constant_term_checked(_antipode_poly(k, partial(regularize, "shuffle")), k,
+                                  "zeta_F_sharp")
 
 
 def zeta_F_sharp(k):

@@ -80,15 +80,8 @@ class GroupRingElem(Combination):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError("m must be a positive integer")
         self.m = m
-        clean = {}
-        for sigma, c in (terms or {}).items():
-            sigma = _check_perm(sigma, m)
-            c = self._scalar(c)
-            if c != 0:
-                clean[sigma] = clean.get(sigma, 0) + c
-                if clean[sigma] == 0:
-                    del clean[sigma]
-        self.terms = clean
+        self.terms = self._merged((_check_perm(sigma, m), self._scalar(c))
+                                  for sigma, c in (terms or {}).items())
 
     def _like(self, terms):
         elem = super()._like(terms)

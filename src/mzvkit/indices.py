@@ -74,25 +74,16 @@ def parse_index(text):
 
 
 def compositions(total, parts):
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts < 0:
-        raise ValueError("parts must be >= 0, got %d" % parts)
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` positive integers summing to `total`: the
+    tuples of compositions_nonneg(total - parts, parts) with one added to
+    each part, in the same (lexicographic) order."""
+    for c in compositions_nonneg(total - parts, parts):
+        yield tuple([x + 1 for x in c])
 
 
 def compositions_nonneg(total, parts):
-    """All tuples of `parts` integers >= 0 summing to `total`; none when
-    `total` is negative."""
+    """All tuples of `parts` integers >= 0 summing to `total`, in
+    lexicographic order; none when `total` is negative."""
     if parts < 0:
         raise ValueError("parts must be >= 0, got %d" % parts)
     if parts == 0:

@@ -40,7 +40,6 @@ __all__ = [
     "nullspace",
     "reduce_rows",
     "span_equal",
-    "matvec",
 ]
 
 PIVOT_ORDERS = ("left", "right")
@@ -85,10 +84,6 @@ def _column_scan(ncols, pivot_order):
     if ncols < 0:
         raise ValueError("ncols must be nonnegative")
     return list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
-
-
-def matvec(rows, vec):
-    return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, vec)) for row in rows]
 
 
 def _bareiss(m, col_scan):

@@ -8,6 +8,10 @@ package: homogeneous components, variable substitution by polynomials
 (used for integer-matrix actions), partial derivatives, and exact division
 by a single variable.  Sums, scaling, equality and the product (exponent
 tuples add) come from combination.Combination.
+
+permute_terms is the one permutation action on key tuples: it permutes the
+variables of a MultiPoly, the index entries of a series.SeriesTrunc, and
+the exponent tuples of the dsh condition images.
 """
 
 from fractions import Fraction
@@ -18,6 +22,7 @@ from .indices import compositions_nonneg
 
 __all__ = [
     "MultiPoly",
+    "permute_terms",
     "monomial_exponents",
     "diagonal_translation_invariant",
 ]
@@ -36,19 +41,16 @@ class MultiPoly(Combination):
         if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 0:
             raise ValueError("nvars must be a nonnegative integer")
         self.nvars = nvars
-        clean = {}
-        for expo, coeff in (terms or {}).items():
-            expo = tuple(expo)
-            if len(expo) != nvars:
-                raise ValueError("exponent tuple %r does not have %d entries" % (expo, nvars))
-            if any((not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in expo):
-                raise ValueError("exponents must be nonnegative integers: %r" % (expo,))
-            coeff = as_fraction(coeff)
-            if coeff != 0:
-                clean[expo] = clean.get(expo, Fraction(0)) + coeff
-                if clean[expo] == 0:
-                    del clean[expo]
-        self.terms = clean
+        self.terms = self._merged((self._check_exponents(expo), as_fraction(coeff))
+                                  for expo, coeff in (terms or {}).items())
+
+    def _check_exponents(self, expo):
+        expo = tuple(expo)
+        if len(expo) != self.nvars:
+            raise ValueError("exponent tuple %r does not have %d entries" % (expo, self.nvars))
+        if any((not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in expo):
+            raise ValueError("exponents must be nonnegative integers: %r" % (expo,))
+        return expo
 
     @classmethod
     def _trusted(cls, nvars, terms):
@@ -195,10 +197,7 @@ class MultiPoly(Combination):
         """
         if sorted(sigma) != list(range(1, self.nvars + 1)):
             raise ValueError("sigma must be a permutation of 1..%d" % self.nvars)
-        out = {}
-        for expo, coeff in self.terms.items():
-            out[tuple(expo[sigma[j] - 1] for j in range(self.nvars))] = coeff
-        return MultiPoly._trusted(self.nvars, out)
+        return MultiPoly._trusted(self.nvars, permute_terms(self.terms, sigma))
 
     def divide_by_variable(self, i):
         """Exact division by x_i; raises ValueError if some term lacks x_i."""
@@ -245,6 +244,17 @@ class MultiPoly(Combination):
             mono = "*".join("x%d^%d" % (j + 1, e) for j, e in enumerate(expo) if e)
             bits.append("%s%s" % (coeff, "*" + mono if mono else ""))
         return "MultiPoly(%d, %s)" % (self.nvars, " + ".join(bits))
+
+
+def permute_terms(terms, sigma):
+    """The term dict with every key tuple e sent to (e[sigma(1)-1], ...,
+    e[sigma(n)-1]), its coefficient unchanged.
+
+    ``sigma`` is a permutation of 1..n as an image tuple, so the map is a
+    bijection of the keys and nothing adds up.
+    """
+    positions = [s - 1 for s in sigma]
+    return {tuple(map(e.__getitem__, positions)): c for e, c in terms.items()}
 
 
 def monomial_exponents(nvars, degree):

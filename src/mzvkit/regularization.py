@@ -30,6 +30,11 @@ the scaled terms go into one Combination.combined call, so each step
 builds one Fraction per coefficient of the result instead of one per term
 and copy of a running sum; surjection_sum is one such call as well, over
 the surjections of each depth, which are listed once (`_surjections`).
+
+regularize(scheme, k) is the one dispatch from a scheme name (SCHEMES,
+aliases through normalize_scheme) to the regularization of an index:
+natural_regularize, stuffle_regularize, or shuffle_regularize of the index
+word.  series, finite, relations and the CLI all regularize through it.
 """
 
 from fractions import Fraction
@@ -49,7 +54,15 @@ from .indices import (
     shuffle_words,
     stabilizer_order,
     weight,
+    word_of_index,
 )
+
+
+def _check_admissible(k):
+    k = check_index(k)
+    if not is_admissible(k):
+        raise ValueError("MzvCombo keys must be admissible, got %s" % format_index(k))
+    return k
 
 
 class MzvCombo(Combination):
@@ -68,17 +81,8 @@ class MzvCombo(Combination):
     _key_product = staticmethod(_stuffle)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                k = check_index(k)
-                if not is_admissible(k):
-                    raise ValueError("MzvCombo keys must be admissible, got %s"
-                                     % format_index(k))
-                c = as_fraction(c)
-                if c:
-                    clean[k] = clean.get(k, Fraction(0)) + c
-        self.terms = {k: c for k, c in clean.items() if c}
+        self.terms = self._merged((_check_admissible(k), as_fraction(c))
+                                  for k, c in (terms or {}).items())
 
     @classmethod
     def zero(cls):
@@ -305,3 +309,32 @@ def natural_regularize(k):
     Depth 0 and 1 are degenerate: only the identity surjection exists.
     """
     return surjection_sum(k, stuffle_regularize, RegPoly.zero())
+
+
+SCHEMES = ("natural", "stuffle", "shuffle")
+
+_SCHEME_ALIASES = {
+    "natural": "natural", "♮": "natural",
+    "stuffle": "stuffle", "*": "stuffle",
+    "shuffle": "shuffle", "♯": "shuffle", "#": "shuffle",
+}
+
+
+def normalize_scheme(scheme):
+    try:
+        return _SCHEME_ALIASES[scheme]
+    except KeyError:
+        raise ValueError("unknown scheme %r (expected one of %s)"
+                         % (scheme, ", ".join(SCHEMES))) from None
+
+
+def regularize(scheme, k):
+    """The regularization polynomial of the index k in a scheme of SCHEMES
+    or one of its aliases: the one dispatch from a scheme name to its
+    regularization.  An unknown name raises ValueError."""
+    scheme = normalize_scheme(scheme)
+    if scheme == "natural":
+        return natural_regularize(k)
+    if scheme == "stuffle":
+        return stuffle_regularize(k)
+    return shuffle_regularize(word_of_index(k))

@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import comb, prod
 
 from mpmath import pslq  # noqa: F401  the reference _pslq reproduces, kept under this name
@@ -38,11 +39,11 @@ from mpmath.libmp import mpf_pos, round_nearest, sqrt_fixed, to_fixed
 
 from .finite import zeta_F, zeta_natural_F
 from .indices import (
+    admissible_indices,
     check_index,
     compositions_nonneg,
     format_index,
     indices_of_weight,
-    is_admissible,
     stuffle,
     weight,
     word_of_index,
@@ -57,12 +58,7 @@ from .numeric import (
     eval_combo,
     eval_many,
 )
-from .regularization import (
-    MzvCombo,
-    associator_coefficient,
-    shuffle_regularize,
-    stuffle_regularize,
-)
+from .regularization import MzvCombo, associator_coefficient, regularize
 
 __all__ = [
     "RelationReport",
@@ -81,17 +77,6 @@ __all__ = [
 ]
 
 EVIDENCE = "numeric evidence"
-
-
-def _stuffle_const(k):
-    # constant term of the series-scheme regularization; the expansions
-    # below never produce an all-ones index, so the scheme choice only
-    # moves the value by products, which the spanning set absorbs
-    return stuffle_regularize(k).constant_term()
-
-
-def _sharp_const(k):
-    return shuffle_regularize(word_of_index(k)).constant_term()
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +100,10 @@ def boundary_expansion(k):
     parts, weighted by binomials, with sign -(-1)^{k_1}.  Second sum: the
     same with the trailing part k_n distributed over the leading parts,
     with sign +(-1)^{k_n}.  Depth 1 degenerates to zero: a positive part
-    cannot be distributed over an empty tuple.
+    cannot be distributed over an empty tuple.  Each term is the constant
+    term of the stuffle regularization; no term is an all-ones index, so
+    the scheme choice only moves the value by products, which the spanning
+    set absorbs.
     """
     k = _check_opposite_parity(k)
     terms = []
@@ -123,7 +111,7 @@ def boundary_expansion(k):
         for ell in compositions_nonneg(part, len(rest)):
             coef = prod(comb(a + e - 1, e) for a, e in zip(rest, ell))
             target = tuple(a + e for a, e in zip(rest, ell))
-            terms.append((sign * coef, _stuffle_const(target)))
+            terms.append((sign * coef, regularize("stuffle", target).constant_term()))
     return MzvCombo.zero().combined(terms)
 
 
@@ -278,10 +266,6 @@ class SpanningSet:
         return tuple(kept), tuple(dropped)
 
 
-def _admissible_of_weight(w, n=None):
-    return [k for k in indices_of_weight(w, n) if is_admissible(k)]
-
-
 def build_spanning_set(target_weight, max_extra_depth, digits=DEFAULT_DIGITS,
                        cache=None):
     """All products of two admissible values with weights summing to the
@@ -301,11 +285,12 @@ def _spanning_set(target_weight, max_extra_depth, digits, cache):
     if max_extra_depth:
         # the set of one less extra depth, then the values of this depth
         shorter = _spanning_set(target_weight, max_extra_depth - 1, digits, cache)
-        ks = _admissible_of_weight(target_weight, max_extra_depth)
+        ks = [k for k in admissible_indices(target_weight, max_extra_depth)
+              if len(k) == max_extra_depth]
         entries = shorter.entries + tuple(
             ("z%s" % format_index(k), v) for k, v in zip(ks, eval_many(ks, digits, cache)))
         return SpanningSet(target_weight, max_extra_depth, digits, entries, shorter)
-    factors = [k for w in range(2, target_weight - 1) for k in _admissible_of_weight(w)]
+    factors = [k for w in range(2, target_weight - 1) for k in admissible_indices(w)]
     value = dict(zip(factors, eval_many(factors, digits, cache)))
     entries = []
     seen = set()
@@ -313,14 +298,13 @@ def _spanning_set(target_weight, max_extra_depth, digits, cache):
         wb = target_weight - wa
         if wb < 2 or wb < wa:
             continue
-        for a in _admissible_of_weight(wa):
-            for b in _admissible_of_weight(wb):
-                pair = tuple(sorted((a, b)))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                label = "z%s*z%s" % (format_index(pair[0]), format_index(pair[1]))
-                entries.append((label, value[pair[0]] * value[pair[1]]))
+        for pair in product(admissible_indices(wa), admissible_indices(wb)):
+            pair = tuple(sorted(pair))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            label = "z%s*z%s" % (format_index(pair[0]), format_index(pair[1]))
+            entries.append((label, value[pair[0]] * value[pair[1]]))
     return SpanningSet(target_weight, 0, digits, tuple(entries))
 
 
@@ -418,22 +402,25 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
 # ---------------------------------------------------------------------------
 # the shipped relation checks
 
+def _congruence(k, lhs, rhs, target, digits, denom_bound, cache, notes=()):
+    """The report of one shipped check: the MzvCombos lhs and rhs of the
+    index k are evaluated, and their difference is detected modulo the
+    spanning set of extra depth n-2."""
+    lhs = eval_combo(lhs, digits, cache)
+    rhs = eval_combo(rhs, digits, cache)
+    span = build_spanning_set(weight(k), len(k) - 2, digits, cache)
+    return verify_congruence(lhs, rhs, span, denom_bound, digits, target=target, notes=notes)
+
+
 def check_main_congruence(k, digits=DEFAULT_DIGITS, denom_bound=10 ** 4,
                           cache=None):
     """Natural finite value against the boundary expansion, modulo products
     plus values of depth at most n-2."""
     k = _check_opposite_parity(k)
-    notes = []
-    lhs_combo = zeta_natural_F(k)
-    rhs_combo = boundary_expansion(k)
-    if (lhs_combo - rhs_combo).is_zero():
-        notes.append("difference vanishes symbolically")
-    lhs = eval_combo(lhs_combo, digits, cache)
-    rhs = eval_combo(rhs_combo, digits, cache)
-    span = build_spanning_set(weight(k), len(k) - 2, digits, cache)
-    return verify_congruence(lhs, rhs, span, denom_bound, digits,
-                             target="zeta_natural_F%s" % format_index(k),
-                             notes=notes)
+    lhs, rhs = zeta_natural_F(k), boundary_expansion(k)
+    notes = ["difference vanishes symbolically"] if (lhs - rhs).is_zero() else []
+    return _congruence(k, lhs, rhs, "zeta_natural_F%s" % format_index(k),
+                       digits, denom_bound, cache, notes)
 
 
 CONTRACTION_READINGS = ("as_displayed", "weight_homogeneous")
@@ -457,7 +444,7 @@ def contraction_expansion(k, reading="weight_homogeneous"):
             target = k[:i - 1] + merged + k[i:]
         else:
             target = k[:i - 1] + merged + k[i + 1:]
-        terms.append((-1, _stuffle_const(target)))
+        terms.append((-1, regularize("stuffle", target).constant_term()))
     return MzvCombo.zero().combined(terms)
 
 
@@ -471,15 +458,10 @@ def verify_contraction_congruence(k, digits=DEFAULT_DIGITS,
     if (weight(k) + len(k)) % 2 == 1:
         raise ValueError(
             "weight and depth must have the same parity, got %s" % format_index(k))
-    lhs = eval_combo(zeta_F(k), digits, cache)
-    span = build_spanning_set(weight(k), len(k) - 2, digits, cache)
-    reports = {}
-    for reading in CONTRACTION_READINGS:
-        rhs = eval_combo(contraction_expansion(k, reading), digits, cache)
-        reports[reading] = verify_congruence(
-            lhs, rhs, span, denom_bound, digits,
-            target="zeta_F%s [%s]" % (format_index(k), reading))
-    return reports
+    return {reading: _congruence(k, zeta_F(k), contraction_expansion(k, reading),
+                                 "zeta_F%s [%s]" % (format_index(k), reading),
+                                 digits, denom_bound, cache)
+            for reading in CONTRACTION_READINGS}
 
 
 def word_dual_expansion(k):
@@ -502,13 +484,9 @@ def verify_word_dual_congruence(k, digits=DEFAULT_DIGITS,
                                 denom_bound=10 ** 4, cache=None):
     """Finite value against the word-coefficient boundary form."""
     k = _check_opposite_parity(k)
-    lhs = eval_combo(zeta_F(k), digits, cache)
-    rhs = eval_combo(word_dual_expansion(k), digits, cache)
-    span = build_spanning_set(weight(k), len(k) - 2, digits, cache)
-    return verify_congruence(
-        lhs, rhs, span, denom_bound, digits,
-        target="zeta_F%s [word form]" % format_index(k),
-        notes=("A-terminated words use the two-letter series convention",))
+    return _congruence(k, zeta_F(k), word_dual_expansion(k),
+                       "zeta_F%s [word form]" % format_index(k), digits, denom_bound, cache,
+                       ("A-terminated words use the two-letter series convention",))
 
 
 def sharp_product_defect(k, kprime, digits=DEFAULT_DIGITS, cache=None):
@@ -525,9 +503,9 @@ def sharp_product_defect(k, kprime, digits=DEFAULT_DIGITS, cache=None):
     if any(p < 2 for p in kprime):
         raise ValueError("every part of the second factor must be >= 2, got %s"
                          % format_index(kprime))
-    left = eval_combo(_sharp_const(k), digits, cache) * \
+    left = eval_combo(regularize("shuffle", k).constant_term(), digits, cache) * \
         eval_admissible(kprime, digits, cache)
-    acc = MzvCombo.zero().combined((mult, _sharp_const(term))
+    acc = MzvCombo.zero().combined((mult, regularize("shuffle", term).constant_term())
                                    for term, mult in stuffle(k, kprime).items())
     return abs(left - eval_combo(acc, digits, cache))
 

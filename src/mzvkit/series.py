@@ -7,7 +7,9 @@ admissible values (MzvCombo), and a table is a combination.Combination
 over its indices, so sums, differences, scaling and equality come from
 that algebra; a numeric cell is eval_combo(s.coefficient(k), digits).
 Three coefficient schemes exist, each the constant term of
-regularize(scheme, k):
+regularize(scheme, k), the scheme dispatch of the regularization module
+(which also owns SCHEMES and normalize_scheme; this module re-exports
+them):
 
   natural   constant term of the surjection-weighted series regularization
   stuffle   constant term of the series regularization
@@ -21,21 +23,18 @@ identity for the natural series,
   lhs = (depth-i series) * (depth-(n-i) series in the remaining variables)
   rhs = sum over block-increasing permutations of the acted depth-n series
 
-whose coefficientwise numeric defect series_shuffle_check measures.
+whose coefficientwise numeric defect series_shuffle_check measures.  The
+permutation action is polynomials.permute_terms on the index keys, the
+same map that permutes the variables of a MultiPoly.
 """
 
 from .combination import Combination
 from .groupring import shuffle_operator
-from .indices import indices_of_weight, is_admissible, word_of_index
+from .indices import indices_of_weight, is_admissible
 from .matrices import substitution_forms
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
-from .polynomials import MultiPoly
-from .regularization import (
-    MzvCombo,
-    natural_regularize,
-    shuffle_regularize,
-    stuffle_regularize,
-)
+from .polynomials import MultiPoly, permute_terms
+from .regularization import SCHEMES, MzvCombo, normalize_scheme, regularize
 
 __all__ = [
     "SCHEMES",
@@ -45,31 +44,6 @@ __all__ = [
     "block_product",
     "series_shuffle_check",
 ]
-
-SCHEMES = ("natural", "stuffle", "shuffle")
-
-_SCHEME_ALIASES = {
-    "natural": "natural", "♮": "natural",
-    "stuffle": "stuffle", "*": "stuffle",
-    "shuffle": "shuffle", "♯": "shuffle", "#": "shuffle",
-}
-
-
-def normalize_scheme(scheme):
-    try:
-        return _SCHEME_ALIASES[scheme]
-    except KeyError:
-        raise ValueError("unknown scheme %r (expected one of %s)"
-                         % (scheme, ", ".join(SCHEMES))) from None
-
-
-def regularize(scheme, k):
-    """The regularization polynomial of the index k in a normalized scheme."""
-    if scheme == "natural":
-        return natural_regularize(k)
-    if scheme == "stuffle":
-        return stuffle_regularize(k)
-    return shuffle_regularize(word_of_index(k))
 
 
 def _domain(n, K):
@@ -130,8 +104,7 @@ class SeriesTrunc(Combination):
         source coefficient at (k_{sigma^{-1}(1)}, ..., k_{sigma^{-1}(n)})."""
         if sorted(sigma) != list(range(1, self.n + 1)):
             raise ValueError("sigma must be a permutation of 1..%d" % self.n)
-        # a bijection of the keys: nothing to add up
-        return self._like({tuple(k[s - 1] for s in sigma): v for k, v in self.terms.items()})
+        return self._like(permute_terms(self.terms, sigma))
 
     def act_matrix(self, gamma):
         """(f|_gamma)(x) = f(x gamma^{-1}), coefficient by coefficient.
@@ -177,12 +150,18 @@ def block_product(a, b, K=None):
 
     The depth-(a.n+b.n) coefficient at the concatenated index is the
     product of the factor coefficients; indices beyond the weight bound
-    are dropped.
+    are dropped.  K defaults to min(a.K, b.K).  A K above
+    min(a.K + b.n, b.K + a.n) raises ValueError: that table would have
+    cells whose factor coefficients lie beyond a factor's weight bound.
     """
     if not isinstance(a, SeriesTrunc) or not isinstance(b, SeriesTrunc):
         raise TypeError("expected SeriesTrunc operands")
     if K is None:
         K = min(a.K, b.K)
+    complete = min(a.K + b.n, b.K + a.n)
+    if K > complete:
+        raise ValueError("weight bound %d exceeds %d, the largest the factors "
+                         "determine" % (K, complete))
     return SeriesTrunc(a.n + b.n, K, {ka + kb: va * vb
                                       for ka, va in a.terms.items()
                                       for kb, vb in b.terms.items()

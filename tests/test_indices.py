@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -366,3 +367,14 @@ def test_compositions_edge_cases():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(3, 0)) == []
     assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
+
+
+def test_compositions_match_brute_force_in_order():
+    # the order fixes the dsh basis, the spanning-set labels and the order
+    # of the PSLQ inputs, so it is compared as well as the tuples
+    for t in range(9):
+        for p in range(6):
+            nonneg = sorted(c for c in product(range(t + 1), repeat=p) if sum(c) == t)
+            assert list(compositions_nonneg(t, p)) == nonneg, (t, p)
+            positive = sorted(c for c in product(range(1, t + 1), repeat=p) if sum(c) == t)
+            assert list(compositions(t, p)) == positive, (t, p)

@@ -24,6 +24,7 @@ from mzvkit.regularization import (
     associator_coefficient,
     combo_product,
     natural_regularize,
+    regularize,
     shuffle_regularize,
     stuffle_regularize,
 )
@@ -319,6 +320,19 @@ def test_natural_depth_three_closed_form():
         + stuffle_regularize((2, 2)).scaled(half) \
         + stuffle_regularize((4,)).scaled(Fraction(1, 6))
     assert natural_regularize(k) == expect
+
+
+def test_regularize_dispatches_every_scheme_name():
+    k = (2, 1, 1)
+    for name in ("natural", "♮"):
+        assert regularize(name, k) == natural_regularize(k)
+    for name in ("stuffle", "*"):
+        assert regularize(name, k) == stuffle_regularize(k)
+    for name in ("shuffle", "♯", "#"):
+        assert regularize(name, k) == shuffle_regularize(word_of_index(k))
+    # a misspelt scheme is an error, not the shuffle regularization
+    with pytest.raises(ValueError, match="unknown scheme"):
+        regularize("stufle", k)
 
 
 def test_natural_homogeneous_in_weight():

@@ -221,6 +221,15 @@ class TestSeriesActions:
         assert prod.n == 2
         assert all(sum(k) <= 5 for k in prod.terms)
 
+    def test_block_product_bound_beyond_factors_rejected(self):
+        # at K = 8 the factor cells up to weight 7 would be needed, but the
+        # tables stop at 3: the product would hold 4 of its 15 cells
+        a = build_series("natural", 1, 3)
+        with pytest.raises(ValueError, match="weight bound 8"):
+            block_product(a, a, K=8)
+        # min(a.K + b.n, b.K + a.n) = 4 is the largest bound allowed
+        assert block_product(a, a, K=4).terms == {(2, 2): z(2) * z(2)}
+
 
 class TestShuffleIdentity:
     def test_weighted_scheme_defect_vanishes(self):
