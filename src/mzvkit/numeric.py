@@ -50,6 +50,18 @@ sum is rounded to the working precision through `mpmath.libmp`, and every
 `BigReal` operation names its precision, so no code here reads mpmath's
 global (and thread-unsafe) precision.
 
+A `BigReal` holds the raw `mpmath.libmp` tuples of its value and of its
+error bound; `value` and `err` are mpf views, built when read.
+`eval_admissible` parses each stored string once per requested precision
+(`_parsed`).  A linear combination sum q_i x_i of BigReals
+(`linear_combination`, behind `eval_combo` and the residual of
+`relations.verify_congruence`) is summed exactly, as an integer over the
+binary mantissas of the x_i and the common denominator of the q_i, and
+rounded once at the working precision of D.  Its error bound is derived:
+sum |q_i| err_i, summed the same way, plus that one rounding, |sum|
+10^-(D+15).  Its last bits are therefore not those of a term-by-term sum,
+which rounds every product and every partial sum.
+
 The exact truncated sums (the signed direct sums below and the mod-p sums
 in `finite`) are sums over chains of integers: slot j of the index weighs
 the value at position t by an integer w_j[t], and `chain_total` sums the
@@ -88,6 +100,7 @@ from mpmath import mp
 from mpmath.libmp import (
     dps_to_prec,
     fone,
+    from_int,
     from_man_exp,
     from_rational,
     from_str,
@@ -95,6 +108,7 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_div,
     mpf_le,
     mpf_mul,
     mpf_neg,
@@ -126,6 +140,7 @@ def _workdigits(digits):
     return digits + _GUARD_DIGITS
 
 
+@functools.lru_cache(maxsize=256)
 def _prec(digits):
     """Binary working precision for the nominal precision `digits`."""
     return dps_to_prec(_workdigits(digits))
@@ -179,18 +194,36 @@ def power_columns(base, exponents):
 class BigReal:
     """A real number at a stated decimal precision with an error estimate.
 
-    `value` is an mpmath float, `err` a conservative bound on the distance
-    to the intended real number, `digits` the nominal precision D.  Zero
-    tests use the fixed tolerance 10^-(D-10).  Each operation rounds at the
-    working precision of D through `mpmath.libmp`.
+    `value` is the number as an mpmath float, `err` a conservative bound
+    on the distance to the intended real number, `digits` the nominal
+    precision D.  Both are kept as raw `mpmath.libmp` tuples and `value`
+    and `err` are read-only mpf views of them, built when read.  Zero
+    tests use the fixed tolerance 10^-(D-10).  Each operation rounds at
+    the working precision of D through `mpmath.libmp`.
     """
 
-    __slots__ = ("value", "err", "digits")
+    __slots__ = ("_v", "_e", "digits")
 
     def __init__(self, value, err, digits):
-        self.value = value
-        self.err = err
-        self.digits = int(digits)
+        _check_digits(digits)
+        self._v = value._mpf_
+        self._e = err._mpf_
+        self.digits = digits
+
+    @classmethod
+    def _raw(cls, v, err, digits):
+        # the raw tuples v and err, digits already checked
+        x = object.__new__(cls)
+        x._v, x._e, x.digits = v, err, digits
+        return x
+
+    @property
+    def value(self):
+        return mp.make_mpf(self._v)
+
+    @property
+    def err(self):
+        return mp.make_mpf(self._e)
 
     @classmethod
     def _rounded(cls, v, err, digits):
@@ -198,8 +231,7 @@ class BigReal:
         prec = _prec(digits)
         rounding = mpf_mul(mpf_abs(v), _power_of_ten(-_workdigits(digits), digits),
                            prec, round_nearest)
-        return cls(mp.make_mpf(v), mp.make_mpf(mpf_add(err, rounding, prec, round_nearest)),
-                   digits)
+        return cls._raw(v, mpf_add(err, rounding, prec, round_nearest), digits)
 
     @classmethod
     def from_rational(cls, q, digits=DEFAULT_DIGITS):
@@ -209,16 +241,15 @@ class BigReal:
         return cls._rounded(v, fzero, digits)
 
     def is_zero(self):
-        return mpf_le(mpf_abs(self.value._mpf_),
-                      _power_of_ten(-(self.digits - 10), self.digits))
+        return mpf_le(mpf_abs(self._v), _power_of_ten(-(self.digits - 10), self.digits))
 
     def __add__(self, other):
         if not isinstance(other, BigReal):
             return NotImplemented
         d = min(self.digits, other.digits)
         prec = _prec(d)
-        v = mpf_add(self.value._mpf_, other.value._mpf_, prec, round_nearest)
-        err = mpf_add(self.err._mpf_, other.err._mpf_, prec, round_nearest)
+        v = mpf_add(self._v, other._v, prec, round_nearest)
+        err = mpf_add(self._e, other._e, prec, round_nearest)
         return BigReal._rounded(v, err, d)
 
     def __sub__(self, other):
@@ -227,10 +258,10 @@ class BigReal:
         return self + (-other)
 
     def __neg__(self):
-        return BigReal(mp.make_mpf(mpf_neg(self.value._mpf_)), self.err, self.digits)
+        return BigReal._raw(mpf_neg(self._v), self._e, self.digits)
 
     def __abs__(self):
-        return BigReal(mp.make_mpf(mpf_abs(self.value._mpf_)), self.err, self.digits)
+        return BigReal._raw(mpf_abs(self._v), self._e, self.digits)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -239,8 +270,8 @@ class BigReal:
             return NotImplemented
         d = min(self.digits, other.digits)
         prec = _prec(d)
-        a, ea = self.value._mpf_, self.err._mpf_
-        b, eb = other.value._mpf_, other.err._mpf_
+        a, ea = self._v, self._e
+        b, eb = other._v, other._e
         err = fzero
         for x, y in ((mpf_abs(a), eb), (mpf_abs(b), ea), (ea, eb)):
             err = mpf_add(err, mpf_mul(x, y, prec, round_nearest), prec, round_nearest)
@@ -255,12 +286,12 @@ class BigReal:
         q = Fraction(q)
         prec = _prec(self.digits)
         f = from_rational(q.numerator, q.denominator, prec, round_nearest)
-        v = mpf_mul(self.value._mpf_, f, prec, round_nearest)
-        err = mpf_mul(self.err._mpf_, mpf_abs(f), prec, round_nearest)
+        v = mpf_mul(self._v, f, prec, round_nearest)
+        err = mpf_mul(self._e, mpf_abs(f), prec, round_nearest)
         return BigReal._rounded(v, err, self.digits)
 
     def to_decimal(self, digits=None):
-        return to_str(self.value._mpf_, digits if digits is not None else self.digits)
+        return to_str(self._v, digits if digits is not None else self.digits)
 
     def __float__(self):
         return float(self.value)
@@ -268,6 +299,36 @@ class BigReal:
     def __repr__(self):
         return "BigReal(%s, digits=%d)" % (self.to_decimal(min(self.digits, 20)),
                                            self.digits)
+
+
+def _exact_sum(terms, den, prec):
+    """The raw mpf nearest to sum(c * x for c, x in terms) / den at `prec`:
+    c and den > 0 are integers, x a raw mpf, and the sum is taken exactly
+    over the binary mantissas, so the result is rounded once."""
+    terms = [(-c if x[0] else c, x[1], x[2]) for c, x in terms if x[1]]
+    if not terms:
+        return fzero
+    low = min(exp for _, _, exp in terms)
+    total = sum(c * man << (exp - low) for c, man, exp in terms)
+    return mpf_div(from_man_exp(total, low), from_int(den), prec, round_nearest)
+
+
+def linear_combination(terms, digits):
+    """sum(q * x for q, x in terms), the q rational (int or Fraction) and
+    the x BigReals, as a BigReal at `digits`.
+
+    The sum is exact, as integers over the binary values and the common
+    denominator of the q, and is rounded once at the working precision of
+    `digits`.  Its error is sum(|q| err(x)), summed the same way, plus
+    that one rounding, |sum| 10^-(D+15)."""
+    _check_digits(digits)
+    terms = [(q, x) for q, x in terms if q]
+    den = math.lcm(*(q.denominator for q, _ in terms))
+    scales = [(q.numerator * (den // q.denominator), x) for q, x in terms]
+    prec = _prec(digits)
+    return BigReal._rounded(_exact_sum([(c, x._v) for c, x in scales], den, prec),
+                            _exact_sum([(abs(c), x._e) for c, x in scales], den, prec),
+                            digits)
 
 
 def _digest(index_text, digits, value_text):
@@ -566,17 +627,22 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
     if stored is None:
         stored = _compute(member) if _compute else _evaluate([member], _workdigits(digits))[0]
         cache.put(key, digits, stored)
-    return BigReal(mp.make_mpf(from_str(stored, _prec(digits), round_nearest)),
-                   mp.make_mpf(_power_of_ten(-(digits + 5), digits)), digits)
+    return BigReal._raw(_parsed(stored, digits), _power_of_ten(-(digits + 5), digits), digits)
+
+
+@functools.lru_cache(maxsize=4096)
+def _parsed(text, digits):
+    """A stored decimal string as a raw mpf at the working precision of
+    `digits`; each (text, digits) is parsed once."""
+    return from_str(text, _prec(digits), round_nearest)
 
 
 def eval_combo(combo, digits=DEFAULT_DIGITS, cache=None):
-    """Linear extension of eval_admissible to an MzvCombo."""
+    """Linear extension of eval_admissible to an MzvCombo, summed exactly
+    and rounded once (`linear_combination`)."""
     ks = sorted(combo.terms)
-    acc = BigReal.from_rational(0, digits)
-    for k, value in zip(ks, eval_many(ks, digits, cache)):
-        acc = acc + value.scaled(combo.terms[k])
-    return acc
+    return linear_combination([(combo.terms[k], v)
+                               for k, v in zip(ks, eval_many(ks, digits, cache))], digits)
 
 
 def eval_constant_term(poly, digits=DEFAULT_DIGITS, cache=None):

@@ -57,6 +57,7 @@ from .numeric import (
     eval_admissible,
     eval_combo,
     eval_many,
+    linear_combination,
 )
 from .regularization import MzvCombo, associator_coefficient, regularize
 
@@ -356,7 +357,12 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
     values of a SpanningSet, reduced to an independent subset.  Confirms
     only when the residual (the difference itself, when it vanishes
     without a span) is below 10^-(digits//2) and every coefficient height
-    stays below denom_bound."""
+    stays below denom_bound.  The residual is lhs - rhs less the
+    combination, summed exactly and rounded once (`linear_combination`).
+    lhs, rhs and the span must be at `digits`, or ValueError is raised."""
+    if not lhs.digits == rhs.digits == span.digits == digits:
+        raise ValueError("lhs, rhs and span must be at %d digits, got %d, %d and %d"
+                         % (digits, lhs.digits, rhs.digits, span.digits))
     notes = list(notes)
     diff = lhs - rhs
     gap = abs(diff)
@@ -382,10 +388,9 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
                               (), absdiff, tuple(notes))
     coeffs = tuple((label, Fraction(-rel[j + 1], rel[0]))
                    for j, (label, _) in enumerate(kept) if rel[j + 1] != 0)
-    combo = diff
-    for j, (_, v) in enumerate(kept):
-        combo = combo - v.scaled(Fraction(-rel[j + 1], rel[0]))
-    residual = abs(combo)
+    residual = abs(linear_combination(
+        [(1, lhs), (-1, rhs)] + [(Fraction(rel[j + 1], rel[0]), v)
+                                 for j, (_, v) in enumerate(kept)], digits))
     residual_ok = residual.value < bound.value
     height = max([1] + [max(abs(q.numerator), q.denominator) for _, q in coeffs])
     verdict = "confirmed"

@@ -254,3 +254,17 @@ def test_criterion_11_main_congruence_sweep_with_archive(tmp_path):
         assert sorted(reread) == sorted(committed)
         for key, entry in reread.items():
             assert _without_residual(entry) == _without_residual(committed[key]), key
+
+
+def test_criterion_12_main_congruence_sweep_to_weight_eight_matches_archive():
+    with criterion(12, "congruence reports for all 73 opposite-parity indices "
+                       "of weight <= 8 match the archive but for the residual"):
+        archive = {",".join(map(str, k)): check_main_congruence(k, digits=60).to_json()
+                   for k in opposite_parity_indices(8, 4)}
+        assert len(archive) == 73
+        committed = json.loads((Path(__file__).resolve().parent.parent / "results"
+                                / "congruence_sweep_w8.json").read_text())
+        assert sorted(archive) == sorted(committed)
+        for key, entry in archive.items():
+            assert entry["verdict"] == "confirmed", key
+            assert _without_residual(entry) == _without_residual(committed[key]), key

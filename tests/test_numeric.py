@@ -75,12 +75,13 @@ def test_rejects_bad_input():
         eval_admissible((2,), 0)
 
 
-@pytest.mark.parametrize("digits", [2.5, True, 0, -3])
+@pytest.mark.parametrize("digits", [2.5, 59.9, True, 0, -3])
 def test_rejects_bad_digits(digits, tmp_path):
     cache = ValueCache(str(tmp_path / "values.jsonl"))
     for call in (lambda: eval_admissible((2,), digits, cache),
                  lambda: eval_many([(2,)], digits, cache),
-                 lambda: BigReal.from_rational(1, digits)):
+                 lambda: BigReal.from_rational(1, digits),
+                 lambda: BigReal(mpf(1), mpf(0), digits)):
         with pytest.raises(ValueError, match="digits must be a positive integer"):
             call()
     # nothing was computed or stored

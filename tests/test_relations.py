@@ -21,6 +21,7 @@ from mzvkit.finite import zeta_natural_F
 from mzvkit.numeric import (
     BigReal,
     ValueCache,
+    _prec,
     _workdigits,
     default_cache,
     eval_admissible,
@@ -179,6 +180,22 @@ class TestVerifyCongruence:
         b = BigReal.from_rational(0, 60)
         rep = verify_congruence(a, b, build_spanning_set(3, 0), target="t")
         assert rep.verdict == "inconclusive"
+
+    def test_inputs_at_another_precision_are_rejected(self):
+        # lhs, rhs and span at 30 digits under digits=60 were searched at the
+        # tolerance of 60 digits and reported inconclusive with height 0
+        k = (1, 2, 3)
+        made = {d: (eval_combo(zeta_natural_F(k), d), congruence_rhs(k, d),
+                    build_spanning_set(6, 1, d)) for d in (30, 60)}
+        for i in range(3):
+            args = list(made[60])
+            args[i] = made[30][i]
+            with pytest.raises(ValueError, match="must be at 60 digits"):
+                verify_congruence(*args, digits=60)
+        with pytest.raises(ValueError, match="must be at 60 digits"):
+            verify_congruence(*made[30], digits=60)
+        rep = verify_congruence(*made[60], digits=60)
+        assert rep.confirmed() and rep.height() == 67
 
     def test_pslq_finds_the_weight_four_relation_at_eight_digits(self):
         # the search tolerance is 10^-max(D-10, D//2): at 8 digits it is
@@ -508,3 +525,21 @@ class TestPslqPort:
             mp.dps = dps
         assert not churner.is_alive()
         assert results == serial
+
+
+def test_combination_error_is_derived_and_covers_the_value_at_double_precision():
+    # every lhs and rhs of the weight <= 8 sweep, each a sum of q_i v_i over
+    # values of error 10^-65 at 60 digits, summed exactly and rounded once
+    combos = [c for k in opposite_parity_indices(8, 4)
+              for c in (zeta_natural_F(k), boundary_expansion(k))]
+    assert len(combos) == 146
+    at60, at120 = ValueCache(None), ValueCache(None)
+    for c in combos:
+        low = eval_combo(c, 60, at60)
+        high = eval_combo(c, 120, at120)
+        with mp.workdps(200):
+            assert abs(low.value - high.value) <= low.err, c
+            derived = (sum(abs(q) for q in c.terms.values()) * mpf(10) ** -65
+                       + abs(low.value) * mpf(10) ** -75)
+            # up to the roundings of err itself, a few units of 2^-prec
+            assert low.err <= derived * (1 + mpf(2) ** (3 - _prec(60))), c
