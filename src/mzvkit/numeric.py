@@ -32,23 +32,34 @@ value of a batch still passes through its own `eval_admissible` call,
 which looks it up in the cache; the first call of a weight that misses
 computes the trie pass of the whole weight.  Each trie node is one
 whole-column step over m = 1..N: a B opens a summation slot from the
-exclusive prefix sums of its parent's column (`accumulate(col,
-initial=0)`), every letter floor-divides the column by m
-(`list(map(floordiv, col, ms))`), and the node's value is
-`sum(map(rshift, col, ms))`.  A column is kept only at a branch point,
+exclusive prefix sums of its parent's column, every letter floor-divides
+the column by m (`map(floordiv, col, ms)`), and the node's value sums
+the column shifted right by m.  A column is kept only at a branch point,
 while another child of that node still needs it, so the walk holds a few
 columns at a time, not one per trie level.  The factors are summed in fixed
 point: Python integers scaled by 2^P, P being the binary precision of the
-working digits D + 15 plus _GUARD_BITS.  The letters divide by m one at a
-time, and since the terms are non-negative, floor(floor(x / m) / m) =
-floor(x / m^2): each prefix value is bit-identical to summing that factor
-on its own with one floor division by m^k per part, so a value computed in
-a batch is bit-identical to the value computed alone.  A factor of depth n
-over N terms still takes (n + 1) N floor roundings, each losing less than
-one unit, and the guard bits keep the rounding far below 10^-(D+15).  The
-sum is rounded to the working precision through `mpmath.libmp`, and every
-`BigReal` operation names its precision, so no code here reads mpmath's
-global (and thread-unsafe) precision.
+working digits D + 15 plus _GUARD_BITS.  Term m reaches a value only
+through 2^-m, so a column does not keep all its entries at 2^-P: the
+positions go in blocks of _BLOCK_TERMS, and the block starting at lo
+keeps its entries in units of 2^(s-P), s = max(0, lo - G), G =
+_COLUMN_GUARD_BITS bits.  The first B is floor((2^P >> s) / m), a later
+B shifts its running sum right by the growth of s at each block
+boundary, and a node's value sums entry >> (m - s), so late entries
+are short integers.  Every entry depends only on its prefix, N and P:
+a value computed in a batch is bit-identical to the value computed
+alone, and an index and its dual, whose sums take the same products,
+give one string.  The letters divide by m one at a time; the terms are
+non-negative, so floor(floor(x / m) / m) = floor(x / m^2), and a letter
+commutes with dropping the low s bits, floor(floor(x / 2^s) / m) =
+floor(floor(x / m) / 2^s), so only the carried sums of the Bs drop
+bits.  `_prefix_values` derives the bound: each prefix value is at
+most N units of 2^-P below the value of the full-resolution pass (every
+s = 0), which a factor of depth n over N terms already places within
+(n + 1) N floor units of the exact series, and the guard bits keep both
+far below 10^-(D+15).  The sum is rounded to the working precision
+through `mpmath.libmp`, and every `BigReal` operation names its
+precision, so no code here reads mpmath's global (and thread-unsafe)
+precision.
 
 A `BigReal` holds the raw `mpmath.libmp` tuples of its value and of its
 error bound; `value` and `err` are mpf views, built when read.
@@ -93,7 +104,7 @@ import warnings
 import zlib
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mul, rshift
 
 from mpmath import mp
@@ -129,6 +140,12 @@ from .indices import (
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
 _GUARD_BITS = 32
+# the evaluator's column blocks (`_prefix_values`): positions per block, and
+# the guard G; the block starting at lo keeps its entries in units of
+# 2^(s-P), s = max(0, lo - G), so an entry keeps G bits or more below the
+# last unit of what its term, weighed by 2^-m, adds to a value
+_BLOCK_TERMS = 64
+_COLUMN_GUARD_BITS = 64
 
 
 def _check_digits(digits):
@@ -516,6 +533,19 @@ def _record_key(k):
     return member, format_index(member)
 
 
+def _exclusive_sums(column, blocks):
+    """The exclusive prefix sums of a blocked column, each block's in its
+    own units: the running sum is shifted right by the growth of s at
+    each block boundary."""
+    entries = iter(column)
+    out, total, units = [], 0, 0
+    for positions, s in blocks:
+        sums = list(accumulate(islice(entries, len(positions)), initial=total >> (s - units)))
+        total, units = sums.pop(), s
+        out.append(sums)
+    return chain.from_iterable(out)
+
+
 def _prefix_values(words, nterms, prec):
     """{prefix: I(prefix; 1/2) in fixed point scaled by 2^prec} for every
     prefix of every word, the empty prefix included.
@@ -529,28 +559,64 @@ def _prefix_values(words, nterms, prec):
     kept only while children still need it, so the walk holds one column
     per branch point of the current path.  The truncation error of each
     value is below 2^-nterms times a small polynomial factor.
+
+    Entry m reaches the value only through 2^-m, so its low bits count
+    only through carries.  The positions therefore go in blocks of
+    _BLOCK_TERMS, and the block starting at lo keeps
+    its entries in units of 2^(s - prec), s = max(0, lo - G), G =
+    _COLUMN_GUARD_BITS: the first B is floor((2^prec >> s) / m), a later B
+    carries its running sum across blocks and shifts it right by the
+    growth of s at each block boundary, every letter floor-divides by m,
+    and the value sums entry >> (m - s).  Write x_m for the entry of the
+    full-resolution pass (every s = 0) and y_m for the blocked one.
+
+    Bound.  Every step is monotone and rounds down, and floor(floor(x /
+    2^s) / m) = floor(floor(x / m) / 2^s), so d_m = floor(x_m / 2^s) - y_m
+    >= 0, and d_m = 0 wherever s = 0.  The first B has d = 0, and a letter
+    keeps d (floor((a - d) / m) >= floor(a / m) - d).  At a later B let d'
+    bound the parent's d, and let r be the shortfall of the running sum
+    against the full-resolution running sum divided by 2^s.  Each parent
+    entry adds less than d' + 1 to r (d' from the entry, 1 from its
+    floor).  r = 0 while s = 0, and s grows by at least 1 at every later
+    block boundary, whose shift maps r to less than r / 2 + 1.  So r <
+    2 _BLOCK_TERMS (d' + 1) + 2 at every position, and since s > 0 only
+    at m > G >= _BLOCK_TERMS, the B entry floor(running / m) has d <
+    r / m + 1 <= 2 d' + 3.  A prefix with n letters B therefore has d <
+    3 * 2^(n-1) <= 2^G for n <= G - 1, and since m - s >= G wherever
+    s > 0, each final floor y_m >> (m - s) is the full-resolution floor
+    x_m >> m or one less.  So each prefix value is at most nterms units of
+    2^-prec below that of the full-resolution pass and never above it:
+    next to the (n + 1) nterms floor units that pass loses against the
+    exact series, the blocked pass loses at most (n + 2) nterms.
+    Every entry is a function of the prefix, nterms and prec alone, so a
+    prefix value does not depend on the trie it is computed in.
     """
     trie = {}
     for word in words:
         node = trie
         for c in word:
             node = node.setdefault(c, {})
+    # the positions in blocks, each with its s
+    blocks = [(range(lo, min(lo + _BLOCK_TERMS, nterms + 1)), max(0, lo - _COLUMN_GUARD_BITS))
+              for lo in range(1, nterms + 1, _BLOCK_TERMS)]
     ms = range(1, nterms + 1)
+    shifts = [m - s for positions, s in blocks for m in positions]
     one = 1 << prec
     values = {"": one}
     stack = [(c, child, None) for c, child in trie.items()]
     while stack:
         prefix, node, column = stack.pop()
         if column is None:  # the first B: the empty chain weighs 1 at every m
-            column = map(floordiv, repeat(one), ms)
+            column = list(chain.from_iterable(map(floordiv, repeat(one >> s), positions)
+                                              for positions, s in blocks))
         elif prefix[-1] == "B":
-            column = map(floordiv, accumulate(column, initial=0), ms)
+            column = map(floordiv, _exclusive_sums(column, blocks), ms)
         else:
             column = map(floordiv, column, ms)
         if node:
             column = list(column)
             stack.extend((prefix + c, child, column) for c, child in node.items())
-        values[prefix] = sum(map(rshift, column, ms))
+        values[prefix] = sum(map(rshift, column, shifts))
     return values
 
 
@@ -577,7 +643,7 @@ def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
     """Numeric values of admissible indices, in input order, each correct
     to well within 10^-(D-5).
 
-    Every index is checked before anything is computed.  The batch is
+    Every index is checked, once, before anything is computed.  The batch is
     deduplicated by record key, so an index and its dual are one value.
     Each value then goes through `eval_admissible`, and at the first value
     of a weight that the cache lacks, all the records of that weight it
@@ -614,12 +680,13 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
     the smallest stored precision >= D.  A value the cache lacks is that
     member's value computed as a batch of one and stored at D digits;
     `eval_many` passes `_compute`, which gives the value from its batch
-    instead."""
-    k = check_index(k)
-    if not is_admissible(k):
-        raise ValueError("eval_admissible needs an admissible index, got %s"
-                         % format_index(k))
-    _check_digits(digits)
+    instead; it has checked the index and the digits already."""
+    if _compute is None:
+        k = check_index(k)
+        if not is_admissible(k):
+            raise ValueError("eval_admissible needs an admissible index, got %s"
+                             % format_index(k))
+        _check_digits(digits)
     if cache is None:
         cache = default_cache()
     member, key = _record_key(k)

@@ -108,6 +108,20 @@ def test_matches_independent_zeta_implementation():
             assert abs(v.value - mp.zeta(n)) < mpf(10) ** -55, n
 
 
+@pytest.mark.parametrize("digits", [400, 1000])
+def test_high_precision_values_match_identities_not_from_duality(digits):
+    # independent of the dual pairs: mpmath's zeta, the even-weight closed
+    # forms of zeta(2,2) and zeta(2,2,2), and a stuffle product
+    ks = [(n,) for n in range(2, 9)] + [(2, 2), (2, 2, 2), (2, 3), (3, 2)]
+    v = dict(zip(ks, (x.value for x in eval_many(ks, digits, cache=ValueCache(None)))))
+    with mp.workdps(digits + 30):
+        for n in range(2, 9):
+            assert _close(v[(n,)], mp.zeta(n), digits - 10), n
+        assert _close(v[(2, 2)], mp.pi ** 4 / 120, digits - 10)
+        assert _close(v[(2, 2, 2)], mp.pi ** 6 / 5040, digits - 10)
+        assert _close(v[(2,)] * v[(3,)], v[(2, 3)] + v[(3, 2)] + v[(5,)], digits - 10)
+
+
 def test_naive_truncation_oracle():
     # tails at cutoff 4000: below 1e-7 for last part >= 3 (central estimate
     # C / (2 M^2)), far below the 1e-5 assertion threshold
@@ -188,6 +202,46 @@ def test_prefix_values_match_per_prefix_passes_at_400_digits():
         _check_prefix_values(list(pair), 400)
 
 
+def _check_prefix_bound(words, nterms, prec):
+    # every prefix value is at most nterms units of 2^-prec below its
+    # full-resolution pass and never above it; how many differ
+    values = numeric._prefix_values(words, nterms, prec)
+    assert set(values) == {w[:j] for w in words for j in range(len(w) + 1)}
+    moved = 0
+    for prefix, value in values.items():
+        shortfall = _per_prefix_reference(prefix, nterms, prec) - value
+        assert 0 <= shortfall <= nterms, (prefix, nterms, prec, shortfall)
+        moved += shortfall > 0
+    return moved
+
+
+def _evaluator_words(ks, digits):
+    # the words and dual words of ks, with the nterms and prec of _evaluate
+    workdigits = numeric._workdigits(digits)
+    nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * sum(ks[0])
+    prec = dps_to_prec(workdigits) + numeric._GUARD_BITS
+    ewords = [word_of_index(k)[::-1] for k in ks]
+    return ewords + [numeric._dual_word(e) for e in ewords], nterms, prec
+
+
+def test_prefix_values_within_nterms_units_of_full_resolution():
+    for w in range(2, 9):
+        _check_prefix_bound(*_evaluator_words(admissible_indices(w), 60))
+    for digits in (120, 400, 1000):
+        for pair in _highprec_pairs():
+            _check_prefix_bound(*_evaluator_words(list(pair), digits))
+
+
+def test_prefix_bound_holds_where_floors_move(monkeypatch):
+    # with blocks of 2 and a guard of 3 bits, some final floors do move;
+    # the bound covers prefixes with at most G - 1 = 2 letters B
+    monkeypatch.setattr(numeric, "_BLOCK_TERMS", 2)
+    monkeypatch.setattr(numeric, "_COLUMN_GUARD_BITS", 3)
+    words = ["B" + "".join(w) for w in itertools.product("AB", repeat=6) if w.count("B") <= 1]
+    assert sum(_check_prefix_bound(words, nterms, prec)
+               for prec in (40, 64, 100) for nterms in (120, 200)) > 0
+
+
 def _bits(values):
     return [(v.value, v.to_decimal(v.digits + 10)) for v in values]
 
@@ -219,6 +273,23 @@ def test_batch_edge_cases(tmp_path):
         assert cache.get("(3)", 60) is None and cache.get("(4)", 60) is None
     with open(path, encoding="utf-8") as fh:
         assert len(fh.readlines()) == 4
+
+
+def test_batch_checks_each_index_once(monkeypatch):
+    ks = admissible_indices(8)
+    assert len(ks) == 64
+    calls = {}
+    for name in ("check_index", "is_admissible"):
+        def counted(k, _name=name, _check=getattr(numeric, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _check(k)
+        monkeypatch.setattr(numeric, name, counted)
+    cache = ValueCache(None)
+    eval_many(ks, 60, cache=cache)
+    assert calls == {"check_index": 64, "is_admissible": 64}
+    # a direct call still checks its index
+    eval_admissible(ks[0], 60, cache=cache)
+    assert calls == {"check_index": 65, "is_admissible": 65}
 
 
 def test_batch_values_go_through_eval_admissible(monkeypatch):
