@@ -4,8 +4,8 @@ Subcommands: eval, reg, finite (eval/modp), modp, dsh (dim/prop66/groupring),
 relations.  Global flags --digits, --cache, --format {json,csv}.  The exit
 code is 0 exactly when every requested verdict is confirmed; informational
 queries exit 0 unless they fail, with the message on stderr and nothing on
-stdout: 2 for invalid input (ValueError), 1 for a failed exactness check
-(ArithmeticError).
+stdout: 2 for invalid input (ValueError) or an unusable --cache path
+(OSError), 1 for a failed exactness check (ArithmeticError).
 """
 
 import argparse
@@ -301,11 +301,11 @@ def main(argv=None, out=None):
                                                        "word"):
         if args.index is None:
             parser.error("this relations action needs --index")
-    if args.cache:
-        configure_cache(args.cache)
     try:
+        if args.cache:
+            configure_cache(args.cache)
         payload, rows, ok = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("mzv: error: %s" % exc, file=sys.stderr)
         return 2
     except ArithmeticError as exc:

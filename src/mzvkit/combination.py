@@ -3,15 +3,15 @@
 Every symbolic object of the package is a dict `terms` from keys to nonzero
 coefficients: admissible indices (MzvCombo), powers of T (RegPoly),
 exponent tuples (MultiPoly), permutations (GroupRingElem) and the indices
-of a weight-truncated series table (SeriesTrunc).  Sums, negation,
-scaling, equality and hashing act on the dicts alone.  Each product is a
-product of keys extended bilinearly, as the stuffle and shuffle algebras
-are defined: a subclass says how two keys multiply.
+of a weight-truncated series table (SeriesTrunc).  Scaling, equality and
+hashing act on the dicts alone, and negation is scaling by -1.  Each
+product is a product of keys extended bilinearly, as the stuffle and
+shuffle algebras are defined: a subclass says how two keys multiply.
 
-A sum of many terms, combined(pairs, products), and every product go
-through one accumulator.  It keeps integer numerators in one dict per
-denominator, so adding a term multiplies and adds integers and builds no
-Fraction.  A coefficient that is a combination itself (the MzvCombo of a
+Every sum and every product go through one accumulator: combined(pairs,
+products) sums many terms, and x + y and x - y are combined calls of one
+term.  It keeps integer numerators in one dict per denominator, so adding
+a term multiplies and adds integers and builds no Fraction.  A coefficient that is a combination itself (the MzvCombo of a
 RegPoly or a SeriesTrunc) is summed under its outer key, as one more
 level of the same dicts.  At the end the denominators are brought to
 their lcm, and each key of the result gets one coefficient, built once
@@ -210,23 +210,15 @@ class Combination:
     def __add__(self, other):
         if not self._same(other):
             return NotImplemented
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            if k in acc:
-                c = acc[k] + c
-                if not c:
-                    del acc[k]
-                    continue
-            acc[k] = c
-        return self._like(acc)
+        return self.combined(((1, other),))
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other):
         if not self._same(other):
             return NotImplemented
-        return self + (-other)
+        return self.combined(((-1, other),))
 
     def scaled(self, q):
         q = self._scalar(q)

@@ -64,14 +64,17 @@ precision.
 A `BigReal` holds the raw `mpmath.libmp` tuples of its value and of its
 error bound; `value` and `err` are mpf views, built when read.
 `eval_admissible` parses each stored string once per requested precision
-(`_parsed`).  A linear combination sum q_i x_i of BigReals
-(`linear_combination`, behind `eval_combo` and the residual of
-`relations.verify_congruence`) is summed exactly, as an integer over the
-binary mantissas of the x_i and the common denominator of the q_i, and
-rounded once at the working precision of D.  Its error bound is derived:
-sum |q_i| err_i, summed the same way, plus that one rounding, |sum|
-10^-(D+15).  Its last bits are therefore not those of a term-by-term sum,
-which rounds every product and every partial sum.
+(`_parsed`).  A BigReal adds in one place: a linear combination sum q_i x_i
+(`linear_combination`, behind x + y, x - y, x.scaled(q), `eval_combo` and
+the residual of `relations.verify_congruence`) is summed exactly, as an
+integer over the binary mantissas of the x_i and the common denominator of
+the q_i, and rounded once at the working precision of the smallest D.  Its
+error bound is derived: sum |q_i| err_i, summed the same way, plus that one
+rounding, |sum| 10^-(D+15).  A sum of two terms, or one term scaled by an
+integer below 2^P, is therefore the correctly rounded result that
+`mpf_add` and `mpf_mul` give; a scaling by a non-integer rounds the exact
+product once, and a longer combination is not a term-by-term sum, which
+rounds every product and every partial sum.
 
 The exact truncated sums (the signed direct sums below and the mod-p sums
 in `finite`) are sums over chains of integers: slot j of the index weighs
@@ -216,7 +219,9 @@ class BigReal:
     precision D.  Both are kept as raw `mpmath.libmp` tuples and `value`
     and `err` are read-only mpf views of them, built when read.  Zero
     tests use the fixed tolerance 10^-(D-10).  Each operation rounds at
-    the working precision of D through `mpmath.libmp`.
+    the working precision of D (the smaller D of two operands) through
+    `mpmath.libmp`: +, - and `scaled` are `linear_combination` calls,
+    rounded once, and * rounds each product of values and errors.
     """
 
     __slots__ = ("_v", "_e", "digits")
@@ -263,16 +268,12 @@ class BigReal:
     def __add__(self, other):
         if not isinstance(other, BigReal):
             return NotImplemented
-        d = min(self.digits, other.digits)
-        prec = _prec(d)
-        v = mpf_add(self._v, other._v, prec, round_nearest)
-        err = mpf_add(self._e, other._e, prec, round_nearest)
-        return BigReal._rounded(v, err, d)
+        return linear_combination(((1, self), (1, other)), min(self.digits, other.digits))
 
     def __sub__(self, other):
         if not isinstance(other, BigReal):
             return NotImplemented
-        return self + (-other)
+        return linear_combination(((1, self), (-1, other)), min(self.digits, other.digits))
 
     def __neg__(self):
         return BigReal._raw(mpf_neg(self._v), self._e, self.digits)
@@ -300,12 +301,7 @@ class BigReal:
         return NotImplemented
 
     def scaled(self, q):
-        q = Fraction(q)
-        prec = _prec(self.digits)
-        f = from_rational(q.numerator, q.denominator, prec, round_nearest)
-        v = mpf_mul(self._v, f, prec, round_nearest)
-        err = mpf_mul(self._e, mpf_abs(f), prec, round_nearest)
-        return BigReal._rounded(v, err, self.digits)
+        return linear_combination(((Fraction(q), self),), self.digits)
 
     def to_decimal(self, digits=None):
         return to_str(self._v, digits if digits is not None else self.digits)
@@ -368,35 +364,37 @@ def _record(index_text, digits, value_text):
 class ValueCache:
     """Persistent (index, precision) -> decimal string store.
 
-    Backed by a JSON-lines file.  A lookup at D digits (`get`, `in`) finds
-    the record of the smallest stored precision >= D for its index, from
-    a sorted tuple of the index's precisions kept on load and under the
-    `put` lock.  `eval_admissible` looks a value up under the member of its
-    dual pair that keys the pair (`_record_key`) and parses the stored
-    text at the working precision of the request: at the stored precision
-    that is bit-identical to a fresh computation (fresh computations go
-    through the same serialize/parse round trip), and a lower request gets
-    the stored value rounded to its precision.  A record that an older
-    file holds under the other member of a pair loads under the pair's
-    key, since both values are the same bits.  Reads are lock-free;
-    writes serialize.  Each record carries a short digest over its index,
-    precision and value.  Bad lines (a torn last line after a crash, a
-    record with a missing key, an unparsable value or an index text that
-    is not an admissible index, and a record whose digest is missing or
-    does not match, such as a value edited by hand or a record written
-    before records had digests) are skipped with one warning, so their
-    values are computed again, and the file is then rewritten once with
-    the good records only; a load that skips nothing writes nothing.
-    Records another process appends between that load and the rewrite are
-    lost, and computed again when next needed.  The digest detects edits
-    and damage, not a forger: anyone who can write the file can write a
-    matching digest.
+    Backed by a JSON-lines file and one dict from each index text to the
+    ascending tuple of its (precision, value text) records, built on load
+    and extended under the `put` lock.  A lookup at D digits (`get`, `in`)
+    bisects that tuple for the record of the smallest precision >= D.
+    `eval_admissible` looks a value up under the member of its dual pair
+    that keys the pair (`_record_key`) and parses the stored text at the
+    working precision of the request: at the stored precision that is
+    bit-identical to a fresh computation (fresh computations go through
+    the same serialize/parse round trip), and a lower request gets the
+    stored value rounded to its precision.  A record that an older file
+    holds under the other member of a pair loads under the pair's key,
+    since both values are the same bits.  Reads are lock-free: a write
+    replaces an index's tuple whole, so a reader sees the old tuple or
+    the new one.  Writes serialize.  Each record carries a short digest
+    over its index, precision and value.  Bad lines (a torn last line
+    after a crash, a record with a missing key, an unparsable value or an
+    index text that is not an admissible index, and a record whose digest
+    is missing or does not match, such as a value edited by hand or a
+    record written before records had digests) are skipped with one
+    warning, so their values are computed again, and the file is then
+    rewritten once with the good records only; a load that skips nothing
+    writes nothing.  Records another process appends between that load
+    and the rewrite are lost, and computed again when next needed.  The
+    digest detects edits and damage, not a forger: anyone who can write
+    the file can write a matching digest.
     """
 
     def __init__(self, path=None):
         self.path = path
-        self._mem = {}
-        self._precisions = {}  # index text -> its stored precisions, ascending
+        # index text -> its (precision, value text) records, ascending
+        self._records = {}
         self._lock = threading.Lock()
         self._torn = False  # the file does not end with a newline
         if path is not None and os.path.exists(path):
@@ -431,7 +429,7 @@ class ValueCache:
                     pass  # an unwritable file keeps its bad lines; the next load warns again
 
     def _rewrite(self):
-        """Replace the file by the good records only.
+        """Replace the file by the good records only, listed by index.
 
         The records go to a temporary file in the same directory, which is
         fsynced and then renamed over the file, so a crash leaves either the
@@ -441,7 +439,8 @@ class ValueCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.writelines(_record(index_text, digits, value_text)
-                              for (index_text, digits), value_text in self._mem.items())
+                              for index_text, records in self._records.items()
+                              for digits, value_text in records)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.chmod(tmp, os.stat(self.path).st_mode & 0o777)
@@ -452,31 +451,27 @@ class ValueCache:
         self._torn = False
 
     def _serving(self, index_text, digits):
-        """The stored precision that serves a request at `digits`: the
-        smallest one >= digits, or None."""
-        precisions = self._precisions.get(index_text, ())
-        i = bisect_left(precisions, digits)
-        return precisions[i] if i < len(precisions) else None
+        """The (precision, value text) record that serves a request at
+        `digits`, the one of the smallest precision >= digits, or None."""
+        records = self._records.get(index_text, ())
+        i = bisect_left(records, (digits,))
+        return records[i] if i < len(records) else None
 
     def _add(self, index_text, digits, value_text):
-        """Store one record unless its key is stored; whether it was stored."""
-        key = (index_text, digits)
-        if key in self._mem:
+        """Store one record unless its precision is stored for its index;
+        whether it was stored."""
+        records = self._records.get(index_text, ())
+        i = bisect_left(records, (digits,))
+        if i < len(records) and records[i][0] == digits:
             return False
-        # the value first, then a new tuple of precisions: a lock-free
-        # reader sees either the old tuple or the new one, and every
-        # precision in either has its value
-        self._mem[key] = value_text
-        precisions = self._precisions.get(index_text, ())
-        i = bisect_left(precisions, digits)
-        self._precisions[index_text] = precisions[:i] + (digits,) + precisions[i:]
+        self._records[index_text] = records[:i] + ((digits, value_text),) + records[i:]
         return True
 
     def get(self, index_text, digits):
         """The value text of the smallest stored precision >= digits, or
         None."""
-        stored = self._serving(index_text, digits)
-        return None if stored is None else self._mem[(index_text, stored)]
+        record = self._serving(index_text, digits)
+        return None if record is None else record[1]
 
     def __contains__(self, key):
         """Whether some precision >= digits is stored for (index_text, digits)."""

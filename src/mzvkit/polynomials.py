@@ -52,15 +52,6 @@ class MultiPoly(Combination):
             raise ValueError("exponents must be nonnegative integers: %r" % (expo,))
         return expo
 
-    @classmethod
-    def _trusted(cls, nvars, terms):
-        """Result of arithmetic on validated instances: the exponent tuples
-        and nonzero Fraction coefficients are already checked."""
-        poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly.terms = terms
-        return poly
-
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -91,7 +82,9 @@ class MultiPoly(Combination):
     # ---- ring operations ----------------------------------------------
 
     def _like(self, terms):
-        return MultiPoly._trusted(self.nvars, terms)
+        poly = super()._like(terms)
+        poly.nvars = self.nvars
+        return poly
 
     def _space(self):
         return self.nvars
@@ -125,8 +118,7 @@ class MultiPoly(Combination):
         return len(degrees) <= 1
 
     def homogeneous_part(self, d):
-        return MultiPoly._trusted(self.nvars,
-                                  {e: c for e, c in self.terms.items() if sum(e) == d})
+        return self._like({e: c for e, c in self.terms.items() if sum(e) == d})
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), Fraction(0))
@@ -145,7 +137,7 @@ class MultiPoly(Combination):
             nxt = list(expo)
             nxt[j] -= 1
             out[tuple(nxt)] = coeff * expo[j]
-        return MultiPoly._trusted(self.nvars, out)
+        return self._like(out)
 
     def diagonal_derivative(self):
         """sum_i df/dx_i: the derivative along the diagonal direction (1, ..., 1)."""
@@ -197,7 +189,7 @@ class MultiPoly(Combination):
         """
         if sorted(sigma) != list(range(1, self.nvars + 1)):
             raise ValueError("sigma must be a permutation of 1..%d" % self.nvars)
-        return MultiPoly._trusted(self.nvars, permute_terms(self.terms, sigma))
+        return self._like(permute_terms(self.terms, sigma))
 
     def divide_by_variable(self, i):
         """Exact division by x_i; raises ValueError if some term lacks x_i."""
@@ -211,7 +203,7 @@ class MultiPoly(Combination):
             nxt = list(expo)
             nxt[j] -= 1
             out[tuple(nxt)] = coeff
-        return MultiPoly._trusted(self.nvars, out)
+        return self._like(out)
 
     def is_symmetric(self):
         """Invariance under all variable permutations (adjacent swaps suffice)."""

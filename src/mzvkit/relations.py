@@ -423,7 +423,7 @@ def check_main_congruence(k, digits=DEFAULT_DIGITS, denom_bound=10 ** 4,
     plus values of depth at most n-2."""
     k = _check_opposite_parity(k)
     lhs, rhs = zeta_natural_F(k), boundary_expansion(k)
-    notes = ["difference vanishes symbolically"] if (lhs - rhs).is_zero() else []
+    notes = ["difference vanishes symbolically"] if lhs == rhs else []
     return _congruence(k, lhs, rhs, "zeta_natural_F%s" % format_index(k),
                        digits, denom_bound, cache, notes)
 

@@ -222,3 +222,17 @@ class TestCacheFlag:
         finally:
             # the flag mutates the process-wide default; put it back
             configure_cache(None)
+
+    @pytest.mark.parametrize("where", ["missing/values.jsonl", "."],
+                             ids=["in_missing_directory", "directory"])
+    def test_unusable_path_is_an_error(self, tmp_path, capsys, where):
+        # a path in a missing directory fails at the first put, after the
+        # value was computed; a directory fails when the cache loads
+        from mzvkit.numeric import configure_cache
+        try:
+            rc, text = run(["--cache", str(tmp_path / where), "eval", "--index", "(2)"])
+        finally:
+            configure_cache(None)
+        assert rc == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("mzv: error: ")

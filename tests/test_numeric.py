@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,19 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, from_str, round_nearest, to_str
+from mpmath.libmp import (
+    dps_to_prec,
+    from_man_exp,
+    from_rational,
+    from_str,
+    ften,
+    mpf_abs,
+    mpf_add,
+    mpf_mul,
+    mpf_pow_int,
+    round_nearest,
+    to_str,
+)
 
 from mzvkit import numeric, relations
 from mzvkit.indices import admissible_indices, cone_weight, enumerate_surjections, \
@@ -446,6 +459,67 @@ def test_bigreal_zero_tolerance_is_d_minus_ten():
     small = BigReal.from_rational(Fraction(1, 10 ** 45), 60)
     assert tiny.is_zero()
     assert not small.is_zero()
+
+
+def _exact(raw):
+    # the rational value of a raw libmp tuple (sign, mantissa, exponent, bits)
+    sign, man, exp, _ = raw
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _random_bigreals(rng, count):
+    # BigReals of random rationals at 8-400 digits; every third one repeats
+    # an earlier rational at another precision, so sums cancel exactly or
+    # nearly
+    digits = (8, 9, 15, 30, 60, 61, 100, 200, 400)
+    made = []
+    for i in range(count):
+        if i % 3 == 2:
+            q = -made[rng.randrange(len(made))][0]
+        else:
+            q = Fraction(rng.randrange(-10 ** rng.randrange(1, 60), 10 ** rng.randrange(1, 60)),
+                         rng.randrange(1, 10 ** rng.randrange(1, 60)))
+        made.append((q, BigReal.from_rational(q, rng.choice(digits))))
+    return [x for _, x in made]
+
+
+def test_linear_combination_is_the_exact_sum_rounded_once():
+    rng = random.Random(5)
+    xs = _random_bigreals(rng, 120)
+    for _ in range(200):
+        digits = rng.choice((8, 30, 60, 400))
+        terms = [(rng.choice((1, -3, Fraction(rng.randrange(-99, 100), rng.randrange(1, 50)))), x)
+                 for x in rng.sample(xs, rng.randrange(1, 5))]
+        got = numeric.linear_combination(terms, digits)
+        prec = dps_to_prec(digits + 15)
+        total = sum(q * _exact(x._v) for q, x in terms)
+        assert got._v == from_rational(total.numerator, total.denominator, prec, round_nearest)
+        err = sum(abs(q) * _exact(x._e) for q, x in terms)
+        rounding = mpf_mul(mpf_abs(got._v), mpf_pow_int(ften, -(digits + 15), prec, round_nearest),
+                           prec, round_nearest)
+        assert got._e == mpf_add(from_rational(err.numerator, err.denominator, prec, round_nearest),
+                                 rounding, prec, round_nearest)
+        assert got.digits == digits
+
+
+def test_sums_and_integer_scalings_are_linear_combinations():
+    rng = random.Random(6)
+    xs = _random_bigreals(rng, 150)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        digits = min(x.digits, y.digits)
+        n = rng.randrange(-10 ** 20, 10 ** 20)
+        for got, expect in ((x + y, numeric.linear_combination([(1, x), (1, y)], digits)),
+                            (x - y, numeric.linear_combination([(1, x), (-1, y)], digits)),
+                            (x.scaled(n), numeric.linear_combination([(n, x)], x.digits))):
+            assert (got._v, got._e, got.digits) == (expect._v, expect._e, expect.digits)
+        # one rounding of the exact sum is mpf_add's rounding: x + y keeps
+        # the bits of adding value to value and error to error
+        prec = dps_to_prec(digits + 15)
+        v = mpf_add(x._v, y._v, prec, round_nearest)
+        rounding = mpf_mul(mpf_abs(v), mpf_pow_int(ften, -(digits + 15), prec, round_nearest),
+                           prec, round_nearest)
+        err = mpf_add(mpf_add(x._e, y._e, prec, round_nearest), rounding, prec, round_nearest)
+        assert ((x + y)._v, (x + y)._e) == (v, err)
 
 
 # ---------------------------------------------------------------------------
