@@ -192,8 +192,7 @@ def cmd_relations(args):
         zero = BigReal.from_rational(0, args.digits)
         reports.append(verify_congruence(
             target, zero, build_spanning_set(4, 0, args.digits),
-            denom_bound=args.denom_bound, digits=args.digits,
-            target="z(1,3) in weight-4 product span"))
+            denom_bound=args.denom_bound, target="z(1,3) in weight-4 product span"))
     rows = [_report_row(r) for r in reports]
     ok = all(r.confirmed() for r in reports)
     return {"reports": [r.to_json() for r in reports]}, rows, ok

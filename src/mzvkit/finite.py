@@ -74,17 +74,12 @@ def zeta_F_sharp(k):
     return _zeta_F_sharp(check_index(k))
 
 
-@lru_cache(maxsize=None)
-def _zeta_natural_F(k):
-    # the module attribute _zeta_F is read at each call, so a wrapper put
-    # in its place sees this work too
-    return surjection_sum(k, _zeta_F, MzvCombo.zero())
-
-
 def zeta_natural_F(k):
     """Surjection-weighted finite value: sum of zeta_F over collapsed indices,
     each divided by the order of the collapse's stabilizer."""
-    return _zeta_natural_F(check_index(k))
+    # the module attribute _zeta_F is read at each call, so a wrapper put
+    # in its place sees this work too
+    return surjection_sum(k, _zeta_F, MzvCombo.zero())
 
 
 # ---------------------------------------------------------------------------

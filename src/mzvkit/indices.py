@@ -44,6 +44,14 @@ def check_index(k):
     return k
 
 
+def check_admissible(k):
+    """Validate an index (`check_index`) and require it to be admissible."""
+    k = check_index(k)
+    if not is_admissible(k):
+        raise ValueError("not an admissible index: %s" % format_index(k))
+    return k
+
+
 def weight(k):
     return sum(k)
 
@@ -296,8 +304,7 @@ def index_splittings(k):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles (used by the test suite; kept here so the CLI and
-# demos can show them next to the fast paths)
+# brute-force oracles, which the test suite checks the fast paths against
 
 def brute_force_surjections(n, m):
     """Enumerate all maps {1..n} -> {1..m} and filter, for cross-checking."""

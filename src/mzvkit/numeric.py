@@ -74,7 +74,11 @@ rounding, |sum| 10^-(D+15).  A sum of two terms, or one term scaled by an
 integer below 2^P, is therefore the correctly rounded result that
 `mpf_add` and `mpf_mul` give; a scaling by a non-integer rounds the exact
 product once, and a longer combination is not a term-by-term sum, which
-rounds every product and every partial sum.
+rounds every product and every partial sum.  A BigReal at D digits is
+zero when |value| < 10^-max(D-10, D//2) (`_zero_tolerance`), the one
+threshold that the PSLQ search of `relations` also uses: 10^-(D-10) from
+20 digits up, and below that the residual bound 10^-(D//2) of a verdict,
+which keeps it below 1 at any precision.
 
 The exact truncated sums (the signed direct sums below and the mod-p sums
 in `finite`) are sums over chains of integers: slot j of the index weighs
@@ -123,7 +127,7 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_le,
+    mpf_lt,
     mpf_mul,
     mpf_neg,
     mpf_pow_int,
@@ -132,10 +136,10 @@ from mpmath.libmp import (
 )
 
 from .indices import (
+    check_admissible,
     check_index,
     format_index,
     index_of_word,
-    is_admissible,
     parse_index,
     word_of_index,
 )
@@ -170,6 +174,15 @@ def _prec(digits):
 def _power_of_ten(e, digits):
     """10^e as a raw mpf, rounded at the working precision of `digits`."""
     return mpf_pow_int(ften, e, _prec(digits), round_nearest)
+
+
+def _zero_tolerance(digits):
+    """The zero threshold tau(D) = 10^-max(D-10, D//2) as a raw mpf: what
+    `BigReal.is_zero` and the PSLQ search of `relations` count as zero.
+    From 20 digits up it is 10^-(D-10); below that it is the residual
+    bound 10^-(D//2) of `relations.verify_congruence`, so a low precision
+    still has a tolerance below 1."""
+    return _power_of_ten(-max(digits - 10, digits // 2), digits)
 
 
 def chain_total(columns, weak=False):
@@ -217,11 +230,12 @@ class BigReal:
     `value` is the number as an mpmath float, `err` a conservative bound
     on the distance to the intended real number, `digits` the nominal
     precision D.  Both are kept as raw `mpmath.libmp` tuples and `value`
-    and `err` are read-only mpf views of them, built when read.  Zero
-    tests use the fixed tolerance 10^-(D-10).  Each operation rounds at
-    the working precision of D (the smaller D of two operands) through
-    `mpmath.libmp`: +, - and `scaled` are `linear_combination` calls,
-    rounded once, and * rounds each product of values and errors.
+    and `err` are read-only mpf views of them, built when read.  `is_zero`
+    tests |value| < 10^-max(D-10, D//2) (`_zero_tolerance`).  Each
+    operation rounds at the working precision of D (the smaller D of two
+    operands) through `mpmath.libmp`: +, - and `scaled` are
+    `linear_combination` calls, rounded once, and * rounds each product
+    of values and errors.
     """
 
     __slots__ = ("_v", "_e", "digits")
@@ -263,7 +277,7 @@ class BigReal:
         return cls._rounded(v, fzero, digits)
 
     def is_zero(self):
-        return mpf_le(mpf_abs(self._v), _power_of_ten(-(self.digits - 10), self.digits))
+        return mpf_lt(mpf_abs(self._v), _zero_tolerance(self.digits))
 
     def __add__(self, other):
         if not isinstance(other, BigReal):
@@ -388,7 +402,10 @@ class ValueCache:
     writes nothing.  Records another process appends between that load
     and the rewrite are lost, and computed again when next needed.  The
     digest detects edits and damage, not a forger: anyone who can write
-    the file can write a matching digest.
+    the file can write a matching digest.  A path that cannot be written
+    (a file in a missing directory, a file or directory without write
+    permission) raises OSError in the constructor, before any value is
+    computed; a missing file is created at the first write.
     """
 
     def __init__(self, path=None):
@@ -397,6 +414,11 @@ class ValueCache:
         self._records = {}
         self._lock = threading.Lock()
         self._torn = False  # the file does not end with a newline
+        if path is not None and not os.access(
+                path if os.path.exists(path) else os.path.dirname(os.path.abspath(path)),
+                os.W_OK):
+            # fail before any value is computed, not at the first write
+            raise OSError("cannot write the value cache file %s" % path)
         if path is not None and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -410,9 +432,7 @@ class ValueCache:
                     from_str(rec["value"], 53)  # syntax check only
                     if rec["digest"] != _digest(rec["index"], digits, rec["value"]):
                         raise ValueError("digest mismatch")
-                    k = parse_index(rec["index"])
-                    if not is_admissible(k):
-                        raise ValueError("not an admissible index")
+                    k = check_admissible(parse_index(rec["index"]))
                 except (ValueError, KeyError, TypeError, AttributeError):
                     bad += 1
                     continue
@@ -645,10 +665,7 @@ def eval_many(indices, digits=DEFAULT_DIGITS, cache=None):
     lacks are computed in one trie pass; each is bit-identical to its
     value computed alone.
     """
-    ks = [check_index(k) for k in indices]
-    for k in ks:
-        if not is_admissible(k):
-            raise ValueError("not an admissible index: %s" % format_index(k))
+    ks = [check_admissible(k) for k in indices]
     _check_digits(digits)
     if cache is None:
         cache = default_cache()
@@ -677,10 +694,7 @@ def eval_admissible(k, digits=DEFAULT_DIGITS, cache=None, _compute=None):
     `eval_many` passes `_compute`, which gives the value from its batch
     instead; it has checked the index and the digits already."""
     if _compute is None:
-        k = check_index(k)
-        if not is_admissible(k):
-            raise ValueError("eval_admissible needs an admissible index, got %s"
-                             % format_index(k))
+        k = check_admissible(k)
         _check_digits(digits)
     if cache is None:
         cache = default_cache()

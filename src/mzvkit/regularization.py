@@ -44,6 +44,7 @@ from itertools import accumulate
 from .combination import Combination, as_fraction
 from .indices import (
     _stuffle,
+    check_admissible,
     check_index,
     check_word,
     compositions,
@@ -56,13 +57,6 @@ from .indices import (
     weight,
     word_of_index,
 )
-
-
-def _check_admissible(k):
-    k = check_index(k)
-    if not is_admissible(k):
-        raise ValueError("MzvCombo keys must be admissible, got %s" % format_index(k))
-    return k
 
 
 class MzvCombo(Combination):
@@ -81,7 +75,7 @@ class MzvCombo(Combination):
     _key_product = staticmethod(_stuffle)
 
     def __init__(self, terms=None):
-        self.terms = self._merged((_check_admissible(k), as_fraction(c))
+        self.terms = self._merged((check_admissible(k), as_fraction(c))
                                   for k, c in (terms or {}).items())
 
     @classmethod

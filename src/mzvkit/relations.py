@@ -3,8 +3,10 @@
 Checks, to high precision, that finite symmetric values agree with explicit
 boundary sums modulo a spanning set of products and lower-depth values.  The
 verdicts are integer-relation detections, not proofs; every report is
-labeled as numeric evidence, and a confirmed one always has a residual below
-10^-(digits//2).
+labeled as numeric evidence.  A verdict works at the precision D that its
+inputs share, and a confirmed one always has a residual below 10^-(D//2):
+a difference confirmed without a span is one that `BigReal.is_zero`
+accepts, below 10^-max(D-10, D//2), the tolerance of the PSLQ search too.
 
 A spanning set is built once per (weight, extra depth, digits, value cache)
 and shared by every check that asks for it; its PSLQ reduction to an
@@ -51,8 +53,8 @@ from .indices import (
 from .numeric import (
     DEFAULT_DIGITS,
     BigReal,
-    _power_of_ten,
     _prec,
+    _zero_tolerance,
     default_cache,
     eval_admissible,
     eval_combo,
@@ -134,9 +136,9 @@ def _pslq(values, digits):
     mpmath's `pslq(values, tol, _PSLQ_MAXCOEFF, _PSLQ_MAXSTEPS)` at the
     working precision of `digits`, computed without setting that precision.
 
-    The tolerance is 10^-(D-10) for D >= 20; below that it is the residual
-    bound of verify_congruence, 10^-(D//2), so a low precision still has a
-    tolerance.  Raises ValueError on a zero entry, as mpmath does.
+    The tolerance is the zero threshold of `BigReal.is_zero`,
+    10^-max(D-10, D//2) (`numeric._zero_tolerance`).  Raises ValueError on
+    a zero entry, as mpmath does.
     """
     n = len(values)
     if n < 2:
@@ -144,7 +146,7 @@ def _pslq(values, digits):
     wprec = _prec(digits)
     prec = wprec + _PSLQ_EXTRA_BITS
     half = 1 << (prec - 1)
-    tol = to_fixed(_power_of_ten(-max(digits - 10, digits // 2), digits), prec)
+    tol = to_fixed(_zero_tolerance(digits), prec)
     x = [to_fixed(mpf_pos(v._mpf_, wprec, round_nearest), prec) for v in values]
     minx = min(map(abs, x))
     if not minx:
@@ -312,6 +314,12 @@ def _spanning_set(target_weight, max_extra_depth, digits, cache):
 # ---------------------------------------------------------------------------
 # integer-relation engine
 
+def _height(coefficients):
+    """The largest |numerator| or denominator of the (label, Fraction)
+    coefficients, 0 for none: what a verdict bounds and a report shows."""
+    return max((max(abs(q.numerator), q.denominator) for _, q in coefficients), default=0)
+
+
 @dataclass(frozen=True)
 class RelationReport:
     """Outcome of one relation check.  Never more than numeric evidence."""
@@ -329,10 +337,7 @@ class RelationReport:
         return self.verdict == "confirmed"
 
     def height(self):
-        h = 0
-        for _, q in self.coefficients:
-            h = max(h, abs(q.numerator), q.denominator)
-        return h
+        return _height(self.coefficients)
 
     def to_json(self):
         return {
@@ -351,26 +356,24 @@ class RelationReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
-                      digits=DEFAULT_DIGITS, target="", notes=()):
+def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4, target="", notes=()):
     """Detect lhs - rhs as a bounded-height rational combination of the
-    values of a SpanningSet, reduced to an independent subset.  Confirms
-    only when the residual (the difference itself, when it vanishes
-    without a span) is below 10^-(digits//2) and every coefficient height
-    stays below denom_bound.  The residual is lhs - rhs less the
-    combination, summed exactly and rounded once (`linear_combination`).
-    lhs, rhs and the span must be at `digits`, or ValueError is raised."""
-    if not lhs.digits == rhs.digits == span.digits == digits:
-        raise ValueError("lhs, rhs and span must be at %d digits, got %d, %d and %d"
-                         % (digits, lhs.digits, rhs.digits, span.digits))
+    values of a SpanningSet, reduced to an independent subset, at the
+    precision D its inputs share: lhs and rhs must be at the digits of the
+    span, or ValueError is raised.  A difference that `is_zero` accepts,
+    below 10^-max(D-10, D//2), is confirmed without a span.  Otherwise the
+    verdict confirms only when the residual is below 10^-(D//2) and the
+    report's height stays below denom_bound.  The residual is lhs - rhs
+    less the combination, summed exactly and rounded once
+    (`linear_combination`)."""
+    digits = span.digits
+    if not lhs.digits == rhs.digits == digits:
+        raise ValueError("lhs and rhs must be at the %d digits of the span, got %d and %d"
+                         % (digits, lhs.digits, rhs.digits))
     notes = list(notes)
     diff = lhs - rhs
-    gap = abs(diff)
-    absdiff = gap.to_decimal(20)
-    bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
-    # below 21 digits the tolerance 10^-(digits-10) of is_zero is no
-    # tighter than the residual bound, so the shortcut must meet both
-    if diff.is_zero() and gap.value < bound.value:
+    absdiff = abs(diff).to_decimal(20)
+    if diff.is_zero():
         notes.append("difference below detection tolerance, no span needed")
         return RelationReport(target, "confirmed", digits, denom_bound,
                               (), absdiff, tuple(notes))
@@ -391,10 +394,10 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4,
     residual = abs(linear_combination(
         [(1, lhs), (-1, rhs)] + [(Fraction(rel[j + 1], rel[0]), v)
                                  for j, (_, v) in enumerate(kept)], digits))
-    residual_ok = residual.value < bound.value
-    height = max([1] + [max(abs(q.numerator), q.denominator) for _, q in coeffs])
+    bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
+    height = _height(coeffs)
     verdict = "confirmed"
-    if not residual_ok:
+    if not residual.value < bound.value:
         verdict = "inconclusive"
         notes.append("residual above threshold")
     if height >= denom_bound:
@@ -414,7 +417,7 @@ def _congruence(k, lhs, rhs, target, digits, denom_bound, cache, notes=()):
     lhs = eval_combo(lhs, digits, cache)
     rhs = eval_combo(rhs, digits, cache)
     span = build_spanning_set(weight(k), len(k) - 2, digits, cache)
-    return verify_congruence(lhs, rhs, span, denom_bound, digits, target=target, notes=notes)
+    return verify_congruence(lhs, rhs, span, denom_bound, target=target, notes=notes)
 
 
 def check_main_congruence(k, digits=DEFAULT_DIGITS, denom_bound=10 ** 4,

@@ -223,11 +223,26 @@ class TestCacheFlag:
             # the flag mutates the process-wide default; put it back
             configure_cache(None)
 
+    def test_unusable_path_fails_before_any_value_is_computed(self, tmp_path, monkeypatch):
+        from mzvkit import numeric
+        calls = []
+
+        def evaluate(*args):
+            calls.append(args)
+            raise RuntimeError("a value was computed")
+        monkeypatch.setattr(numeric, "_evaluate", evaluate)
+        try:
+            rc, text = run(["--cache", str(tmp_path / "missing" / "v.jsonl"),
+                            "--digits", "300", "eval", "--index", "1,2,2,3"])
+        finally:
+            numeric.configure_cache(None)
+        assert (rc, text, calls) == (2, "", [])
+
     @pytest.mark.parametrize("where", ["missing/values.jsonl", "."],
                              ids=["in_missing_directory", "directory"])
     def test_unusable_path_is_an_error(self, tmp_path, capsys, where):
-        # a path in a missing directory fails at the first put, after the
-        # value was computed; a directory fails when the cache loads
+        # a path in a missing directory fails when the cache is configured,
+        # a directory when it loads
         from mzvkit.numeric import configure_cache
         try:
             rc, text = run(["--cache", str(tmp_path / where), "eval", "--index", "(2)"])

@@ -88,6 +88,14 @@ def test_rejects_bad_input():
         eval_admissible((2,), 0)
 
 
+def test_one_admissibility_message():
+    for call in (lambda: MzvCombo({(2, 1): 1}), lambda: eval_many([(2, 1)]),
+                 lambda: eval_admissible((2, 1))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "not an admissible index: (2,1)"
+
+
 @pytest.mark.parametrize("digits", [2.5, 59.9, True, 0, -3])
 def test_rejects_bad_digits(digits, tmp_path):
     cache = ValueCache(str(tmp_path / "values.jsonl"))
@@ -291,18 +299,18 @@ def test_batch_edge_cases(tmp_path):
 def test_batch_checks_each_index_once(monkeypatch):
     ks = admissible_indices(8)
     assert len(ks) == 64
-    calls = {}
-    for name in ("check_index", "is_admissible"):
-        def counted(k, _name=name, _check=getattr(numeric, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _check(k)
-        monkeypatch.setattr(numeric, name, counted)
+    calls = []
+
+    def counted(k, _check=numeric.check_admissible):
+        calls.append(k)
+        return _check(k)
+    monkeypatch.setattr(numeric, "check_admissible", counted)
     cache = ValueCache(None)
     eval_many(ks, 60, cache=cache)
-    assert calls == {"check_index": 64, "is_admissible": 64}
+    assert calls == ks
     # a direct call still checks its index
     eval_admissible(ks[0], 60, cache=cache)
-    assert calls == {"check_index": 65, "is_admissible": 65}
+    assert calls == ks + [ks[0]]
 
 
 def test_batch_values_go_through_eval_admissible(monkeypatch):

@@ -182,20 +182,34 @@ class TestVerifyCongruence:
         assert rep.verdict == "inconclusive"
 
     def test_inputs_at_another_precision_are_rejected(self):
-        # lhs, rhs and span at 30 digits under digits=60 were searched at the
-        # tolerance of 60 digits and reported inconclusive with height 0
+        # the verdict works at the precision of its inputs: mixed precisions
+        # raise, and 30-digit inputs are searched at the tolerance of 30
         k = (1, 2, 3)
         made = {d: (eval_combo(zeta_natural_F(k), d), congruence_rhs(k, d),
                     build_spanning_set(6, 1, d)) for d in (30, 60)}
         for i in range(3):
             args = list(made[60])
             args[i] = made[30][i]
-            with pytest.raises(ValueError, match="must be at 60 digits"):
-                verify_congruence(*args, digits=60)
-        with pytest.raises(ValueError, match="must be at 60 digits"):
-            verify_congruence(*made[30], digits=60)
-        rep = verify_congruence(*made[60], digits=60)
-        assert rep.confirmed() and rep.height() == 67
+            with pytest.raises(ValueError, match="digits of the span"):
+                verify_congruence(*args)
+        rep = verify_congruence(*made[30])
+        assert rep.digits == 30 and rep.confirmed() and rep.height() == 67
+        rep = verify_congruence(*made[60])
+        assert rep.digits == 60 and rep.confirmed() and rep.height() == 67
+
+    @pytest.mark.parametrize("digits, exponent",
+                             [(20, 10), (21, 11), (60, 50), (8, 4), (15, 7), (19, 9)])
+    def test_one_zero_threshold(self, digits, exponent):
+        # tau(D) = 10^-max(D-10, D//2): is_zero holds just below it, not at it
+        tau = Fraction(1, 10 ** exponent)
+        assert not BigReal.from_rational(tau, digits).is_zero()
+        assert BigReal.from_rational(tau - tau / 10 ** digits, digits).is_zero()
+        # the no-span shortcut is is_zero: a larger difference (10^-3 at 8
+        # digits) goes to the span, and an empty one confirms nothing
+        a = eval_admissible((2,), digits)
+        rep = verify_congruence(a, a - BigReal.from_rational(10 * tau, digits),
+                                build_spanning_set(3, 0, digits))
+        assert rep.verdict == "inconclusive"
 
     def test_pslq_finds_the_weight_four_relation_at_eight_digits(self):
         # the search tolerance is 10^-max(D-10, D//2): at 8 digits it is
