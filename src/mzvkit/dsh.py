@@ -23,8 +23,8 @@ the double shuffle rows are such repeats.
 
 The nullspace is linalg's one kernel: Gauss-Jordan modulo a prime, with
 the kernel proved over Q (rank mod p bounds the nullity from above, exactly
-checked kernel vectors from below), and Bareiss elimination when
-reconstruction or the check fails.  Every solver eliminates its one
+checked kernel vectors from below), and Gauss-Jordan elimination over Q
+when reconstruction or the check fails.  Every solver eliminates its one
 condition matrix under each of PIVOT_ORDERS and raises ArithmeticError
 unless the kernels span the same space; it returns the "left" basis.
 

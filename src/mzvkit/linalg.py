@@ -1,10 +1,9 @@
 """Exact rational linear algebra: one certified kernel, and RREF.
 
-The eliminations (nullspace, its Bareiss fallback, and _rref_mod_p) take
+Both eliminations, _rref_mod_p behind nullspace and the exact _rref, take
 sparse rows: a row is a mapping {column: coefficient}, the coefficients
 int or Fraction, an absent column zero, so an elimination reads only the
-nonzero entries.  The one dense matrix is the one Bareiss works on, which
-_bareiss_nullspace builds once.
+nonzero entries and no dense working matrix is built.
 
 nullspace returns a primitive integer basis of the right kernel from a
 Gauss-Jordan elimination modulo the word-size prime PRIME, which inserts
@@ -15,7 +14,7 @@ kernel is 0.  Otherwise each kernel vector mod p is lifted by rational
 reconstruction and checked exactly, A v = 0 over Z; the checked vectors
 are independent, so the nullity over Q is at least the nullity mod p, and
 the two bounds meet.  A reconstruction that fails, or a vector that fails
-the check, sends the system to Bareiss elimination instead.
+the check, sends the system to the exact elimination instead.
 
 The pivot column order is selectable; running the same system with both
 orders and comparing the spanned subspaces is the cross-check used by the
@@ -23,17 +22,16 @@ callers.  The pivot columns are the first column basis in scan order,
 which does not depend on the order or the repetition of the rows, so
 neither does the returned basis.
 
-_bareiss is the fraction-free forward elimination over Z (every
-intermediate division is exact, and checked: a remainder raises
-ArithmeticError).  It serves the fallback kernel _bareiss_nullspace, which
-the tests also use as the reference, and matrices.mat_det.
-
-reduce_rows computes a canonical reduced row echelon form over Fraction,
-which makes span comparison a simple equality test and inverts unimodular
-matrices in matrices.mat_inverse_unimodular.
+_rref is Gauss-Jordan elimination over Q, column by column in scan order.
+It gives the fallback kernel _exact_nullspace, which the tests also use
+as the reference, the signed product of its pivots for matrices.mat_det,
+and reduce_rows: a canonical reduced row echelon form over Fraction of
+dense rows, which makes span comparison a simple equality test and
+inverts unimodular matrices in matrices.mat_inverse_unimodular.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -86,73 +84,58 @@ def _column_scan(ncols, pivot_order):
     return list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
 
 
-def _bareiss(m, col_scan):
-    """Bareiss fraction-free forward elimination of the integer rows m, in place.
+def _rref(rows, scan):
+    """Reduced row echelon form over Q of the {column: coefficient} rows,
+    by Gauss-Jordan elimination with the pivots taken in scan order.
 
-    Returns (pivots, sign): the (row, col) pivots in elimination order and
-    the sign of the row swaps.  Each pivot is, up to sign, a minor of the
-    input; for a nonsingular square m scanned left to right, sign times
-    the last pivot is det m.
+    For each column of scan, the first remaining row with an entry there
+    becomes the pivot row, is divided by that entry, and the column is
+    cleared from every other row.  Returns (pivots, det): pivots maps each
+    pivot column, in scan order, to its row, each pivot 1 and alone in its
+    column; det is the product of the entries divided out, times the sign
+    of the order in which the rows became pivot rows, which for n rows of
+    rank n is their determinant.
     """
-    # prev is the previous pivot; every division below is exact by the
-    # Sylvester identity
-    pivots = []
-    used_cols = set()
-    sign = 1
-    k = 0
-    prev = 1
-    while k < len(m):
-        piv_row = piv_col = None
-        for c in col_scan:
-            if c in used_cols:
-                continue
-            r = next((r for r in range(k, len(m)) if m[r][c] != 0), None)
-            if r is not None:
-                piv_row, piv_col = r, c
-                break
-        if piv_row is None:
-            break
-        if piv_row != k:
-            m[k], m[piv_row] = m[piv_row], m[k]
-            sign = -sign
-        p = m[k][piv_col]
-        for r in range(k + 1, len(m)):
-            factor = m[r][piv_col]
-            row = m[r]
-            top = m[k]
-            # the uniform update keeps every entry an exact minor, so the
-            # division by the previous pivot never truncates
-            for c in range(len(top)):
-                num = p * row[c] - factor * top[c]
-                if num % prev:
-                    raise ArithmeticError("Bareiss division by %d is not exact" % prev)
-                row[c] = num // prev
-        pivots.append((k, piv_col))
-        used_cols.add(piv_col)
-        prev = p
-        k += 1
-    return pivots, sign
-
-
-def _bareiss_nullspace(rows, ncols, pivot_order="left"):
-    """nullspace(rows, ncols, pivot_order) by Bareiss elimination over Z
-    and back-substitution over Fraction: the fallback of nullspace, and
-    the reference its tests compare against."""
-    col_scan = _column_scan(ncols, pivot_order)
-    m = [[row.get(c, 0) for c in range(ncols)] for row in _integer_rows(rows, ncols)]
-    pivots, _ = _bareiss(m, col_scan)
-    used_cols = {c for _, c in pivots}
-    basis = []
-    for fc in col_scan:
-        if fc in used_cols:
+    rest = [{c: x for c, x in row.items() if x} for row in rows]
+    pivots = {}
+    det = 1
+    for col in scan:
+        i = next((i for i, row in enumerate(rest) if col in row), None)
+        if i is None:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in reversed(pivots):
-            s = sum((Fraction(m[r][c]) * v[c] for c in range(ncols) if c != pc and m[r][c]),
-                    Fraction(0))
-            v[pc] = -s / m[r][pc]
-        basis.append(_primitive(v))
+        # taking row i of the rest moves it past the i rows before it
+        prow = rest.pop(i)
+        x = prow[col]
+        det *= -x if i % 2 else x
+        prow = {c: Fraction(y, x) for c, y in prow.items()}
+        for row in chain(rest, pivots.values()):
+            f = row.get(col)
+            if f:
+                for c, y in prow.items():
+                    z = row.get(c, 0) - f * y
+                    if z:
+                        row[c] = z
+                    else:
+                        del row[c]
+        pivots[col] = prow
+    return pivots, det
+
+
+def _exact_nullspace(rows, ncols, pivot_order="left"):
+    """nullspace(rows, ncols, pivot_order), read off the reduced row
+    echelon form over Q: the fallback of nullspace, and the exact second
+    opinion its tests compare against."""
+    scan = _column_scan(ncols, pivot_order)
+    pivots, _ = _rref(_integer_rows(rows, ncols), scan)
+    basis = []
+    for f in scan:
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for pc, prow in pivots.items():
+            vec[pc] = -prow.get(f, 0)
+        basis.append(_primitive(vec))
     basis.sort()
     return basis
 
@@ -233,8 +216,8 @@ def nullspace(rows, ncols, pivot_order="left"):
     and 0 at the others), so nullity over Q >= ncols - r, and the rank
     bound gives <= ; they span the kernel.  Their last nonzero entries in
     scan order are the free columns, which fixes those as the free columns
-    over Q, so the basis is Bareiss's, vector for vector.  A failed
-    reconstruction or check falls back to Bareiss elimination.
+    over Q, so the basis is _exact_nullspace's, vector for vector.  A failed
+    reconstruction or check falls back to _exact_nullspace.
     """
     scan = _column_scan(ncols, pivot_order)
     m = _integer_rows(rows, ncols)
@@ -251,43 +234,26 @@ def nullspace(rows, ncols, pivot_order="left"):
             if x:
                 q = _rational(-x, p)
                 if q is None:
-                    return _bareiss_nullspace(rows, ncols, pivot_order)
+                    return _exact_nullspace(rows, ncols, pivot_order)
                 vec[scan[pc]] = q
         vec = _primitive(vec)
         if any(sum(x * vec[c] for c, x in row.items()) for row in m):
-            return _bareiss_nullspace(rows, ncols, pivot_order)
+            return _exact_nullspace(rows, ncols, pivot_order)
         basis.append(vec)
     basis.sort()
     return basis
 
 
 def reduce_rows(rows, ncols):
-    """Canonical reduced row echelon form over Fraction.
+    """Canonical reduced row echelon form over Fraction of dense rows.
 
     Returns a tuple of nonzero row tuples, pivots scanned left to right,
     each pivot 1 and alone in its column.  Equal spans give equal outputs.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("row length mismatch")
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        scale = 1 / mat[rank][col]
-        mat[rank] = [x * scale for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    out = [tuple(row) for row in mat[:rank] if any(x != 0 for x in row)]
-    return tuple(out)
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("row length mismatch")
+    pivots, _ = _rref([dict(enumerate(row)) for row in rows], range(ncols))
+    return tuple(tuple(Fraction(prow.get(c, 0)) for c in range(ncols)) for prow in pivots.values())
 
 
 def span_equal(basis_a, basis_b, ncols):

@@ -3,10 +3,10 @@
 Matrices are tuples of row tuples with integer entries.  The action used
 throughout is on row vectors: (f|_g)(x) = f(x g^{-1}), so the action is
 contravariant, f|_{gh} = (f|_g)|_h.  Only matrices invertible over the
-integers (determinant +-1) act; anything else is rejected.  Both
-eliminations come from linalg: mat_det is the sign of the row swaps times
-the last Bareiss pivot, and mat_inverse_unimodular reads m^-1 off the
-reduced row echelon form of [m | I].
+integers (determinant +-1) act; anything else is rejected.  Both use
+linalg's one exact elimination: mat_det is the signed product of its
+pivots, and mat_inverse_unimodular reads m^-1 off the reduced row echelon
+form of [m | I].
 
 The special matrices built here generate an embedded copy of the symmetric
 group on n+1 letters inside GL_n(Z):
@@ -26,7 +26,7 @@ matrix of sigma has columns vec(sigma(j)) - vec(sigma(n+1)).
 from itertools import permutations
 
 from .groupring import _check_perm
-from .linalg import _bareiss, reduce_rows
+from .linalg import _rref, reduce_rows
 from .polynomials import MultiPoly
 
 __all__ = [
@@ -72,16 +72,15 @@ def mat_mul(a, b):
 
 
 def mat_det(m):
-    """Exact determinant of an integer matrix: the sign of the row swaps
-    times the last Bareiss pivot.
+    """Exact determinant of an integer matrix: the signed product of the
+    pivots of its Gauss-Jordan elimination over Q.
 
-    Bareiss runs on the raw rows; dividing a row by its content or fixing
-    its sign, as the kernels do, would change the determinant.
+    The elimination runs on the raw rows; dividing a row by its content or
+    fixing its sign, as the kernels do, would change the determinant.
     """
     n = _check_matrix(m)
-    rows = [list(row) for row in m]
-    pivots, sign = _bareiss(rows, range(n))
-    return sign * rows[-1][-1] if len(pivots) == n else 0
+    pivots, det = _rref([dict(enumerate(row)) for row in m], range(n))
+    return int(det) if len(pivots) == n else 0
 
 
 def mat_inverse_unimodular(m):

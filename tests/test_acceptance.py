@@ -33,7 +33,7 @@ from mzvkit.indices import (
     stabilizer_order,
     surjection_values,
 )
-from mzvkit.linalg import PIVOT_ORDERS, _bareiss_nullspace
+from mzvkit.linalg import PIVOT_ORDERS, _exact_nullspace
 from mzvkit.matrices import (
     antidiagonal,
     iota_matrix,
@@ -213,10 +213,10 @@ def test_criterion_09_cyclic_invariance_kernel_trivial():
         for n, d in [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)]:
             # the kernel raises ArithmeticError unless both pivot orders agree
             assert cyclic_invariance_kernel(n, d) == [], (n, d)
-            # Bareiss elimination of the same rows is the second opinion
+            # exact elimination over Q of the same rows is the second opinion
             basis, rows = _cyclic_condition_rows(n, d)
             for order in PIVOT_ORDERS:
-                assert _bareiss_nullspace(rows, len(basis), order) == [], (n, d, order)
+                assert _exact_nullspace(rows, len(basis), order) == [], (n, d, order)
 
 
 def test_criterion_10_regularized_product_rule():

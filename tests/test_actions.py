@@ -24,7 +24,7 @@ from mzvkit import linalg
 from mzvkit.dsh import _dsh_condition_rows
 from mzvkit.linalg import (
     PIVOT_ORDERS,
-    _bareiss_nullspace,
+    _exact_nullspace,
     nullspace,
     reduce_rows,
     span_equal,
@@ -293,8 +293,8 @@ def sparse(rows):
 
 
 def rref_nullspace(rows, ncols):
-    """Reference kernel via reduced row echelon form; independent of the
-    fraction-free elimination path."""
+    """Reference kernel read off the dense rows of reduce_rows; independent
+    of the modular path."""
     red = reduce_rows(rows, ncols)
     pivots = []
     for row in red:
@@ -313,7 +313,7 @@ def rref_nullspace(rows, ncols):
 
 class TestNullspace:
     """The kernel contract, on the modular nullspace here and on the
-    Bareiss fallback in TestBareissNullspace.  The tests write dense rows,
+    exact fallback in TestBareissNullspace.  The tests write dense rows,
     which `kernel` passes on as {column: coefficient} rows."""
 
     raw_kernel = staticmethod(nullspace)
@@ -397,12 +397,14 @@ class TestNullspace:
 
 
 class TestBareissNullspace(TestNullspace):
-    raw_kernel = staticmethod(_bareiss_nullspace)
+    """The kernel contract on _exact_nullspace, the elimination over Q."""
+
+    raw_kernel = staticmethod(_exact_nullspace)
 
 
 class TestCertifiedNullspace:
-    """nullspace must return Bareiss's basis exactly, by the modular path
-    or by its fallback."""
+    """nullspace must return the basis of the exact elimination over Q, by
+    the modular path or by its fallback."""
 
     @staticmethod
     def low_rank_system(rng):
@@ -417,15 +419,15 @@ class TestCertifiedNullspace:
     @staticmethod
     def count_fallbacks(monkeypatch):
         calls = []
-        bareiss = linalg._bareiss_nullspace
-        monkeypatch.setattr(linalg, "_bareiss_nullspace",
-                            lambda *args: calls.append(args) or bareiss(*args))
+        exact = linalg._exact_nullspace
+        monkeypatch.setattr(linalg, "_exact_nullspace",
+                            lambda *args: calls.append(args) or exact(*args))
         return calls
 
     def test_dsh_rows_match_bareiss(self, monkeypatch):
         systems = [_dsh_condition_rows(n, d)
                    for n, top in ((2, 12), (3, 8), (4, 4)) for d in range(top + 1)]
-        expected = [[_bareiss_nullspace(rows, len(basis), order) for order in PIVOT_ORDERS]
+        expected = [[_exact_nullspace(rows, len(basis), order) for order in PIVOT_ORDERS]
                     for basis, rows in systems]
         # every dsh kernel is proved on the modular path, none by the fallback
         calls = self.count_fallbacks(monkeypatch)
@@ -439,7 +441,7 @@ class TestCertifiedNullspace:
         for _ in range(40):
             rows, ncols = self.low_rank_system(rng)
             for order in PIVOT_ORDERS:
-                assert nullspace(rows, ncols, order) == _bareiss_nullspace(rows, ncols, order)
+                assert nullspace(rows, ncols, order) == _exact_nullspace(rows, ncols, order)
 
     def test_small_cases(self):
         assert nullspace(sparse([[1, 1, 0], [0, 1, 1]]), 3) == [(1, -1, 1)]

@@ -79,8 +79,11 @@ class TestDoubleShuffleSpace:
         assert dimension_table(4, range(0, 7)) == DEPTH4_DIMS
 
     def test_depth_two_even_degree_pattern(self):
-        for d in range(0, 13, 2):
-            assert DEPTH2_DIMS[d] == d // 6
+        # floor(d/6) in even degree, the depth-two period polynomial count
+        # (Gangl-Kaneko-Zagier), and 0 in odd degree
+        dims = dimension_table(2, range(0, 25))
+        assert dims == {d: 0 if d % 2 else d // 6 for d in range(0, 25)}
+        assert {d: dims[d] for d in DEPTH2_DIMS} == DEPTH2_DIMS
 
     def test_basis_members_satisfy_conditions(self):
         for n, d in [(2, 6), (2, 8), (2, 10), (2, 12), (3, 8)]:
@@ -129,21 +132,21 @@ class TestDoubleShuffleSpace:
 
 
 class TestModularKernelMatchesBareiss:
-    """Every solver gives the same output with the Bareiss kernel in place
-    of dsh.nullspace, and no system of the grid needs the Bareiss fallback."""
+    """Every solver gives the same output with the exact kernel over Q in
+    place of dsh.nullspace, and no system of the grid needs that fallback."""
 
     GRID = [(n, d) for n in (1, 2, 3) for d in range(0, 7)] + [(4, 2), (4, 4)]
     EVEN = [(n, d) for n, d in GRID if d % 2 == 0]
 
     @staticmethod
     def check(monkeypatch, solve):
-        bareiss = linalg._bareiss_nullspace
+        exact = linalg._exact_nullspace
         fallbacks = []
-        monkeypatch.setattr(linalg, "_bareiss_nullspace",
-                            lambda *args: fallbacks.append(args) or bareiss(*args))
+        monkeypatch.setattr(linalg, "_exact_nullspace",
+                            lambda *args: fallbacks.append(args) or exact(*args))
         modular = solve()
         assert fallbacks == []
-        monkeypatch.setattr(dsh, "nullspace", bareiss)
+        monkeypatch.setattr(dsh, "nullspace", exact)
         assert solve() == modular
 
     @pytest.mark.parametrize("solver, grid", [

@@ -153,6 +153,13 @@ def test_natural_totally_odd_vanishes_numerically():
             assert abs(v.value) < mpf(10) ** -40, k
 
 
+def test_natural_totally_odd_vanishes_exactly():
+    odd = [k for w in range(1, 11) for k in indices_of_weight(w) if all(part % 2 for part in k)]
+    assert len(odd) == 143
+    for k in odd:
+        assert zeta_natural_F(k) == MzvCombo(0), k
+
+
 def test_natural_matches_weighted_direct_sum_limit():
     # the defining limit, via extrapolation, depth <= 2 weight <= 5
     for w in range(1, 6):

@@ -713,6 +713,26 @@ def test_cache_skips_malformed_lines(tmp_path):
         assert [json.loads(line)["index"] for line in fh] == ["(2,3)", "(3)", "(4)"]
 
 
+def test_cache_appends_after_a_last_record_without_its_newline(tmp_path):
+    # a crash after a whole record but before its newline leaves a valid
+    # last line; the next record must start a line of its own
+    path = str(tmp_path / "cache.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_UNPAIRED_RECORDS[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ValueCache(path)
+    eval_admissible((2,), 20, cache=cache)
+    value = cache.get("(2)", 20)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == _UNPAIRED_RECORDS[1] + "\n" + numeric._record("(2)", 20, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reread = ValueCache(path)
+    assert reread.get("(3)", 20) == json.loads(_UNPAIRED_RECORDS[1])["value"]
+    assert reread.get("(2)", 20) == value is not None
+
+
 def test_cache_skips_records_that_name_no_admissible_index(tmp_path):
     # digests that match, over index texts that are no admissible index
     path = str(tmp_path / "cache.jsonl")

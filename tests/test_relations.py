@@ -144,6 +144,15 @@ class TestSpanningSet:
             assert rep.confirmed()
             assert rep.coefficients == coefficients
 
+    def test_relation_without_its_last_value_raises(self, monkeypatch):
+        # the values kept so far are independent, so a relation that leaves
+        # out the new value is a fault of the search, not a dropped value
+        monkeypatch.setattr(relations, "_pslq", lambda values, digits: [1, 0])
+        span = SpanningSet(4, 0, 60, (("z(4)", eval_admissible((4,), 60)),
+                                      ("z(1,3)", eval_admissible((1, 3), 60))))
+        with pytest.raises(ArithmeticError, match="already independent"):
+            span.reduced
+
 
 class TestVerifyCongruence:
     def test_exact_agreement_needs_no_span(self):
@@ -174,6 +183,19 @@ class TestVerifyCongruence:
                                 build_spanning_set(5, 0), target="perturbed")
         assert not rep.confirmed()
         assert rep.verdict == "inconclusive"
+
+    def test_large_residual_at_a_small_height_is_inconclusive(self, monkeypatch):
+        # z(1,3) = z(2)^2 / 10; the relation z(1,3) = z(2)^2 has height 1
+        # but leaves a residual of about 2.4
+        monkeypatch.setattr(relations, "_pslq", lambda values, digits: [-1, 1])
+        zero = BigReal.from_rational(0, 60)
+        z2 = eval_admissible((2,), 60)
+        span = SpanningSet(4, 0, 60, (("z(2)*z(2)", z2 * z2),))
+        rep = verify_congruence(eval_admissible((1, 3), 60), zero, span, target="z(1,3)")
+        assert rep.verdict == "inconclusive"
+        assert rep.coefficients == (("z(2)*z(2)", Fraction(1)),) and rep.height() == 1
+        assert rep.notes == ("residual above threshold",)
+        assert 2 < float(rep.residual) < 3
 
     def test_nonzero_difference_with_empty_span(self):
         a = eval_admissible((2,), 60)
