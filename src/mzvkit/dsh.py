@@ -14,8 +14,10 @@ tuples with integer coefficients.  A permutation sends a monomial to a
 monomial: each permutation of a shuffle operator is mapped once over the
 degree-d exponent tuples by polynomials.permute_terms, the package's one
 permutation action, and each image term looks its target up.  The P^{-1}
-twist of a monomial is the twist of a monomial one degree lower times one
-linear form, memoized per call.  Each target monomial of an image family
+twists of the basis monomials come from one call of
+polynomials.substituted_monomials, the package's one monomial
+substitution, over the integer forms x_1 + ... + x_j, so they keep integer
+coefficients.  Each target monomial of an image family
 gives one sparse condition row {column: coefficient}, built straight from
 the images, in linalg's row format.  A condition row that repeats an
 earlier one is dropped: it does not change the row space, and about half
@@ -47,6 +49,7 @@ from .polynomials import (
     diagonal_translation_invariant,
     monomial_exponents,
     permute_terms,
+    substituted_monomials,
 )
 
 __all__ = [
@@ -119,29 +122,6 @@ def _require_degree(n, d):
         raise ValueError("need n >= 1 and d >= 0")
 
 
-def _substituted_monomials(exponents, forms):
-    """The term dict of each monomial x^e with x_j replaced by the linear
-    form forms[j], a list of (i, c) for the terms c x_{i+1}.
-
-    The image of x^e is the image of a monomial one degree lower times one
-    form; the images are memoized for this call only.
-    """
-    n = len(forms)
-    images = {(0,) * n: {(0,) * n: 1}}
-
-    def image(e):
-        if e not in images:
-            j = next(i for i in range(n) if e[i])
-            out = {}
-            for expo, c in image(e[:j] + (e[j] - 1,) + e[j + 1:]).items():
-                for i, f_c in forms[j]:
-                    key = expo[:i] + (expo[i] + 1,) + expo[i + 1:]
-                    out[key] = out.get(key, 0) + c * f_c
-            images[e] = {k: v for k, v in out.items() if v}
-        return images[e]
-    return [image(e) for e in exponents]
-
-
 def _dsh_condition_rows(n, d):
     """The degree-d monomial basis in n variables and the double shuffle
     conditions on it."""
@@ -152,9 +132,10 @@ def _dsh_condition_rows(n, d):
     # x_1 + ... + x_j, the same for every monomial; the forms have integer
     # coefficients, so the twisted monomials do too
     p = upper_ones(n)
-    forms = [[(i, p[i][j]) for i in range(n) if p[i][j]] for j in range(n)]
+    forms = [{tuple(int(r == i) for r in range(n)): p[i][j] for i in range(n) if p[i][j]}
+             for j in range(n)]
     plain = [{e: 1} for e in exponents]
-    twisted = _substituted_monomials(exponents, forms)
+    twisted = substituted_monomials(exponents, forms, n)
     identity = dict(zip(exponents, exponents))
     families = []
     for i in range(1, n):

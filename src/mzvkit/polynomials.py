@@ -11,7 +11,11 @@ tuples add) come from combination.Combination.
 
 permute_terms is the one permutation action on key tuples: it permutes the
 variables of a MultiPoly, the index entries of a series.SeriesTrunc, and
-the exponent tuples of the dsh condition images.
+the exponent tuples of the dsh condition images.  substituted_monomials is
+the one substitution: it expands monomials with each variable replaced by
+a term dict, for MultiPoly.substitute (and so the matrix actions of
+matrices and the divided differences of dsh), for the matrix action on a
+series.SeriesTrunc, and for the P^{-1} twist of the dsh condition images.
 """
 
 from fractions import Fraction
@@ -23,6 +27,7 @@ from .indices import compositions_nonneg
 __all__ = [
     "MultiPoly",
     "permute_terms",
+    "substituted_monomials",
     "monomial_exponents",
     "diagonal_translation_invariant",
 ]
@@ -154,32 +159,16 @@ class MultiPoly(Combination):
         if len(replacements) != self.nvars:
             raise ValueError("need %d replacement polynomials, got %d"
                              % (self.nvars, len(replacements)))
-        if self.nvars == 0:
-            target = 0
-        else:
-            target = replacements[0].nvars
+        target = replacements[0].nvars if replacements else 0
         for r in replacements:
             if not isinstance(r, MultiPoly) or r.nvars != target:
                 raise ValueError("replacements must be MultiPoly over a common variable set")
-        one = MultiPoly.one(target)
-        # cache powers of each replacement; exponents in our use stay small
-        powers = [{0: one} for _ in range(self.nvars)]
-
-        def power(j, k):
-            cache = powers[j]
-            if k not in cache:
-                cache[k] = power(j, k - 1) * replacements[j]
-            return cache[k]
-
-        def image(expo):
-            term = one
-            for j, e in enumerate(expo):
-                if e:
-                    term = term * power(j, e)
-            return term
-
-        return MultiPoly.zero(target).combined(
-            (coeff, image(expo)) for expo, coeff in self.terms.items())
+        images = substituted_monomials(self.terms, [r.terms for r in replacements], target)
+        zero = MultiPoly.zero(target)
+        acc = zero._sum()
+        for coeff, image in zip(self.terms.values(), images):
+            acc.add(image, *coeff.as_integer_ratio())
+        return zero._like(acc.total())
 
     def permute_variables(self, sigma):
         """Return g with g(x_1,...,x_n) = f(x_{sigma^{-1}(1)},...,x_{sigma^{-1}(n)}).
@@ -247,6 +236,39 @@ def permute_terms(terms, sigma):
     """
     positions = [s - 1 for s in sigma]
     return {tuple(map(e.__getitem__, positions)): c for e, c in terms.items()}
+
+
+def substituted_monomials(exponents, replacements, nvars):
+    """The term dict of each monomial x^e, for e in ``exponents`` (tuples),
+    with x_j replaced by the term dict replacements[j] over exponent tuples
+    of length nvars.
+
+    The image of x^e is the image of the monomial one degree lower times
+    one replacement, memoized for this call only.  Its coefficients are
+    sums of products of the replacements' coefficients, so int
+    coefficients stay int.
+    """
+    # a replacement term multiplies by adding its nonzero exponents only
+    items = [[([(i, x) for i, x in enumerate(r_e) if x], r_c) for r_e, r_c in r.items()]
+             for r in replacements]
+    images = {(0,) * len(items): {(0,) * nvars: 1}}
+
+    def image(e):
+        img = images.get(e)
+        if img is None:
+            j = next(i for i, x in enumerate(e) if x)
+            out = {}
+            get = out.get
+            for expo, c in image(e[:j] + (e[j] - 1,) + e[j + 1:]).items():
+                for r_nz, r_c in items[j]:
+                    key = list(expo)
+                    for i, x in r_nz:
+                        key[i] += x
+                    key = tuple(key)
+                    out[key] = get(key, 0) + c * r_c
+            img = images[e] = {k: v for k, v in out.items() if v}
+        return img
+    return [image(e) for e in exponents]
 
 
 def monomial_exponents(nvars, degree):

@@ -33,7 +33,7 @@ from .groupring import shuffle_operator
 from .indices import indices_of_weight, is_admissible
 from .matrices import substitution_forms
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
-from .polynomials import MultiPoly, permute_terms
+from .polynomials import permute_terms, substituted_monomials
 from .regularization import SCHEMES, MzvCombo, normalize_scheme, regularize
 
 __all__ = [
@@ -109,17 +109,18 @@ class SeriesTrunc(Combination):
     def act_matrix(self, gamma):
         """(f|_gamma)(x) = f(x gamma^{-1}), coefficient by coefficient.
 
-        Each source monomial x^(k-1) expands exactly through the linear
-        forms of matrices.substitution_forms; total degree is preserved, so
-        no mass leaves the truncation.
+        The source monomials x^(k-1) of every index expand exactly in one
+        call of polynomials.substituted_monomials, sharing its memo, through
+        the linear forms of matrices.substitution_forms; total degree is
+        preserved, so no mass leaves the truncation.
         """
         if len(gamma) != self.n:
             raise ValueError("matrix size %d does not match depth %d" % (len(gamma), self.n))
-        forms = substitution_forms(gamma)
+        images = substituted_monomials([tuple(e - 1 for e in k) for k in self.terms],
+                                       [f.terms for f in substitution_forms(gamma)], self.n)
         acc = self._sum()
-        for k, v in self.terms.items():
-            expansion = MultiPoly.monomial(tuple(e - 1 for e in k)).substitute(forms)
-            for expo, q in expansion.terms.items():
+        for v, image in zip(self.terms.values(), images):
+            for expo, q in image.items():
                 acc.add({tuple(x + 1 for x in expo): v}, *q.as_integer_ratio())
         return self._like(acc.total())
 

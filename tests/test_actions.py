@@ -424,7 +424,7 @@ class TestCertifiedNullspace:
                             lambda *args: calls.append(args) or exact(*args))
         return calls
 
-    def test_dsh_rows_match_bareiss(self, monkeypatch):
+    def test_dsh_rows_match_exact_nullspace(self, monkeypatch):
         systems = [_dsh_condition_rows(n, d)
                    for n, top in ((2, 12), (3, 8), (4, 4)) for d in range(top + 1)]
         expected = [[_exact_nullspace(rows, len(basis), order) for order in PIVOT_ORDERS]
@@ -436,7 +436,7 @@ class TestCertifiedNullspace:
                     for order in PIVOT_ORDERS] == bases, len(basis)
         assert calls == []
 
-    def test_random_low_rank_systems_match_bareiss(self):
+    def test_random_low_rank_systems_match_exact_nullspace(self):
         rng = random.Random(36)
         for _ in range(40):
             rows, ncols = self.low_rank_system(rng)

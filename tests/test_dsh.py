@@ -9,6 +9,7 @@ count, which is an independent anchor for the whole pipeline.
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -203,6 +204,28 @@ class TestConditionRows:
             assert reduce_rows(rows, len(basis)) == reduce_rows(reference, len(basis)), (n, d)
             # the same rows, in the same order, each kept at its first occurrence
             assert rows == list(dict.fromkeys(map(tuple, reference))), (n, d)
+
+    def test_twisted_images_at_random_points(self, monkeypatch):
+        # the P^-1 twist of x^e, evaluated at x in plain Fractions, is the
+        # monomial at y = x P, whose coordinates are y_j = x_1 + ... + x_j
+        substitute, calls = dsh.substituted_monomials, []
+
+        def recording(*args):
+            calls.append((args, substitute(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(dsh, "substituted_monomials", recording)
+        rng = random.Random(43)
+        for n, d in self.GRID:
+            dsh._dsh_condition_rows(n, d)
+            (exponents, _, nvars), twisted = calls.pop()
+            assert exponents == monomial_exponents(n, d) and nvars == n and not calls
+            for _ in range(3):
+                x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(n)]
+                y = [sum(x[:j + 1]) for j in range(n)]
+                for e, image in zip(exponents, twisted):
+                    assert all(type(c) is int for c in image.values()), (n, d, e)
+                    value = sum(c * prod(map(pow, x, k)) for k, c in image.items())
+                    assert value == prod(map(pow, y, e)), (n, d, e)
 
     def test_half_the_rows_were_duplicates(self):
         for n, d, before, after in [(3, 10, 264, 132), (4, 6, 504, 256)]:

@@ -189,6 +189,14 @@ def test_prime_helpers():
     assert not is_prime(1) and not is_prime(-7) and not is_prime(True)
 
 
+def test_depth_zero_components_are_one():
+    for p in (2, 3, 101):
+        for component in (zeta_A_component, zeta_natural_A_component):
+            value = component((), p)
+            assert value == ModPValue(p, 1)
+            assert str(value) == "1 (mod %d)" % p
+
+
 def test_inverse_table_built_once_per_prime():
     assert finite._inverses(11) is finite._inverses(11)
     inv, inv_sq = finite._inverse_powers(11, (1, 2))

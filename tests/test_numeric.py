@@ -457,6 +457,29 @@ def test_bigreal_arithmetic():
     assert (2 * x - x.scaled(2)).is_zero()
 
 
+def test_bigreal_negation_keeps_the_error_bound():
+    x = BigReal.from_rational(Fraction(2, 7), 40)
+    neg = -x
+    assert neg.to_decimal() == "-" + x.to_decimal()
+    assert neg._e == x._e and neg.err == x.err and neg.digits == x.digits
+    assert (abs(neg)._v, abs(neg)._e) == (x._v, x._e)
+
+
+def test_bigreal_scalar_products_are_scalings():
+    x = BigReal.from_rational(Fraction(5, 11), 50)
+    for q in (3, Fraction(1, 3)):
+        for got in (x * q, q * x):
+            expect = x.scaled(q)
+            assert (got._v, got._e, got.digits) == (expect._v, expect._e, expect.digits)
+
+
+@pytest.mark.parametrize("op", [lambda x: x + 1, lambda x: x - 1, lambda x: x * "a",
+                                lambda x: "a" * x], ids=["add", "sub", "mul", "rmul"])
+def test_bigreal_rejects_other_operands(op):
+    with pytest.raises(TypeError):
+        op(BigReal.from_rational(Fraction(1, 3), 20))
+
+
 def test_bigreal_error_tracking_grows():
     x = BigReal.from_rational(Fraction(1, 7), 50)
     assert (x + x).err >= x.err
@@ -665,6 +688,22 @@ def test_cache_file_of_unpaired_records_loads_without_warnings(tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     with open(path, encoding="utf-8") as fh:
         assert [json.loads(line)["index"] for line in fh] == ["(1,2)", "(3)", "(1,1,3)"]
+
+
+def test_cache_skips_blank_lines_without_warnings(tmp_path):
+    # blank and whitespace-only lines between records are no damage: every
+    # record loads, and the file is not rewritten
+    path = str(tmp_path / "cache.jsonl")
+    text = "\n" + _UNPAIRED_RECORDS[0] + "\n  \n\t\n" + _UNPAIRED_RECORDS[2] + "\n\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ValueCache(path)
+    values = [json.loads(line)["value"] for line in _UNPAIRED_RECORDS]
+    assert cache.get("(3)", 20) == values[0] and cache.get("(1,4)", 30) == values[2]
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == text
 
 
 def test_cache_distinguishes_precision(tmp_path):

@@ -11,6 +11,7 @@ from mzvkit.polynomials import (
     MultiPoly,
     diagonal_translation_invariant,
     monomial_exponents,
+    substituted_monomials,
 )
 
 
@@ -125,6 +126,22 @@ class TestSubstitution:
         g = f.substitute([x(2, 3) - x(1, 3)])
         assert g.nvars == 3
         assert g == (x(2, 3) - x(1, 3)) * (x(2, 3) - x(1, 3))
+
+    def test_substitute_into_no_variables(self):
+        # a polynomial in no variables is a constant, and stays one
+        for value in (0, 5, Fraction(-2, 3)):
+            c = MultiPoly.constant(0, value)
+            assert c.substitute([]) == c and c.substitute([]).nvars == 0
+        with pytest.raises(ValueError):
+            MultiPoly.one(0).substitute([x(1, 1)])
+
+    def test_substituted_monomials_into_more_variables(self):
+        # x_1 -> y_1 - y_3 and x_2 -> 2 y_2, over int coefficients
+        reps = [{(1, 0, 0): 1, (0, 0, 1): -1}, {(0, 1, 0): 2}]
+        images = substituted_monomials([(0, 0), (2, 1), (1, 0), (0, 2)], reps, 3)
+        assert images == [{(0, 0, 0): 1}, {(2, 1, 0): 2, (1, 1, 1): -4, (0, 1, 2): 2},
+                          reps[0], {(0, 2, 0): 4}]
+        assert all(type(c) is int for image in images for c in image.values())
 
     def test_substitute_arity_check(self):
         with pytest.raises(ValueError):
