@@ -1,9 +1,18 @@
 """Exact rational linear algebra: one certified kernel, and RREF.
 
-Both eliminations, _rref_mod_p behind nullspace and the exact _rref, take
-sparse rows: a row is a mapping {column: coefficient}, the coefficients
-int or Fraction, an absent column zero, so an elimination reads only the
-nonzero entries and no dense working matrix is built.
+Callers pass sparse rows: a row is a mapping {column: coefficient}, the
+coefficients int or Fraction, an absent column zero, so an elimination
+reads only the nonzero entries and no dense working matrix is built.
+
+Every elimination works in one row format and one pivot format.  The
+kernels prepare their rows in one place, _scanned_rows, which validates
+them and renames each column to its position in the scan of the pivot
+order, making each row primitive over Z.  Both eliminations,
+_rref_mod_p behind nullspace and the exact _rref, then take rows over
+positions 0..ncols-1, take their pivots in increasing position and
+return {pivot position: row}; both kernels read their basis off that
+through one read-off, _kernel_basis.  mat_det and reduce_rows scan left
+to right, so they pass their rows as they are.
 
 nullspace returns a primitive integer basis of the right kernel from a
 Gauss-Jordan elimination modulo the word-size prime PRIME, which inserts
@@ -22,12 +31,14 @@ callers.  The pivot columns are the first column basis in scan order,
 which does not depend on the order or the repetition of the rows, so
 neither does the returned basis.
 
-_rref is Gauss-Jordan elimination over Q, column by column in scan order.
-It gives the fallback kernel _exact_nullspace, which the tests also use
-as the reference, the signed product of its pivots for matrices.mat_det,
-and reduce_rows: a canonical reduced row echelon form over Fraction of
-dense rows, which makes span comparison a simple equality test and
-inverts unimodular matrices in matrices.mat_inverse_unimodular.
+_rref is Gauss-Jordan elimination over Q, position by position, kept
+apart from the row insertion of _rref_mod_p as an independent second
+opinion.  It gives the fallback kernel _exact_nullspace, which the tests
+also use as the reference, the signed product of its pivots for
+matrices.mat_det, and reduce_rows: a canonical reduced row echelon form
+over Fraction of dense rows, which makes span comparison a simple
+equality test and inverts unimodular matrices in
+matrices.mat_inverse_unimodular.
 """
 
 from fractions import Fraction
@@ -62,44 +73,46 @@ def _primitive(vec):
     return tuple(vec) if g == 1 else tuple(x // g for x in vec)
 
 
-def _integer_rows(rows, ncols):
-    """Each nonzero {column: coefficient} row as a primitive integer row
-    of its nonzero entries; zero rows are dropped."""
+def _scanned_rows(rows, ncols, pivot_order):
+    """The scan of pivot_order and each nonzero {column: coefficient} row
+    as a primitive integer row over scan positions; zero rows are dropped.
+
+    scan lists the columns in the order pivot_order scans them for pivots,
+    so scan[pos] is the column at position pos; either scan is its own
+    inverse, so scan[c] is also the position of column c.
+    """
+    if pivot_order not in PIVOT_ORDERS:
+        raise ValueError("pivot_order must be one of %r" % (PIVOT_ORDERS,))
+    if ncols < 0:
+        raise ValueError("ncols must be nonnegative")
+    scan = list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
     out = []
     for row in rows:
         if not all(0 <= c < ncols for c in row):
             raise ValueError("row %r has a column outside 0..%d" % (row, ncols - 1))
         cols = [c for c in row if row[c]]
         if cols:
-            out.append(dict(zip(cols, _primitive([row[c] for c in cols]))))
-    return out
+            out.append(dict(zip([scan[c] for c in cols], _primitive([row[c] for c in cols]))))
+    return scan, out
 
 
-def _column_scan(ncols, pivot_order):
-    """The columns in the order pivot_order scans them for pivots."""
-    if pivot_order not in PIVOT_ORDERS:
-        raise ValueError("pivot_order must be one of %r" % (PIVOT_ORDERS,))
-    if ncols < 0:
-        raise ValueError("ncols must be nonnegative")
-    return list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q of the {position: coefficient} rows,
+    by Gauss-Jordan elimination with the pivots taken in increasing
+    position.
 
-
-def _rref(rows, scan):
-    """Reduced row echelon form over Q of the {column: coefficient} rows,
-    by Gauss-Jordan elimination with the pivots taken in scan order.
-
-    For each column of scan, the first remaining row with an entry there
-    becomes the pivot row, is divided by that entry, and the column is
+    For each position, the first remaining row with an entry there
+    becomes the pivot row, is divided by that entry, and the position is
     cleared from every other row.  Returns (pivots, det): pivots maps each
-    pivot column, in scan order, to its row, each pivot 1 and alone in its
-    column; det is the product of the entries divided out, times the sign
-    of the order in which the rows became pivot rows, which for n rows of
-    rank n is their determinant.
+    pivot position, in increasing order, to its row, each pivot 1 and
+    alone in its column; det is the product of the entries divided out,
+    times the sign of the order in which the rows became pivot rows, which
+    for n rows of rank n is their determinant.
     """
     rest = [{c: x for c, x in row.items() if x} for row in rows]
     pivots = {}
     det = 1
-    for col in scan:
+    for col in range(ncols):
         i = next((i for i, row in enumerate(rest) if col in row), None)
         if i is None:
             continue
@@ -121,23 +134,38 @@ def _rref(rows, scan):
     return pivots, det
 
 
+def _kernel_basis(pivots, scan, lift):
+    """The kernel basis read off the reduced echelon form `pivots`
+    ({pivot position: row}) of rows over the positions of `scan`.
+
+    Each free position f gives one vector, 1 at column scan[f] and
+    lift(-row[f]) at the column of each pivot row; the primitive vectors
+    come back sorted, or None when lift returns None on an entry.
+    """
+    basis = []
+    for f in range(len(scan)):
+        if f in pivots:
+            continue
+        vec = [0] * len(scan)
+        vec[scan[f]] = 1
+        for pc, prow in pivots.items():
+            x = prow.get(f)
+            if x:
+                q = lift(-x)
+                if q is None:
+                    return None
+                vec[scan[pc]] = q
+        basis.append(_primitive(vec))
+    basis.sort()
+    return basis
+
+
 def _exact_nullspace(rows, ncols, pivot_order="left"):
     """nullspace(rows, ncols, pivot_order), read off the reduced row
     echelon form over Q: the fallback of nullspace, and the exact second
     opinion its tests compare against."""
-    scan = _column_scan(ncols, pivot_order)
-    pivots, _ = _rref(_integer_rows(rows, ncols), scan)
-    basis = []
-    for f in scan:
-        if f in pivots:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for pc, prow in pivots.items():
-            vec[pc] = -prow.get(f, 0)
-        basis.append(_primitive(vec))
-    basis.sort()
-    return basis
+    scan, m = _scanned_rows(rows, ncols, pivot_order)
+    return _kernel_basis(_rref(m, ncols)[0], scan, Fraction)
 
 
 def _subtract_multiple(row, prow, col, p):
@@ -151,23 +179,21 @@ def _subtract_multiple(row, prow, col, p):
             del row[c]
 
 
-def _rref_mod_p(rows, scan, p):
+def _rref_mod_p(rows, p):
     """Pivot rows of the reduced row echelon form of the integer
-    {column: coefficient} rows mod p.
+    {position: coefficient} rows mod p.
 
-    Columns are renamed to their positions in `scan`.  Each row is
-    inserted into a fully reduced basis: it is reduced by the pivot rows
-    so far (each zero at every other pivot column, so one pass clears
-    them all), its first remaining column becomes a pivot, and that
-    column is cleared from the earlier pivot rows.  The working set never
-    exceeds the final RREF, which is unique, so the row order does not
-    matter.  Returns {pivot position: row dict}, each pivot 1 and alone in
-    its column.
+    Each row is inserted into a fully reduced basis: it is reduced by the
+    pivot rows so far (each zero at every other pivot position, so one
+    pass clears them all), its least remaining position becomes a pivot,
+    and that position is cleared from the earlier pivot rows.  The working
+    set never exceeds the final RREF, which is unique, so the row order
+    does not matter.  Returns {pivot position: row dict}, each pivot 1 and
+    alone in its column.
     """
-    position = {c: pos for pos, c in enumerate(scan)}
     pivots = {}
     for row in rows:
-        r = {position[c]: x % p for c, x in row.items() if x % p}
+        r = {c: x % p for c, x in row.items() if x % p}
         # a pivot row adds only non-pivot columns, so the pivot columns of
         # r are known before the pass
         for col in [c for c in r if c in pivots]:
@@ -219,28 +245,12 @@ def nullspace(rows, ncols, pivot_order="left"):
     over Q, so the basis is _exact_nullspace's, vector for vector.  A failed
     reconstruction or check falls back to _exact_nullspace.
     """
-    scan = _column_scan(ncols, pivot_order)
-    m = _integer_rows(rows, ncols)
+    scan, m = _scanned_rows(rows, ncols, pivot_order)
     p = PRIME
-    pivots = _rref_mod_p(m, scan, p)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [0] * ncols
-        vec[scan[f]] = 1
-        for pc, prow in pivots.items():
-            x = prow.get(f)
-            if x:
-                q = _rational(-x, p)
-                if q is None:
-                    return _exact_nullspace(rows, ncols, pivot_order)
-                vec[scan[pc]] = q
-        vec = _primitive(vec)
-        if any(sum(x * vec[c] for c, x in row.items()) for row in m):
-            return _exact_nullspace(rows, ncols, pivot_order)
-        basis.append(vec)
-    basis.sort()
+    basis = _kernel_basis(_rref_mod_p(m, p), scan, lambda x: _rational(x, p))
+    if basis is None or any(sum(x * vec[scan[c]] for c, x in row.items())
+                            for vec in basis for row in m):
+        return _exact_nullspace(rows, ncols, pivot_order)
     return basis
 
 
@@ -252,7 +262,7 @@ def reduce_rows(rows, ncols):
     """
     if any(len(row) != ncols for row in rows):
         raise ValueError("row length mismatch")
-    pivots, _ = _rref([dict(enumerate(row)) for row in rows], range(ncols))
+    pivots, _ = _rref([dict(enumerate(row)) for row in rows], ncols)
     return tuple(tuple(Fraction(prow.get(c, 0)) for c in range(ncols)) for prow in pivots.values())
 
 

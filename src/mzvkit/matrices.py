@@ -79,7 +79,7 @@ def mat_det(m):
     fixing its sign, as the kernels do, would change the determinant.
     """
     n = _check_matrix(m)
-    pivots, det = _rref([dict(enumerate(row)) for row in m], range(n))
+    pivots, det = _rref([dict(enumerate(row)) for row in m], n)
     return int(det) if len(pivots) == n else 0
 
 

@@ -244,9 +244,10 @@ def substituted_monomials(exponents, replacements, nvars):
     of length nvars.
 
     The image of x^e is the image of the monomial one degree lower times
-    one replacement, memoized for this call only.  Its coefficients are
-    sums of products of the replacements' coefficients, so int
-    coefficients stay int.
+    one replacement, memoized for this call only; a loop, not recursion,
+    walks down the degrees, so the stack does not bound the degree.  Its
+    coefficients are sums of products of the replacements' coefficients,
+    so int coefficients stay int.
     """
     # a replacement term multiplies by adding its nonzero exponents only
     items = [[([(i, x) for i, x in enumerate(r_e) if x], r_c) for r_e, r_c in r.items()]
@@ -254,12 +255,16 @@ def substituted_monomials(exponents, replacements, nvars):
     images = {(0,) * len(items): {(0,) * nvars: 1}}
 
     def image(e):
-        img = images.get(e)
-        if img is None:
+        steps = []
+        while e not in images:
             j = next(i for i, x in enumerate(e) if x)
+            steps.append((e, j))
+            e = e[:j] + (e[j] - 1,) + e[j + 1:]
+        img = images[e]
+        for e, j in reversed(steps):
             out = {}
             get = out.get
-            for expo, c in image(e[:j] + (e[j] - 1,) + e[j + 1:]).items():
+            for expo, c in img.items():
                 for r_nz, r_c in items[j]:
                     key = list(expo)
                     for i, x in r_nz:

@@ -116,10 +116,6 @@ class MzvCombo(Combination):
         return cls({parse_index(key): Fraction(val) for key, val in obj.items()})
 
 
-# product of two combinations, expanded through the stuffle product
-combo_product = MzvCombo.__mul__
-
-
 class RegPoly(Combination):
     """Polynomial in the regularization variable T with MzvCombo
     coefficients, keyed by T-degree."""

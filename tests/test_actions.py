@@ -395,6 +395,10 @@ class TestNullspace:
         with pytest.raises(ValueError, match="column outside"):
             self.raw_kernel([{0: 1}, row], 2)
 
+    def test_negative_ncols(self):
+        with pytest.raises(ValueError, match="ncols must be nonnegative"):
+            self.raw_kernel([], -1)
+
 
 class TestBareissNullspace(TestNullspace):
     """The kernel contract on _exact_nullspace, the elimination over Q."""
@@ -482,8 +486,12 @@ class TestCertifiedNullspace:
                 rng.shuffle(rows)
             for p in (7, 101, linalg.PRIME):
                 for order in PIVOT_ORDERS:
-                    scan = linalg._column_scan(ncols, order)
-                    assert (linalg._rref_mod_p(rows, scan, p)
+                    scan = list(range(ncols)) if order == "left" else list(range(ncols))[::-1]
+                    # the raw rows over scan positions, not made primitive:
+                    # dividing by a content that p divides changes the RREF
+                    position = {c: pos for pos, c in enumerate(scan)}
+                    positioned = [{position[c]: x for c, x in row.items()} for row in rows]
+                    assert (linalg._rref_mod_p(positioned, p)
                             == self.dense_rref_mod_p(rows, scan, p)), (rows, p, order)
 
     def test_rational_reconstruction(self):

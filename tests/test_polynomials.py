@@ -143,6 +143,11 @@ class TestSubstitution:
                           reps[0], {(0, 2, 0): 4}]
         assert all(type(c) is int for image in images for c in image.values())
 
+    def test_substitute_high_degree(self):
+        # one multiplication per degree, 1500 deep, past the default stack
+        assert (MultiPoly.monomial((1500,)).substitute([2 * x(1, 1)])
+                == MultiPoly.monomial((1500,), 2 ** 1500))
+
     def test_substitute_arity_check(self):
         with pytest.raises(ValueError):
             x(1, 2).substitute([x(1, 2)])

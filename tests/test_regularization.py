@@ -22,7 +22,6 @@ from mzvkit.regularization import (
     MzvCombo,
     RegPoly,
     associator_coefficient,
-    combo_product,
     natural_regularize,
     regularize,
     shuffle_regularize,
@@ -69,10 +68,10 @@ def test_arithmetic_results_hold_no_zero_coefficient():
     assert (z(2) + z(3) + (-z(3))).terms == {(2,): 1}
     assert z(2).scaled(Fraction(1, 3)).scaled(3) == z(2)
     # the (2,3), (3,2) and (5,) terms of the cross products cancel
-    prod = combo_product(z(2) - z(3), z(2) + z(3))
+    prod = (z(2) - z(3)) * (z(2) + z(3))
     assert prod.terms == {(2, 2): 2, (4,): 1, (3, 3): -2, (6,): -1}
     assert prod == z(2) * z(2) - z(3) * z(3)
-    assert combo_product(z(2) - z(2), z(3)).terms == {}
+    assert ((z(2) - z(2)) * z(3)).terms == {}
 
 
 def test_combo_product_weight_two_squares():
@@ -87,7 +86,7 @@ def test_combo_product_matches_public_stuffle():
     indices = [k for w in range(7) for k in admissible_indices(w)]
     for k1 in indices:
         for k2 in indices:
-            assert combo_product(z(*k1), z(*k2)) == MzvCombo(stuffle(k1, k2)), (k1, k2)
+            assert z(*k1) * z(*k2) == MzvCombo(stuffle(k1, k2)), (k1, k2)
     a = MzvCombo({k: Fraction(i + 1, 3) for i, k in enumerate(admissible_indices(5))})
     b = z(2) - z(1, 2).scaled(4)
     expected = {}
@@ -95,7 +94,7 @@ def test_combo_product_matches_public_stuffle():
         for k2, c2 in b.terms.items():
             for term, mult in stuffle(k1, k2).items():
                 expected[term] = expected.get(term, 0) + c1 * c2 * mult
-    assert combo_product(a, b) == MzvCombo(expected)
+    assert a * b == MzvCombo(expected)
 
 
 def test_combo_product_associative_commutative():
