@@ -3,10 +3,11 @@
 Every symbolic object of the package is a dict `terms` from keys to nonzero
 coefficients: admissible indices (MzvCombo), powers of T (RegPoly),
 exponent tuples (MultiPoly), permutations (GroupRingElem) and the indices
-of a weight-truncated series table (SeriesTrunc).  Scaling, equality and
-hashing act on the dicts alone, and negation is scaling by -1.  Each
-product is a product of keys extended bilinearly, as the stuffle and
-shuffle algebras are defined: a subclass says how two keys multiply.
+of a weight-truncated series table (SeriesTrunc).  Scaling acts on the
+dicts alone, equality and hashing on the dicts and the space, and negation
+is scaling by -1.  Each product is a product of keys extended bilinearly,
+as the stuffle and shuffle algebras are defined: a subclass says how two
+keys multiply.
 
 Every sum and every product go through one accumulator: combined(pairs,
 products) sums many terms, and x + y and x - y are combined calls of one
@@ -17,13 +18,12 @@ level of the same dicts.  At the end the denominators are brought to
 their lcm, and each key of the result gets one coefficient, built once
 (keys with equal numerators share it).
 
-A subclass supplies these hooks:
+A subclass states its space, what must agree between operands (a
+variable count, a group size or a series shape), as its own __slots__
+beside the inherited `terms`: () when nothing does.  Every result is built
+over the space of its first operand, the slots copied, and zero(*space) is
+the empty combination of that space.  A subclass supplies these hooks:
 
-  _like(terms)    a result in the same space from terms without zero
-                  coefficients, validating nothing again (the default
-                  suits a class whose only slot is `terms`);
-  _space()        what must agree between operands (a variable count, a
-                  group size or a series shape), None when nothing does;
   _scalar(q)      the coefficient rule for a scalar factor;
   _ratio(n, d)    the coefficient n/d built once per key of a sum (a
                   Fraction unless the coefficients are integers);
@@ -33,8 +33,9 @@ A subclass supplies these hooks:
 
 Operands of another type get NotImplemented, so Python raises TypeError
 (combined raises it directly); operands of the same type over different
-spaces raise ValueError.  A constructor validates each (key, coefficient)
-pair of its input and hands them to _merged, which adds up equal keys.
+spaces raise ValueError.  A constructor takes the space, then the terms
+(None for none); it validates each (key, coefficient) pair of its input
+and hands them to _merged, which adds up equal keys.
 """
 
 from fractions import Fraction
@@ -154,7 +155,8 @@ class _NestedSum:
 
 
 class Combination:
-    """Base of the sparse combinations; instances are never mutated."""
+    """Base of the sparse combinations; instances are never mutated.  Only
+    subclasses are instantiated, each declaring its own __slots__."""
 
     __slots__ = ("terms",)
 
@@ -163,12 +165,21 @@ class Combination:
     _nested = False
 
     def _like(self, terms):
+        """A result over this space from terms without zero coefficients,
+        validating nothing again."""
         new = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name))
         new.terms = terms
         return new
 
     def _space(self):
-        return None
+        """The values of the subclass's own slots, a tuple."""
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    @classmethod
+    def zero(cls, *space):
+        return cls(*space)
 
     @staticmethod
     def _merged(pairs):
@@ -185,9 +196,11 @@ class Combination:
         """True for an operand of this type over the same space."""
         if type(other) is not type(self):
             return False
-        if self._space() != other._space():
-            raise ValueError("%s operands over different spaces: %r vs %r"
-                             % (type(self).__name__, self._space(), other._space()))
+        # slot by slot, so a class without a space compares nothing
+        for name in self.__slots__:
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError("%s operands over different spaces: %r vs %r"
+                                 % (type(self).__name__, self._space(), other._space()))
         return True
 
     def _sum(self):

@@ -83,14 +83,6 @@ class GroupRingElem(Combination):
         self.terms = self._merged((_check_perm(sigma, m), self._scalar(c))
                                   for sigma, c in (terms or {}).items())
 
-    def _like(self, terms):
-        elem = super()._like(terms)
-        elem.m = self.m
-        return elem
-
-    def _space(self):
-        return self.m
-
     @staticmethod
     def _scalar(q):
         if isinstance(q, int) and not isinstance(q, bool):

@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +272,9 @@ def cone_weight(m):
     if any(not isinstance(x, int) or x == 0 for x in m):
         raise ValueError("cone_weight needs nonzero integer coordinates")
     ys = [Fraction(1, x) for x in m]
-    for a, b in zip(ys, ys[1:]):
-        if a < b:
-            return Fraction(0)
-    w = Fraction(1)
-    run = 1
-    for a, b in zip(ys, ys[1:]):
-        if a == b:
-            run += 1
-        else:
-            w /= math.factorial(run)
-            run = 1
-    w /= math.factorial(run)
-    return w
+    if any(a < b for a, b in zip(ys, ys[1:])):
+        return Fraction(0)
+    return Fraction(1, stabilizer_order(len(list(run)) for _, run in groupby(ys)))
 
 
 # ---------------------------------------------------------------------------

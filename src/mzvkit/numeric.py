@@ -135,6 +135,7 @@ from mpmath.libmp import (
     to_str,
 )
 
+from .combination import as_fraction
 from .indices import (
     check_admissible,
     check_index,
@@ -272,7 +273,7 @@ class BigReal:
     @classmethod
     def from_rational(cls, q, digits=DEFAULT_DIGITS):
         _check_digits(digits)
-        q = Fraction(q)
+        q = as_fraction(q)
         v = from_rational(q.numerator, q.denominator, _prec(digits), round_nearest)
         return cls._rounded(v, fzero, digits)
 
@@ -315,7 +316,7 @@ class BigReal:
         return NotImplemented
 
     def scaled(self, q):
-        return linear_combination(((Fraction(q), self),), self.digits)
+        return linear_combination(((q, self),), self.digits)
 
     def to_decimal(self, digits=None):
         return to_str(self._v, digits if digits is not None else self.digits)
@@ -341,15 +342,16 @@ def _exact_sum(terms, den, prec):
 
 
 def linear_combination(terms, digits):
-    """sum(q * x for q, x in terms), the q rational (int or Fraction) and
-    the x BigReals, as a BigReal at `digits`.
+    """sum(q * x for q, x in terms), the q exact rationals (an int, not a
+    bool, or a Fraction: `combination.as_fraction`) and the x BigReals, as
+    a BigReal at `digits`.
 
     The sum is exact, as integers over the binary values and the common
     denominator of the q, and is rounded once at the working precision of
     `digits`.  Its error is sum(|q| err(x)), summed the same way, plus
     that one rounding, |sum| 10^-(D+15)."""
     _check_digits(digits)
-    terms = [(q, x) for q, x in terms if q]
+    terms = [(q, x) for q, x in ((as_fraction(q), x) for q, x in terms) if q]
     den = math.lcm(*(q.denominator for q, _ in terms))
     scales = [(q.numerator * (den // q.denominator), x) for q, x in terms]
     prec = _prec(digits)

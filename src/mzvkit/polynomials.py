@@ -60,10 +60,6 @@ class MultiPoly(Combination):
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
-    @classmethod
     def constant(cls, nvars, value):
         return cls(nvars, {(0,) * nvars: as_fraction(value)})
 
@@ -85,14 +81,6 @@ class MultiPoly(Combination):
         return cls(len(expo), {tuple(expo): as_fraction(coeff)})
 
     # ---- ring operations ----------------------------------------------
-
-    def _like(self, terms):
-        poly = super()._like(terms)
-        poly.nvars = self.nvars
-        return poly
-
-    def _space(self):
-        return self.nvars
 
     @staticmethod
     def _key_product(ea, eb):

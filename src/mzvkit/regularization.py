@@ -79,10 +79,6 @@ class MzvCombo(Combination):
                                   for k, c in (terms or {}).items())
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({(): Fraction(1)})
 
@@ -139,10 +135,6 @@ class RegPoly(Combination):
                 if combo:
                     clean[j] = combo
         self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def of_combo(cls, combo):

@@ -60,13 +60,13 @@ class SeriesTrunc(Combination):
 
     _nested = True
 
-    def __init__(self, n, K, terms):
+    def __init__(self, n, K, terms=None):
         if n < 0 or K < n:
             raise ValueError("need 0 <= n <= K")
         self.n = n
         self.K = K
         clean = {}
-        for k, v in terms.items():
+        for k, v in (terms or {}).items():
             k = tuple(k)
             if len(k) != n or any(p < 1 for p in k):
                 raise ValueError("bad index %r for depth %d" % (k, n))
@@ -78,15 +78,6 @@ class SeriesTrunc(Combination):
             if v:
                 clean[k] = v
         self.terms = clean
-
-    def _like(self, terms):
-        new = super()._like(terms)
-        new.n = self.n
-        new.K = self.K
-        return new
-
-    def _space(self):
-        return (self.n, self.K)
 
     # a scalar multiple, but no product of two tables: block_product
     # multiplies tables in disjoint variables

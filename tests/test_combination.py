@@ -1,13 +1,15 @@
-"""Free-module laws shared by the four sparse combination types."""
+"""Free-module laws shared by the sparse combination types."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from mzvkit.combination import Combination
 from mzvkit.groupring import GroupRingElem, all_permutations
 from mzvkit.polynomials import MultiPoly
 from mzvkit.regularization import MzvCombo, RegPoly
+from mzvkit.series import SeriesTrunc
 
 ADMISSIBLE = [(), (2,), (3,), (1, 2), (4,), (1, 3), (2, 2), (1, 1, 2)]
 
@@ -284,3 +286,53 @@ def test_combined_rejects_other_spaces_and_types():
             x.combined(products=[(1, x, y)])
     with pytest.raises(TypeError):
         a.combined([(0.5, a)])
+
+
+# ---------------------------------------------------------------------------
+# the space: each type states it in its own __slots__, and every result
+# carries it over
+
+def _series(rng, n=2, K=5):
+    cells = rng.sample(SeriesTrunc(n, K).indices(), 3)
+    return SeriesTrunc(n, K, {k: _combo(rng) for k in cells})
+
+
+# (random element, the element's space read through its public attributes,
+#  elements of the same type over other spaces)
+SPACES = {
+    "MultiPoly": (_multipoly, lambda x: (x.nvars,), [lambda rng: _multipoly(rng, 3)]),
+    "GroupRingElem": (_groupring, lambda x: (x.m,), [lambda rng: _groupring(rng, 4)]),
+    "SeriesTrunc": (_series, lambda x: (x.n, x.K),
+                    [lambda rng: _series(rng, 3, 5), lambda rng: _series(rng, 2, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_results_keep_the_space(name):
+    make, space_of, others = SPACES[name]
+    rng = random.Random("space:" + name)
+    for _ in range(5):
+        x, y = make(rng), make(rng)
+        space = space_of(x)
+        results = [x + y, x - x, -x, x.scaled(2), x.combined([(2, y), (-1, x)])]
+        if name != "SeriesTrunc":  # a table multiplies only by scalars
+            results += [x * y, x.combined(products=[(1, x, y)])]
+        for result in results:
+            assert type(result) is type(x) and space_of(result) == space
+        zero = type(x).zero(*space)
+        assert type(zero) is type(x) and space_of(zero) == space
+        assert zero.terms == {} and zero == x - x and zero + x == x
+        for other in others:
+            d = other(rng)
+            for op in (lambda: x + d, lambda: x - d, lambda: x.combined([(1, d)])):
+                with pytest.raises(ValueError):
+                    op()
+
+
+def test_subclasses_state_their_space_only_in_slots():
+    subclasses = Combination.__subclasses__()
+    assert {cls.__name__ for cls in subclasses} >= {
+        "MzvCombo", "RegPoly", "MultiPoly", "GroupRingElem", "SeriesTrunc"}
+    for cls in subclasses:
+        assert "__slots__" in vars(cls)
+        assert not {"_like", "_space", "zero"} & set(vars(cls)), cls.__name__

@@ -14,6 +14,7 @@ import random
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -478,6 +479,32 @@ def test_bigreal_scalar_products_are_scalings():
 def test_bigreal_rejects_other_operands(op):
     with pytest.raises(TypeError):
         op(BigReal.from_rational(Fraction(1, 3), 20))
+
+
+# every scalar of a BigReal follows combination.as_fraction: an int (not a
+# bool) or a Fraction; a float would bring in its binary value silently
+SCALAR_ENTRY_POINTS = {
+    "from_rational": lambda x, q: BigReal.from_rational(q, x.digits),
+    "scaled": lambda x, q: x.scaled(q),
+    "mul": lambda x, q: x * q,
+    "rmul": lambda x, q: q * x,
+    "linear_combination": lambda x, q: numeric.linear_combination([(q, x)], x.digits),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", Decimal("0.1"), True],
+                         ids=["float", "half", "str", "decimal", "bool"])
+def test_bigreal_scalars_are_exact_rationals(entry, bad):
+    with pytest.raises(TypeError):
+        SCALAR_ENTRY_POINTS[entry](BigReal.from_rational(Fraction(2, 3), 30), bad)
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_bigreal_int_and_fraction_scalars_agree(entry):
+    x = BigReal.from_rational(Fraction(2, 3), 30)
+    got = [SCALAR_ENTRY_POINTS[entry](x, q) for q in (3, Fraction(3), Fraction(6, 2))]
+    assert len({(y._v, y._e, y.digits) for y in got}) == 1
 
 
 def test_bigreal_error_tracking_grows():
