@@ -239,18 +239,13 @@ def build_parser():
     fe.add_argument("--index", type=parse_index, required=True)
     fe.add_argument("--scheme", choices=sorted(FINITE_SCHEMES), default="F")
     fe.set_defaults(handler=cmd_finite_eval)
-    fm = fin.add_parser("modp", parents=[common])
-    fm.add_argument("--index", type=parse_index, required=True)
-    fm.add_argument("--primes", type=parse_int_range, default=(5, 50))
-    fm.add_argument("--natural", action="store_true")
-    fm.set_defaults(handler=cmd_finite_modp)
-
-    p = sub.add_parser("modp", parents=[common],
-                       help="mod-p components (shorthand for finite modp)")
-    p.add_argument("--index", type=parse_index, required=True)
-    p.add_argument("--primes", type=parse_int_range, default=(5, 50))
-    p.add_argument("--natural", action="store_true")
-    p.set_defaults(handler=cmd_finite_modp)
+    for p in (fin.add_parser("modp", parents=[common]),
+              sub.add_parser("modp", parents=[common],
+                             help="mod-p components (shorthand for finite modp)")):
+        p.add_argument("--index", type=parse_index, required=True)
+        p.add_argument("--primes", type=parse_int_range, default=(5, 50))
+        p.add_argument("--natural", action="store_true")
+        p.set_defaults(handler=cmd_finite_modp)
 
     p = sub.add_parser("dsh", parents=[common],
                        help="linearized double-shuffle linear algebra")

@@ -9,14 +9,16 @@ is scaling by -1.  Each product is a product of keys extended bilinearly,
 as the stuffle and shuffle algebras are defined: a subclass says how two
 keys multiply.
 
-Every sum and every product go through one accumulator: combined(pairs,
-products) sums many terms, and x + y and x - y are combined calls of one
-term.  It keeps integer numerators in one dict per denominator, so adding
-a term multiplies and adds integers and builds no Fraction.  A coefficient that is a combination itself (the MzvCombo of a
-RegPoly or a SeriesTrunc) is summed under its outer key, as one more
-level of the same dicts.  At the end the denominators are brought to
-their lcm, and each key of the result gets one coefficient, built once
-(keys with equal numerators share it).
+Every sum and every product go through one accumulator, private to this
+module: combined(pairs, products) sums many terms, x + y and x - y are
+combined calls of one term, and every other module sums through combined,
+a term dict entering as an operand built by _like.  The accumulator keeps
+integer numerators in one dict per denominator, so adding a term
+multiplies and adds integers and builds no Fraction.  A coefficient that
+is a combination itself (the MzvCombo of a RegPoly or a SeriesTrunc) is
+summed under its outer key, as one more level of the same dicts.  At the
+end the denominators are brought to their lcm, and each key of the result
+gets one coefficient, built once (keys with equal numerators share it).
 
 A subclass states its space, what must agree between operands (a
 variable count, a group size or a series shape), as its own __slots__

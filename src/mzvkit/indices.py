@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import accumulate, groupby, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +162,20 @@ def stabilizer_order(comp):
     return order
 
 
+def _block_bounds(comp):
+    """The slice bounds (a, b) of each block of the surjection: the block
+    of j in an index k is k[a:b]."""
+    return tuple(zip(accumulate(comp, initial=0), accumulate(comp)))
+
+
 def push_index(comp, k):
     """Collapse k along the surjection: block sums (weight is preserved)."""
     k = check_index(k)
     if sum(comp) != len(k):
         raise ValueError("depth mismatch: surjection of %d vs index of depth %d"
                          % (sum(comp), len(k)))
-    out = []
-    pos = 0
-    for size in comp:
-        out.append(sum(k[pos:pos + size]))
-        pos += size
-    return tuple(out)
+    return tuple(sum(k[a:b]) for a, b in _block_bounds(comp))
+
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,20 @@ tuples add) come from combination.Combination.
 
 permute_terms is the one permutation action on key tuples: it permutes the
 variables of a MultiPoly, the index entries of a series.SeriesTrunc, and
-the exponent tuples of the dsh condition images.  substituted_monomials is
-the one substitution: it expands monomials with each variable replaced by
-a term dict, for MultiPoly.substitute (and so the matrix actions of
-matrices and the divided differences of dsh), for the matrix action on a
-series.SeriesTrunc, and for the P^{-1} twist of the dsh condition images.
+the exponent tuples of the dsh condition images.  The permutations are
+validated by groupring, which also gives the adjacent swaps of
+is_symmetric.  substituted_monomials is the one substitution: it expands
+monomials with each variable replaced by a term dict, for
+MultiPoly.substitute (and so the matrix actions of matrices and the
+divided differences of dsh), for the matrix action on a series.SeriesTrunc,
+and for the P^{-1} twist of the dsh condition images.
 """
 
 from fractions import Fraction
 from operator import add
 
 from .combination import Combination, as_fraction
+from .groupring import _check_perm, transposition
 from .indices import compositions_nonneg
 
 __all__ = [
@@ -118,19 +121,18 @@ class MultiPoly(Combination):
 
     # ---- calculus and substitution -------------------------------------
 
-    def partial(self, i):
-        """Partial derivative with respect to x_i (1-based)."""
+    def _lowered(self, i):
+        """(exponent tuple with x_i lowered by one, exponent of x_i,
+        coefficient) for every term that x_i (1-based) divides."""
         if not 1 <= i <= self.nvars:
             raise ValueError("variable index %d out of range 1..%d" % (i, self.nvars))
         j = i - 1
-        out = {}
-        for expo, coeff in self.terms.items():
-            if expo[j] == 0:
-                continue
-            nxt = list(expo)
-            nxt[j] -= 1
-            out[tuple(nxt)] = coeff * expo[j]
-        return self._like(out)
+        return [(expo[:j] + (expo[j] - 1,) + expo[j + 1:], expo[j], coeff)
+                for expo, coeff in self.terms.items() if expo[j]]
+
+    def partial(self, i):
+        """Partial derivative with respect to x_i (1-based)."""
+        return self._like({expo: coeff * e for expo, e, coeff in self._lowered(i)})
 
     def diagonal_derivative(self):
         """sum_i df/dx_i: the derivative along the diagonal direction (1, ..., 1)."""
@@ -153,10 +155,8 @@ class MultiPoly(Combination):
                 raise ValueError("replacements must be MultiPoly over a common variable set")
         images = substituted_monomials(self.terms, [r.terms for r in replacements], target)
         zero = MultiPoly.zero(target)
-        acc = zero._sum()
-        for coeff, image in zip(self.terms.values(), images):
-            acc.add(image, *coeff.as_integer_ratio())
-        return zero._like(acc.total())
+        return zero.combined((coeff, zero._like(image))
+                             for coeff, image in zip(self.terms.values(), images))
 
     def permute_variables(self, sigma):
         """Return g with g(x_1,...,x_n) = f(x_{sigma^{-1}(1)},...,x_{sigma^{-1}(n)}).
@@ -164,33 +164,20 @@ class MultiPoly(Combination):
         ``sigma`` is a permutation of 1..n as an image tuple.  The exponent of
         x_j in the image of a monomial with exponents e is e[sigma(j)].
         """
-        if sorted(sigma) != list(range(1, self.nvars + 1)):
-            raise ValueError("sigma must be a permutation of 1..%d" % self.nvars)
-        return self._like(permute_terms(self.terms, sigma))
+        return self._like(permute_terms(self.terms, _check_perm(sigma, self.nvars)))
 
     def divide_by_variable(self, i):
         """Exact division by x_i; raises ValueError if some term lacks x_i."""
-        if not 1 <= i <= self.nvars:
-            raise ValueError("variable index %d out of range 1..%d" % (i, self.nvars))
-        j = i - 1
-        out = {}
-        for expo, coeff in self.terms.items():
-            if expo[j] == 0:
-                raise ValueError("polynomial is not divisible by x_%d" % i)
-            nxt = list(expo)
-            nxt[j] -= 1
-            out[tuple(nxt)] = coeff
-        return self._like(out)
+        lowered = self._lowered(i)
+        if len(lowered) != len(self.terms):
+            raise ValueError("polynomial is not divisible by x_%d" % i)
+        return self._like({expo: coeff for expo, _, coeff in lowered})
 
     def is_symmetric(self):
         """Invariance under all variable permutations (adjacent swaps suffice)."""
         n = self.nvars
-        for i in range(1, n):
-            swap = list(range(1, n + 1))
-            swap[i - 1], swap[i] = swap[i], swap[i - 1]
-            if self.permute_variables(tuple(swap)) != self:
-                return False
-        return True
+        return all(self.permute_variables(transposition(n, i, i + 1)) == self
+                   for i in range(1, n))
 
     def evaluate(self, point):
         point = [as_fraction(x) for x in point]

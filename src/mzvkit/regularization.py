@@ -39,10 +39,10 @@ word.  series, finite, relations and the CLI all regularize through it.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from .combination import Combination, as_fraction
 from .indices import (
+    _block_bounds,
     _stuffle,
     check_admissible,
     check_index,
@@ -194,9 +194,8 @@ def _peel(target, expansion, value, zero, product=()):
 def _surjections(n):
     """(1 / order of the stabilizer, block bounds) for every weakly
     order-preserving surjection of {1..n}; block j of an index k is
-    k[a:b] for the j-th bounds (a, b)."""
-    return tuple((Fraction(1, stabilizer_order(comp)),
-                  tuple(zip(accumulate(comp, initial=0), accumulate(comp))))
+    k[a:b] for the j-th bounds (a, b) of indices._block_bounds."""
+    return tuple((Fraction(1, stabilizer_order(comp)), _block_bounds(comp))
                  for m in range(n + 1) for comp in compositions(n, m))
 
 

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 from mpmath import pslq  # noqa: F401  the reference _pslq reproduces, kept under this name
@@ -296,18 +296,14 @@ def _spanning_set(target_weight, max_extra_depth, digits, cache):
     factors = [k for w in range(2, target_weight - 1) for k in admissible_indices(w)]
     value = dict(zip(factors, eval_many(factors, digits, cache)))
     entries = []
-    seen = set()
-    for wa in range(2, target_weight - 1):
-        wb = target_weight - wa
-        if wb < 2 or wb < wa:
-            continue
-        for pair in product(admissible_indices(wa), admissible_indices(wb)):
-            pair = tuple(sorted(pair))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            label = "z%s*z%s" % (format_index(pair[0]), format_index(pair[1]))
-            entries.append((label, value[pair[0]] * value[pair[1]]))
+    for wa in range(2, target_weight // 2 + 1):
+        left = admissible_indices(wa)
+        # equal weights give each unordered pair once, in product order
+        pairs = (combinations_with_replacement(left, 2) if 2 * wa == target_weight
+                 else product(left, admissible_indices(target_weight - wa)))
+        for pair in pairs:
+            a, b = sorted(pair)
+            entries.append(("z%s*z%s" % (format_index(a), format_index(b)), value[a] * value[b]))
     return SpanningSet(target_weight, 0, digits, tuple(entries))
 
 

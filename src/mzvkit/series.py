@@ -29,7 +29,7 @@ same map that permutes the variables of a MultiPoly.
 """
 
 from .combination import Combination
-from .groupring import shuffle_operator
+from .groupring import _check_perm, shuffle_operator
 from .indices import indices_of_weight, is_admissible
 from .matrices import substitution_forms
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
@@ -93,9 +93,7 @@ class SeriesTrunc(Combination):
     def permute(self, sigma):
         """Variable permutation: the result coefficient at k picks up the
         source coefficient at (k_{sigma^{-1}(1)}, ..., k_{sigma^{-1}(n)})."""
-        if sorted(sigma) != list(range(1, self.n + 1)):
-            raise ValueError("sigma must be a permutation of 1..%d" % self.n)
-        return self._like(permute_terms(self.terms, sigma))
+        return self._like(permute_terms(self.terms, _check_perm(sigma, self.n)))
 
     def act_matrix(self, gamma):
         """(f|_gamma)(x) = f(x gamma^{-1}), coefficient by coefficient.
@@ -109,11 +107,9 @@ class SeriesTrunc(Combination):
             raise ValueError("matrix size %d does not match depth %d" % (len(gamma), self.n))
         images = substituted_monomials([tuple(e - 1 for e in k) for k in self.terms],
                                        [f.terms for f in substitution_forms(gamma)], self.n)
-        acc = self._sum()
-        for v, image in zip(self.terms.values(), images):
-            for expo, q in image.items():
-                acc.add({tuple(x + 1 for x in expo): v}, *q.as_integer_ratio())
-        return self._like(acc.total())
+        return self._like({}).combined(
+            (q, self._like({tuple(x + 1 for x in expo): v}))
+            for v, image in zip(self.terms.values(), images) for expo, q in image.items())
 
     def __repr__(self):
         return "SeriesTrunc(n=%d, K=%d, %d coefficients)" % (self.n, self.K, len(self.terms))

@@ -35,3 +35,20 @@ def test_imports_only_stdlib_and_mpmath():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_only_combination_uses_the_accumulator():
+    # every other module sums through Combination.combined
+    private = {"_sum", "_Sum", "_NestedSum"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "combination.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in private:
+                found.append("%s:%d %s" % (path.name, getattr(node, "lineno", 0), name))
+    assert found == []
