@@ -21,12 +21,15 @@ The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
 sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  For
 odd p = 2h + 1 the signed range in its 1/m order, 1..h, -h..-1, is 1..p-1
-mod p, so both are numeric.chain_total over the same columns of m^-k_j
-mod p for m = 1..p-1, one per slot, built by repeated column
-multiplication from the table of inverses.  chain_total sums exact
-integers, and the total is reduced mod p once, here.  The weak total comes
-scaled by n! (the tie weights become binomials), so the natural value is
-that total times (n!)^-1, which p > depth makes exist.
+mod p, so both are numeric.signed_chain_total: the kernel runs over the
+columns of m^-k_j mod p for the half m = 1..h only, one per slot, built by
+column multiplication reduced mod p from the half table of inverses, and
+the halves are joined by the antipode split.  The total is an exact
+integer, reduced mod p once, here.  The weak total comes scaled by n! (the
+tie weights become binomials), so the natural value is that total times
+(n!)^-1, which p > depth makes exist.  At p = 2 the range is the one
+position m = 1, which the reflection does not halve; its values are
+taken literally.
 """
 
 import math
@@ -35,7 +38,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .indices import check_index, format_index, weight
-from .numeric import chain_total, power_columns
+from .numeric import signed_chain_total
 from .regularization import MzvCombo, RegPoly, regularize, surjection_sum
 
 
@@ -121,29 +124,36 @@ def _check_prime(p):
 
 @lru_cache(maxsize=256)
 def _inverses(p):
-    """0, 1^-1, ..., (p-1)^-1 in F_p, built once per prime.
+    """0, 1^-1, ..., (p//2)^-1 in F_p, built once per prime.
 
-    Machine integers, not int objects: the tables of all primes below 1000
-    hold 0.6 MB this way and 1.9 MB as tuples.  The cache keeps the 256
-    primes used last (all 168 primes below 1000 fit), so a sweep over
+    Only the positive half of the range is kept: (p-m)^-1 = -(m^-1).
+    Machine integers, not int objects: the tables of all primes below
+    1000 hold 0.3 MB this way and 0.9 MB as tuples.  The cache keeps the
+    256 primes used last (all 168 primes below 1000 fit), so a sweep over
     large primes does not hold a table of every one.
     """
-    return array("q", [0] + [pow(m, -1, p) for m in range(1, p)])
+    return array("q", [0] + [pow(m, -1, p) for m in range(1, p // 2 + 1)])
 
 
 def _inverse_powers(p, exponents):
-    """Columns [m^-a mod p for m = 1..p-1], one per a in `exponents`."""
-    return [[x % p for x in column]
-            for column in power_columns(_inverses(p)[1:].tolist(), exponents)]
+    """Columns [m^-a mod p for m = 1..p//2], one per a in `exponents`, each
+    built from the one before by a column multiplication reduced mod p."""
+    inverses = _inverses(p)[1:].tolist()
+    powers = [inverses]
+    for _ in range(1, max(exponents, default=1)):
+        powers.append([x * y % p for x, y in zip(powers[-1], inverses)])
+    return [powers[a - 1] for a in exponents]
 
 
 def zeta_A_component(k, p):
     """Sum over 0 < m_1 < ... < m_n < p of the inverse power product in F_p."""
     k = check_index(k)
     _check_prime(p)
-    if not k:
-        return ModPValue(p, 1 % p)
-    return ModPValue(p, chain_total(_inverse_powers(p, k)) % p)
+    if p == 2:
+        # the one position m = 1: the empty chain and each chain of depth
+        # one weigh 1, and no strict chain is longer
+        return ModPValue(p, int(len(k) <= 1))
+    return ModPValue(p, signed_chain_total(k, _inverse_powers(p, k)) % p)
 
 
 def zeta_natural_A_component(k, p):
@@ -162,7 +172,6 @@ def zeta_natural_A_component(k, p):
                          "p=%d depth=%d" % (p, n))
     if p == 2:
         return ModPValue(p, 0)  # the range 0 < |m| < 1 is empty
-    # for odd p = 2h + 1 the 1/m order 1..h, -h..-1 is 1..p-1 mod p; the
-    # weak total comes scaled by n!, which p > n makes invertible
-    total = chain_total(_inverse_powers(p, k), weak=True)
+    # the weak total comes scaled by n!, which p > n makes invertible
+    total = signed_chain_total(k, _inverse_powers(p, k), weak=True)
     return ModPValue(p, total % p * pow(math.factorial(n), -1, p) % p)

@@ -35,7 +35,8 @@ def _check_perm(sigma, m=None):
     sigma = tuple(sigma)
     if m is None:
         m = len(sigma)
-    if sorted(sigma) != list(range(1, m + 1)):
+    if (any(not isinstance(x, int) or isinstance(x, bool) for x in sigma)
+            or sorted(sigma) != list(range(1, m + 1))):
         raise ValueError("not a permutation of 1..%d: %r" % (m, sigma))
     return sigma
 

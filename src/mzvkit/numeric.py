@@ -82,22 +82,35 @@ which keeps it below 1 at any precision.
 
 The exact truncated sums (the signed direct sums below and the mod-p sums
 in `finite`) are sums over chains of integers: slot j of the index weighs
-the value at position t by an integer w_j[t], and `chain_total` sums the
-chains level by level over whole columns.  With C_j[t] the chains of the
-slots 1..j ending at position t and E_j[t] = sum_{s<t} C_j[s] (E_0 = 1),
-strict chains take C_j = E_{j-1} w_j.  A weak chain whose last run has
-r = j - i equal positions weighs 1/r!.  With level j scaled by j!, that
-weight becomes the integer j!/(i! r!) = C(j, i) times level i scaled by
-i!, so on the scaled levels
+the value at position t by an integer w_j[t], and `chain_totals`, the one
+chain-sum kernel, sums the chains level by level over whole columns.
+With C_j[t] the chains of the slots 1..j ending at position t and E_j[t]
+= sum_{s<t} C_j[s] (E_0 = 1), strict chains take C_j = E_{j-1} w_j.  A
+weak chain whose last run has r = j - i equal positions weighs 1/r!.
+With level j scaled by j!, that weight becomes the integer j!/(i! r!) =
+C(j, i) times level i scaled by i!, so on the scaled levels
 
     C_j = sum_{i<j} C(j, i) E_i w_{i+1} .. w_j
 
-and the weak total is n! times the weighted sum.  Each level is a few
-column products and one prefix sum over exact integers; the mod-p sums of
-`finite` reduce the total once, at the caller.  The truncated direct sums
-over signed integer tuples (ordered strictly or weakly by 1/m, the weak
-case weighted by inverse factorials of the tie run lengths) take the
-integer columns (L/m)^a, L = lcm(1..M-1), and divide the total by
+and the kernel returns every level's total, [1, T_1, .., T_n].  Each level
+is a few column products and one prefix sum over exact integers.  Each
+of these sums runs over a signed range 1..h, -h..-1 in its 1/m order, and
+-m weighs (-1)^k_j times m in slot j, so `signed_chain_total` passes the
+kernel columns over the positive half m = 1..h only.  A chain takes its
+first s slots from 1..h and the others from -h..-1, which runs the half
+backwards, and no tie crosses the halves, so the whole total is
+
+    sum_{s=0..n} (-1)^(k_(s+1)+..+k_n) [C(n, s)] P_s Q_(n-s),
+
+P the level totals of the columns, Q those of the reversed columns (P
+itself for a palindromic index), and the binomial, which joins the two
+scaled levels, taken for weak chains only.  This is the antipode split of
+the finite value, sum_i (-1)^(k_(i+1)+..+k_n) zeta*(k_1..k_i)
+zeta*(k_n..k_(i+1)), on the truncated sums.  The mod-p sums reduce the
+total once, at the caller.  The truncated direct sums over signed integer
+tuples with 0 < |m| < M (ordered strictly or weakly by 1/m, the weak case
+weighted by inverse factorials of the tie run lengths) take h = M - 1 and
+the integer columns (L/m)^a, L = lcm(1..M-1), and divide the total by
 L^weight (and n!) as one exact `Fraction`.
 """
 
@@ -186,17 +199,19 @@ def _zero_tolerance(digits):
     return _power_of_ten(-max(digits - 10, digits // 2), digits)
 
 
-def chain_total(columns, weak=False):
-    """Sum over the chains of the weight columns w_1..w_n (n >= 1).
+def chain_totals(columns, weak=False):
+    """The level totals [1, T_1, .., T_n] of the weight columns w_1..w_n.
 
-    The columns are lists of integers of one length N.  A chain picks
-    positions t_1 < .. < t_n (t_1 <= .. <= t_n when `weak` is set) and
-    contributes w_1[t_1] * .. * w_n[t_n]; a weak chain also weighs 1/r!
-    for each maximal run of r equal positions, and the weak total is
-    returned scaled by n!, which makes it an integer.  The levels are
-    exact integers; a caller that wants a residue reduces the total once.
+    The columns are lists of integers of one length N.  A chain of level
+    j picks positions t_1 < .. < t_j (t_1 <= .. <= t_j when `weak` is set)
+    and contributes w_1[t_1] * .. * w_j[t_j]; a weak chain also weighs 1/r!
+    for each maximal run of r equal positions, and weak level j is
+    returned scaled by j!, which makes it an integer.  T_j sums level j
+    over all chains.  The levels are exact integers; a caller that wants
+    a residue reduces once, at the end.
     """
     n = len(columns)
+    totals = [1]
     # prefixes[i][t]: level i (times i! when weak) summed over the
     # positions before t; level 0 is the empty chain
     prefixes = [repeat(1)]
@@ -212,15 +227,39 @@ def chain_total(columns, weak=False):
         else:
             level = map(mul, prefixes[-1], column)
         if j == n:
-            return sum(level)
-        prefixes.append(list(accumulate(level, initial=0)))
+            totals.append(sum(level))
+        else:
+            prefixes.append(list(accumulate(level, initial=0)))
+            totals.append(prefixes[-1][-1])
+    return totals
+
+
+def signed_chain_total(k, columns, weak=False):
+    """The chain total of the index k over the signed range 1..h, -h..-1
+    (the 1/m order), from its columns over the positive half only: column
+    j weighs m = 1..h, and -m weighs (-1)^k_j times that.
+
+    A chain puts its slots 1..s on the positive half and s+1..n on the
+    negative half, where the order runs backwards through 1..h: read from
+    slot n down, those slots are a chain of the reversed columns.  No tie
+    crosses the halves, so a weak chain's 1/r! weights factor, and the
+    n!-scaled total takes C(n, s) times the two scaled levels.  So the
+    total is sum_s (-1)^(k_(s+1)+..+k_n) [C(n, s)] P_s Q_(n-s), P the
+    level totals of the columns and Q those of the reversed columns (P
+    itself when k is a palindrome).
+    """
+    n = len(k)
+    heads = chain_totals(columns, weak)
+    tails = heads if k == k[::-1] else chain_totals(columns[::-1], weak)
+    return sum((-1) ** sum(k[s:]) * (math.comb(n, s) if weak else 1) * heads[s] * tails[n - s]
+               for s in range(n + 1))
 
 
 def power_columns(base, exponents):
     """The columns [x^a for x in base], one per a in `exponents` (all >= 1),
     each built from the one before by a column multiplication."""
     powers = [base]
-    for _ in range(1, max(exponents)):
+    for _ in range(1, max(exponents, default=1)):
         powers.append(list(map(mul, powers[-1], base)))
     return [powers[a - 1] for a in exponents]
 
@@ -731,22 +770,15 @@ def eval_constant_term(poly, digits=DEFAULT_DIGITS, cache=None):
 # ---------------------------------------------------------------------------
 # exact truncated direct sums over signed integers
 
-def _signed_range(M):
-    # all m with 0 < |m| < M, listed in strictly decreasing order of 1/m
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    return list(range(1, M)) + [-m for m in range(M - 1, 0, -1)]
-
-
 def _direct_sum(k, M, weak):
     k = check_index(k)
-    values = _signed_range(M)
-    if not k:
-        return Fraction(1)
+    if M < 1:
+        raise ValueError("M must be a positive integer")
     # L = lcm(1..M-1) makes every weight (L/m)^a an integer
     scale = math.lcm(*range(1, M))
-    total = chain_total(power_columns([scale // m for m in values], k), weak)
-    return Fraction(total, scale ** sum(k) * (math.factorial(len(k)) if weak else 1))
+    columns = power_columns([scale // m for m in range(1, M)], k)
+    return Fraction(signed_chain_total(k, columns, weak),
+                    scale ** sum(k) * (math.factorial(len(k)) if weak else 1))
 
 
 def direct_sum_F(k, M):

@@ -198,18 +198,25 @@ def test_depth_zero_components_are_one():
 
 
 def test_inverse_table_built_once_per_prime():
+    # the table holds the positive half m = 1..p//2 of the range
     assert finite._inverses(11) is finite._inverses(11)
+    assert len(finite._inverses(11)) == 11 // 2 + 1
     inv, inv_sq = finite._inverse_powers(11, (1, 2))
-    for m in range(1, 11):
+    assert len(inv) == len(inv_sq) == 5
+    for m in range(1, 6):
         assert inv[m - 1] * m % 11 == 1
         assert inv_sq[m - 1] * m * m % 11 == 1
 
 
 def test_power_tables_match_pow():
+    # each column is m^-a mod p over the half m = 1..p//2, and the other
+    # half follows by the reflection (p-m)^-a = (-1)^a m^-a
     for p in primes_in_range(2, 1000):
         columns = finite._inverse_powers(p, (1, 2, 3, 4))
         for a, column in zip((1, 2, 3, 4), columns):
-            assert column == [pow(m, -a, p) for m in range(1, p)], (p, a)
+            assert column == [pow(m, -a, p) for m in range(1, p // 2 + 1)], (p, a)
+            for m, x in enumerate(column, 1):
+                assert pow(p - m, -a, p) == (-1) ** a * x % p, (p, a, m)
 
 
 def test_inverse_tables_are_bounded():

@@ -43,6 +43,12 @@ CHECKS = {
     "block_product of a MultiPoly": (lambda: block_product(SERIES, X1), TypeError),
     # groupring
     "compose repeated letter": (lambda: compose((1, 1), (1, 2)), ValueError),
+    "compose float letters": (lambda: compose((2, 1), (2.0, 1.0)), ValueError),
+    "compose bool letter": (lambda: compose((True, 2), (1, 2)), ValueError),
+    "from_perm float letters": (lambda: GroupRingElem.from_perm((2.0, 1.0)), ValueError),
+    "GroupRingElem float key": (lambda: GroupRingElem(2, {(2.0, 1.0): 1}), ValueError),
+    "permute_variables float letters": (lambda: X1.permute_variables((2.0, 1.0)), ValueError),
+    "permute bool letter": (lambda: SERIES.permute((True, 2)), ValueError),
     "group on no letters": (lambda: GroupRingElem(0), ValueError),
     "shuffle_operator on no letters": (lambda: shuffle_operator(0, 0), ValueError),
     "shuffle_operator block too long": (lambda: shuffle_operator(2, 3), ValueError),
