@@ -114,14 +114,10 @@ def cmd_finite_modp(args):
     k = args.index
     lo, hi = args.primes
     component = zeta_natural_A_component if args.natural else zeta_A_component
-    rows = []
-    for p in primes_in_range(lo, hi):
-        try:
-            value = component(k, p)
-        except ValueError:
-            # small primes cannot invert the tie weights; skip them
-            continue
-        rows.append({"prime": value.prime, "residue": value.residue})
+    # the natural residue needs p > depth to invert its tie weights; the
+    # primes at or below the depth are skipped
+    rows = [{"prime": p, "residue": component(k, p).residue}
+            for p in primes_in_range(lo, hi) if not (args.natural and p <= len(k))]
     payload = {
         "index": format_index(k),
         "variant": "natural" if args.natural else "plain",

@@ -42,6 +42,7 @@ space to zero; degree 0 keeps the constants.
 from fractions import Fraction
 
 from .groupring import GroupRingElem, cycle_perm, invert_perm, shuffle_operator
+from .indices import check_int
 from .linalg import PIVOT_ORDERS, nullspace, span_equal
 from .matrices import upper_ones
 from .polynomials import (
@@ -118,8 +119,9 @@ def _kernel(basis, rows):
 
 
 def _require_degree(n, d):
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+    """Require ints (`check_int`) n >= 1 and d >= 0."""
+    check_int(n, 1, "need n >= 1 and d >= 0")
+    check_int(d, 0, "need n >= 1 and d >= 0")
 
 
 def _dsh_condition_rows(n, d):
@@ -162,7 +164,8 @@ def double_shuffle_space(n, d):
 
 
 def dsh_dimension(n, d):
-    """dim of the double shuffle space, checked by every pivot order."""
+    """dim of the double shuffle space, checked by every pivot order;
+    n >= 1 and d >= 0 must be ints (ValueError otherwise)."""
     return len(double_shuffle_space(n, d))
 
 

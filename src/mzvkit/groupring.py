@@ -16,6 +16,7 @@ groupring_identity_check.
 from itertools import combinations, permutations
 
 from .combination import Combination
+from .indices import check_int
 
 __all__ = [
     "identity_perm",
@@ -32,12 +33,14 @@ __all__ = [
 
 
 def _check_perm(sigma, m=None):
+    """sigma as a tuple, when it is a permutation of 1..m (of 1..len(sigma)
+    when m is None) with every letter an int (`check_int`)."""
     sigma = tuple(sigma)
     if m is None:
         m = len(sigma)
-    if (any(not isinstance(x, int) or isinstance(x, bool) for x in sigma)
-            or sorted(sigma) != list(range(1, m + 1))):
-        raise ValueError("not a permutation of 1..%d: %r" % (m, sigma))
+    message = "not a permutation of 1..%d: %r" % (m, sigma)
+    if sorted(check_int(x, None, message) for x in sigma) != list(range(1, m + 1)):
+        raise ValueError(message)
     return sigma
 
 
@@ -78,9 +81,7 @@ class GroupRingElem(Combination):
     __slots__ = ("m",)
 
     def __init__(self, m, terms=None):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ValueError("m must be a positive integer")
-        self.m = m
+        self.m = check_int(m, 1, "m must be a positive integer")
         self.terms = self._merged((_check_perm(sigma, m), self._scalar(c))
                                   for sigma, c in (terms or {}).items())
 
@@ -122,12 +123,12 @@ def shuffle_operator(n, i):
     """Sum of the permutations increasing on positions 1..i and i+1..n.
 
     Each is determined by the i-element value set placed (sorted) on the
-    first block, so the support has binomial(n, i) elements.
+    first block, so the support has binomial(n, i) elements.  n >= 1 and
+    0 <= i <= n must be ints (`check_int`).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if not 0 <= i <= n:
-        raise ValueError("need 0 <= i <= n")
+    check_int(n, 1, "n must be a positive integer")
+    if check_int(i, 0, "need 0 <= i <= n") > n:
+        raise ValueError("need 0 <= i <= n, got %r" % (i,))
     terms = {}
     universe = range(1, n + 1)
     for first in combinations(universe, i):

@@ -35,12 +35,22 @@ from itertools import accumulate, groupby, permutations
 # ---------------------------------------------------------------------------
 # indices
 
+def check_int(x, least, message):
+    """The package's one integer rule: x itself when it is an int but not a
+    bool and, unless least is None, at least least; otherwise
+    ValueError(message + ", got x").  It raises rather than asserts, so
+    python -O keeps it."""
+    if isinstance(x, int) and not isinstance(x, bool) and (least is None or x >= least):
+        return x
+    raise ValueError("%s, got %r" % (message, x))
+
+
 def check_index(k):
-    """Validate and normalize an index to a tuple of positive ints."""
+    """Validate and normalize an index to a tuple of positive ints
+    (`check_int` on every part)."""
     k = tuple(k)
     for part in k:
-        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
-            raise ValueError("index parts must be positive integers, got %r" % (part,))
+        check_int(part, 1, "index parts must be positive integers")
     return k
 
 
@@ -137,11 +147,10 @@ def admissible_indices(w, max_depth=None):
 def enumerate_surjections(n, m):
     """Weakly order-preserving surjections {1..n} -> {1..m}, as compositions.
 
-    There are binomial(n-1, m-1) of them.
+    There are binomial(n-1, m-1) of them; n and m go through `check_int`.
     """
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise ValueError("n and m must be integers")
-    if not 1 <= m <= n:
+    check_int(n, None, "n and m must be integers")
+    if not 1 <= check_int(m, None, "n and m must be integers") <= n:
         raise ValueError("need 1 <= m <= n, got n=%r m=%r" % (n, m))
     return list(compositions(n, m))
 
@@ -268,11 +277,11 @@ def cone_weight(m):
     decreasing the point lies outside the closed region and the weight is 0;
     otherwise each maximal run of equal y-values of length r contributes a
     factor 1/r!.  Points with all y_i strictly decreasing are interior and
-    get weight 1.
+    get weight 1.  Every coordinate goes through `check_int`.
     """
     m = tuple(m)
-    if any(not isinstance(x, int) or x == 0 for x in m):
-        raise ValueError("cone_weight needs nonzero integer coordinates")
+    if any(check_int(x, None, "cone_weight needs integer coordinates") == 0 for x in m):
+        raise ValueError("cone_weight needs nonzero integer coordinates, got %r" % (m,))
     ys = [Fraction(1, x) for x in m]
     if any(a < b for a, b in zip(ys, ys[1:])):
         return Fraction(0)

@@ -1,8 +1,10 @@
 """Exact rational linear algebra: one certified kernel, and RREF.
 
-Callers pass sparse rows: a row is a mapping {column: coefficient}, the
-coefficients int or Fraction, an absent column zero, so an elimination
-reads only the nonzero entries and no dense working matrix is built.
+Callers pass sparse rows: a row is a mapping {column: coefficient}, an
+absent column zero, so an elimination reads only the nonzero entries and
+no dense working matrix is built.  Coefficients are exact, an int or a
+Fraction (combination.as_fraction, the package's one exact-coefficient
+rule); a float, str, Decimal or bool raises TypeError.
 
 Every elimination works in one row format and one pivot format.  The
 kernels prepare their rows in one place, _scanned_rows, which validates
@@ -45,6 +47,9 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
 
+from .combination import as_fraction
+from .indices import check_int
+
 __all__ = [
     "nullspace",
     "reduce_rows",
@@ -61,10 +66,12 @@ PRIME = 2 ** 61 - 1
 def _primitive(vec):
     """Clear denominators, divide by content, make the leading entry positive.
 
-    `vec` holds rationals; a row of ints has no denominators to clear.
+    `vec` holds exact rationals; a row of ints has no denominators to
+    clear, and any other row goes through `as_fraction`, so a float, str,
+    Decimal or bool entry raises TypeError.
     """
     if not all(type(x) is int for x in vec):
-        vec = [Fraction(x) for x in vec]
+        vec = [as_fraction(x) for x in vec]
         mult = lcm(*(x.denominator for x in vec))
         vec = [int(x * mult) for x in vec]
     g = gcd(*vec) or 1
@@ -79,12 +86,12 @@ def _scanned_rows(rows, ncols, pivot_order):
 
     scan lists the columns in the order pivot_order scans them for pivots,
     so scan[pos] is the column at position pos; either scan is its own
-    inverse, so scan[c] is also the position of column c.
+    inverse, so scan[c] is also the position of column c.  ncols goes
+    through `check_int`, and each coefficient through `_primitive`.
     """
     if pivot_order not in PIVOT_ORDERS:
         raise ValueError("pivot_order must be one of %r" % (PIVOT_ORDERS,))
-    if ncols < 0:
-        raise ValueError("ncols must be nonnegative")
+    check_int(ncols, 0, "ncols must be nonnegative")
     scan = list(range(ncols)) if pivot_order == "left" else list(range(ncols - 1, -1, -1))
     out = []
     for row in rows:
@@ -228,6 +235,10 @@ def nullspace(rows, ncols, pivot_order="left"):
     """Primitive integer basis of the right kernel {v | A v = 0} of the
     {column: coefficient} rows of A, computed modulo PRIME and proved over
     Q.  The basis vectors are dense tuples of length ncols.
+
+    Coefficients must be exact (`combination.as_fraction`): a float, str,
+    Decimal or bool raises TypeError, and an ncols that is not a
+    nonnegative int (`indices.check_int`) ValueError.
 
     pivot_order chooses whether elimination scans candidate pivot columns
     left to right or right to left; the kernel is the same subspace either

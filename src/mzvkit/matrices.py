@@ -26,6 +26,7 @@ matrix of sigma has columns vec(sigma(j)) - vec(sigma(n+1)).
 from itertools import permutations
 
 from .groupring import _check_perm
+from .indices import check_int
 from .linalg import _rref, reduce_rows
 from .polynomials import MultiPoly
 
@@ -54,8 +55,7 @@ def _check_matrix(m):
         if not isinstance(row, tuple) or len(row) != n:
             raise ValueError("matrix must be square")
         for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("matrix entries must be integers")
+            check_int(x, None, "matrix entries must be integers")
     return n
 
 
@@ -150,9 +150,9 @@ def iota_matrix(sigma, n=None):
 
 
 def build_iota(n):
-    """The embedding of all permutations of 1..n+1 into GL_n(Z), as a dict."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """The embedding of all permutations of 1..n+1 into GL_n(Z), as a dict;
+    n >= 1 must be an int (`check_int`)."""
+    check_int(n, 1, "n must be >= 1")
     return {sigma: iota_matrix(sigma, n)
             for sigma in permutations(range(1, n + 2))}
 

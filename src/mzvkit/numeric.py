@@ -152,6 +152,7 @@ from .combination import as_fraction
 from .indices import (
     check_admissible,
     check_index,
+    check_int,
     format_index,
     index_of_word,
     parse_index,
@@ -170,8 +171,7 @@ _COLUMN_GUARD_BITS = 64
 
 
 def _check_digits(digits):
-    if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
-        raise ValueError("digits must be a positive integer, got %r" % (digits,))
+    check_int(digits, 1, "digits must be a positive integer")
 
 
 def _workdigits(digits):
@@ -772,8 +772,7 @@ def eval_constant_term(poly, digits=DEFAULT_DIGITS, cache=None):
 
 def _direct_sum(k, M, weak):
     k = check_index(k)
-    if M < 1:
-        raise ValueError("M must be a positive integer")
+    check_int(M, 1, "M must be a positive integer")
     # L = lcm(1..M-1) makes every weight (L/m)^a an integer
     scale = math.lcm(*range(1, M))
     columns = power_columns([scale // m for m in range(1, M)], k)
@@ -785,7 +784,8 @@ def direct_sum_F(k, M):
     """Exact partial sum over tuples with 0<|m_i|<M and 1/m_1 > ... > 1/m_n.
 
     Tuples are strict chains in the 1/m order, i.e. increasing position
-    subsequences of the signed range.
+    subsequences of the signed range.  The cutoff M goes through
+    `indices.check_int`: a positive int, not a bool.
     """
     return _direct_sum(k, M, weak=False)
 
@@ -794,7 +794,8 @@ def direct_sum_natural(k, M):
     """Weighted partial sum over weak chains in the 1/m order.
 
     A tuple weakly decreasing in 1/m is weighted by the product of 1/r!
-    over its maximal runs of equal entries; all other tuples weigh 0.
+    over its maximal runs of equal entries; all other tuples weigh 0.  M
+    is checked as in direct_sum_F.
     """
     return _direct_sum(k, M, weak=True)
 

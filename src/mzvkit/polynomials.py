@@ -25,7 +25,7 @@ from operator import add
 
 from .combination import Combination, as_fraction
 from .groupring import _check_perm, transposition
-from .indices import compositions_nonneg
+from .indices import check_int, compositions_nonneg
 
 __all__ = [
     "MultiPoly",
@@ -34,6 +34,15 @@ __all__ = [
     "monomial_exponents",
     "diagonal_translation_invariant",
 ]
+
+
+def _position(i, nvars):
+    """The 0-based position of the variable x_i: i must be an int in
+    1..nvars (`check_int`), else ValueError."""
+    message = "variable index out of range 1..%d" % nvars
+    if check_int(i, 1, message) > nvars:
+        raise ValueError("%s, got %r" % (message, i))
+    return i - 1
 
 
 class MultiPoly(Combination):
@@ -46,9 +55,7 @@ class MultiPoly(Combination):
     __slots__ = ("nvars",)
 
     def __init__(self, nvars, terms=None):
-        if not isinstance(nvars, int) or isinstance(nvars, bool) or nvars < 0:
-            raise ValueError("nvars must be a nonnegative integer")
-        self.nvars = nvars
+        self.nvars = check_int(nvars, 0, "nvars must be a nonnegative integer")
         self.terms = self._merged((self._check_exponents(expo), as_fraction(coeff))
                                   for expo, coeff in (terms or {}).items())
 
@@ -56,8 +63,8 @@ class MultiPoly(Combination):
         expo = tuple(expo)
         if len(expo) != self.nvars:
             raise ValueError("exponent tuple %r does not have %d entries" % (expo, self.nvars))
-        if any((not isinstance(e, int)) or isinstance(e, bool) or e < 0 for e in expo):
-            raise ValueError("exponents must be nonnegative integers: %r" % (expo,))
+        for e in expo:
+            check_int(e, 0, "exponents must be nonnegative integers")
         return expo
 
     # ---- constructors -------------------------------------------------
@@ -72,11 +79,10 @@ class MultiPoly(Combination):
 
     @classmethod
     def variable(cls, i, nvars):
-        """The polynomial x_i (1-based index, matching the math displays)."""
-        if not 1 <= i <= nvars:
-            raise ValueError("variable index %d out of range 1..%d" % (i, nvars))
+        """The polynomial x_i (1-based index, matching the math displays;
+        checked by `_position`)."""
         expo = [0] * nvars
-        expo[i - 1] = 1
+        expo[_position(i, nvars)] = 1
         return cls(nvars, {tuple(expo): Fraction(1)})
 
     @classmethod
@@ -90,8 +96,7 @@ class MultiPoly(Combination):
         return ((tuple(map(add, ea, eb)), 1),)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_int(k, 0, "exponent must be a nonnegative integer")
         acc = MultiPoly.one(self.nvars)
         base = self
         while k:
@@ -123,10 +128,9 @@ class MultiPoly(Combination):
 
     def _lowered(self, i):
         """(exponent tuple with x_i lowered by one, exponent of x_i,
-        coefficient) for every term that x_i (1-based) divides."""
-        if not 1 <= i <= self.nvars:
-            raise ValueError("variable index %d out of range 1..%d" % (i, self.nvars))
-        j = i - 1
+        coefficient) for every term that x_i (1-based, checked by
+        `_position`) divides."""
+        j = _position(i, self.nvars)
         return [(expo[:j] + (expo[j] - 1,) + expo[j + 1:], expo[j], coeff)
                 for expo, coeff in self.terms.items() if expo[j]]
 

@@ -46,6 +46,7 @@ from .indices import (
     _stuffle,
     check_admissible,
     check_index,
+    check_int,
     check_word,
     compositions,
     format_index,
@@ -114,7 +115,7 @@ class MzvCombo(Combination):
 
 class RegPoly(Combination):
     """Polynomial in the regularization variable T with MzvCombo
-    coefficients, keyed by T-degree."""
+    coefficients, keyed by T-degree, a nonnegative int (`check_int`)."""
 
     __slots__ = ()
 
@@ -128,8 +129,7 @@ class RegPoly(Combination):
         clean = {}
         if terms:
             for j, combo in terms.items():
-                if not isinstance(j, int) or j < 0:
-                    raise ValueError("T-degrees must be nonnegative integers")
+                check_int(j, 0, "T-degrees must be nonnegative integers")
                 if not isinstance(combo, MzvCombo):
                     combo = MzvCombo(combo)
                 if combo:

@@ -30,7 +30,7 @@ same map that permutes the variables of a MultiPoly.
 
 from .combination import Combination
 from .groupring import _check_perm, shuffle_operator
-from .indices import indices_of_weight, is_admissible
+from .indices import check_index, check_int, indices_of_weight, is_admissible
 from .matrices import substitution_forms
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
 from .polynomials import permute_terms, substituted_monomials
@@ -54,21 +54,20 @@ def _domain(n, K):
 class SeriesTrunc(Combination):
     """Truncated coefficient table of a depth-n generating function: a
     combination of the indices of depth n and weight <= K with MzvCombo
-    coefficients.  Zero cells are not stored."""
+    coefficients.  Zero cells are not stored.  n and K are ints with
+    0 <= n <= K (`check_int`), and each key an index (`check_index`)."""
 
     __slots__ = ("n", "K")
 
     _nested = True
 
     def __init__(self, n, K, terms=None):
-        if n < 0 or K < n:
-            raise ValueError("need 0 <= n <= K")
-        self.n = n
-        self.K = K
+        self.n = check_int(n, 0, "need 0 <= n <= K")
+        self.K = check_int(K, n, "need 0 <= n <= K")
         clean = {}
         for k, v in (terms or {}).items():
-            k = tuple(k)
-            if len(k) != n or any(p < 1 for p in k):
+            k = check_index(k)
+            if len(k) != n:
                 raise ValueError("bad index %r for depth %d" % (k, n))
             if sum(k) > K:
                 raise ValueError("index %r exceeds weight bound %d" % (k, K))
@@ -121,13 +120,11 @@ def build_series(scheme, n, K, admissible_only=False):
     The depth-0 series is the constant 1.  With admissible_only=True the
     non-admissible indices are dropped instead of regularized; that
     truncation breaks the shuffle identity and exists as a negative
-    control.
+    control.  n >= 0 and K >= n must be ints (`check_int`).
     """
     scheme = normalize_scheme(scheme)
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    if K < n:
-        raise ValueError("weight bound %d cannot hold indices of depth %d" % (K, n))
+    check_int(n, 0, "depth must be nonnegative")
+    check_int(K, n, "weight bound cannot hold indices of depth %r" % (n,))
     return SeriesTrunc(n, K, {k: regularize(scheme, k).constant_term()
                               for k in _domain(n, K)
                               if not admissible_only or is_admissible(k)})
@@ -140,14 +137,15 @@ def block_product(a, b, K=None):
     product of the factor coefficients; indices beyond the weight bound
     are dropped.  K defaults to min(a.K, b.K).  A K above
     min(a.K + b.n, b.K + a.n) raises ValueError: that table would have
-    cells whose factor coefficients lie beyond a factor's weight bound.
+    cells whose factor coefficients lie beyond a factor's weight bound,
+    and a K that is not an int (`check_int`) raises ValueError.
     """
     if not isinstance(a, SeriesTrunc) or not isinstance(b, SeriesTrunc):
         raise TypeError("expected SeriesTrunc operands")
     if K is None:
         K = min(a.K, b.K)
     complete = min(a.K + b.n, b.K + a.n)
-    if K > complete:
+    if check_int(K, None, "weight bound must be an integer") > complete:
         raise ValueError("weight bound %d exceeds %d, the largest the factors "
                          "determine" % (K, complete))
     return SeriesTrunc(a.n + b.n, K, {ka + kb: va * vb

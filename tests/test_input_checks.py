@@ -8,9 +8,9 @@ from mpmath import mpf
 
 from mzvkit import dsh, matrices
 from mzvkit.groupring import GroupRingElem, compose, embed_elem, shuffle_operator
-from mzvkit.indices import enumerate_surjections
-from mzvkit.linalg import reduce_rows
-from mzvkit.numeric import BigReal
+from mzvkit.indices import cone_weight, enumerate_surjections
+from mzvkit.linalg import nullspace, reduce_rows
+from mzvkit.numeric import BigReal, direct_sum_F, direct_sum_natural
 from mzvkit.polynomials import MultiPoly
 from mzvkit.regularization import MzvCombo, RegPoly
 from mzvkit.relations import _pslq
@@ -18,6 +18,7 @@ from mzvkit.series import SeriesTrunc, block_product, build_series
 
 X1 = MultiPoly.variable(1, 2)
 SERIES = build_series("natural", 2, 5)
+Z2 = MzvCombo.of_index((2,))
 
 
 def _substitute_mixed():
@@ -75,6 +76,63 @@ CHECKS = {
     "RegPoly JSON key without T^": (lambda: RegPoly.from_json_obj({"x": {}}), ValueError),
     "pslq of one value": (lambda: _pslq([1], 60), ValueError),
 }
+
+# Integer arguments that indices.check_int rejects at the entry point: a
+# bool, a float and a str cutoff
+CHECKS.update({
+    # numeric
+    "direct_sum_F bool cutoff": (lambda: direct_sum_F((2,), True), ValueError),
+    "direct_sum_F float cutoff": (lambda: direct_sum_F((2,), 3.0), ValueError),
+    "direct_sum_F str cutoff": (lambda: direct_sum_F((2,), "3"), ValueError),
+    "direct_sum_natural bool cutoff": (lambda: direct_sum_natural((2,), True), ValueError),
+    # linalg
+    "nullspace bool column count": (lambda: nullspace([{0: 1}], True), ValueError),
+    "nullspace float column count": (lambda: nullspace([{0: 1}], 2.0), ValueError),
+    # dsh
+    "dsh_dimension bool depth": (lambda: dsh.dsh_dimension(True, 6), ValueError),
+    "dsh_dimension bool degree": (lambda: dsh.dsh_dimension(2, True), ValueError),
+    "dsh_dimension float depth": (lambda: dsh.dsh_dimension(2.0, 6), ValueError),
+    "dsh_dimension float degree": (lambda: dsh.dsh_dimension(2, 6.0), ValueError),
+    # series
+    "SeriesTrunc bool depth": (lambda: SeriesTrunc(True, 3), ValueError),
+    "SeriesTrunc float depth": (lambda: SeriesTrunc(1.0, 3), ValueError),
+    "SeriesTrunc bool weight bound": (lambda: SeriesTrunc(1, True), ValueError),
+    "SeriesTrunc float weight bound": (lambda: SeriesTrunc(1, 3.5), ValueError),
+    "SeriesTrunc bool index part": (lambda: SeriesTrunc(1, 3, {(True,): Z2}), ValueError),
+    "SeriesTrunc float index part": (lambda: SeriesTrunc(1, 3, {(2.0,): Z2}), ValueError),
+    "build_series bool depth": (lambda: build_series("natural", True, 3), ValueError),
+    "build_series float depth": (lambda: build_series("natural", 1.0, 3), ValueError),
+    "build_series bool weight bound": (lambda: build_series("natural", 1, True), ValueError),
+    "build_series float weight bound": (lambda: build_series("natural", 1, 3.0), ValueError),
+    "block_product bool weight bound": (
+        lambda: block_product(build_series("natural", 0, 3), build_series("natural", 1, 3), True),
+        ValueError),
+    "block_product float weight bound": (
+        lambda: block_product(SERIES, build_series("natural", 1, 4), 3.0), ValueError),
+    # regularization
+    "RegPoly bool T-degree": (lambda: RegPoly({True: Z2}), ValueError),
+    # indices
+    "enumerate_surjections bool size": (lambda: enumerate_surjections(True, 1), ValueError),
+    "enumerate_surjections bool block count": (lambda: enumerate_surjections(2, True),
+                                               ValueError),
+    "cone_weight bool coordinate": (lambda: cone_weight((True, 2)), ValueError),
+    # matrices
+    "build_iota bool size": (lambda: matrices.build_iota(True), ValueError),
+    "build_iota float size": (lambda: matrices.build_iota(2.0), ValueError),
+    # MultiPoly variable indices
+    "variable bool index": (lambda: MultiPoly.variable(True, 2), ValueError),
+    "variable float index": (lambda: MultiPoly.variable(1.0, 2), ValueError),
+    "partial bool variable": (lambda: X1.partial(True), ValueError),
+    "partial float variable": (lambda: X1.partial(1.0), ValueError),
+    "divide_by_variable bool variable": (lambda: X1.divide_by_variable(True), ValueError),
+    # groupring
+    "shuffle_operator bool block": (lambda: shuffle_operator(2, True), ValueError),
+    "shuffle_operator float block": (lambda: shuffle_operator(2, 1.0), ValueError),
+    # linalg takes exact coefficients only (combination.as_fraction)
+    "nullspace float coefficient": (lambda: nullspace([{0: 0.1, 1: 1}], 2), TypeError),
+    "nullspace bool coefficient": (lambda: nullspace([{0: True, 1: 1}], 2), TypeError),
+    "nullspace str coefficient": (lambda: nullspace([{0: "1", 1: 1}], 2), TypeError),
+})
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))

@@ -52,3 +52,32 @@ def test_only_combination_uses_the_accumulator():
             if name in private:
                 found.append("%s:%d %s" % (path.name, getattr(node, "lineno", 0), name))
     assert found == []
+
+
+def _bool_tests(node, scope=()):
+    """(scope, line) of every isinstance(..., bool) call under node, scope
+    being the names of the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance" and len(child.args) == 2):
+            kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else [child.args[1]]
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                yield ".".join(scope), child.lineno
+        yield from _bool_tests(child, inner)
+
+
+def test_one_integer_rule():
+    # what counts as an integer argument is decided by indices.check_int
+    # alone; the two exact-coefficient rules and the prime predicate answer
+    # other questions
+    allowed = {"indices.check_int", "combination.as_fraction", "groupring.GroupRingElem._scalar",
+               "finite.is_prime"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, scope) for scope, line in _bool_tests(tree)
+                  if "%s.%s" % (path.stem, scope) not in allowed]
+    assert found == []
