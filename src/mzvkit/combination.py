@@ -5,9 +5,9 @@ coefficients: admissible indices (MzvCombo), powers of T (RegPoly),
 exponent tuples (MultiPoly), permutations (GroupRingElem) and the indices
 of a weight-truncated series table (SeriesTrunc).  Scaling acts on the
 dicts alone, equality and hashing on the dicts and the space, and negation
-is scaling by -1.  Each product is a product of keys extended bilinearly,
-as the stuffle and shuffle algebras are defined: a subclass says how two
-keys multiply.
+is scaling by -1, done by negating each coefficient.  Each product is a
+product of keys extended bilinearly, as the stuffle and shuffle algebras
+are defined: a subclass says how two keys multiply.
 
 Every sum and every product go through one accumulator, private to this
 module: combined(pairs, products) sums many terms, x + y and x - y are
@@ -228,7 +228,11 @@ class Combination:
         return self.combined(((1, other),))
 
     def __neg__(self):
-        return self.scaled(-1)
+        """scaled(-1) with each coefficient negated directly, so no
+        Fraction product is built.  A coefficient, a Fraction, an int or a
+        combination, negates to its own type as its product by the scalar
+        -1 does, so the two agree key for key, coefficient types included."""
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not self._same(other):

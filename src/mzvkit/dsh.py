@@ -17,11 +17,18 @@ permutation action, and each image term looks its target up.  The P^{-1}
 twists of the basis monomials come from one call of
 polynomials.substituted_monomials, the package's one monomial
 substitution, over the integer forms x_1 + ... + x_j, so they keep integer
-coefficients.  Each target monomial of an image family
-gives one sparse condition row {column: coefficient}, built straight from
-the images, in linalg's row format.  A condition row that repeats an
-earlier one is dropped: it does not change the row space, and about half
-the double shuffle rows are such repeats.
+coefficients.  Each target monomial of an image family gives one sparse
+condition row {column: coefficient}, built straight from the images, in
+linalg's row format.  A condition row that repeats an earlier one is
+dropped: it does not change the row space.
+
+The conditions of i and n-i are the same rows.  The permutations that
+increase on 1..n-i and on n-i+1..n are those that increase on 1..i and on
+i+1..n composed with the block rotation rho, so sh_{n,n-i} = sh_{n,i} rho,
+and the family of n-i is the family of i with its target monomials
+permuted by rho.  A target permutation only reorders the rows, so the
+families are built for i = 1..floor(n/2) only; the row space, and so every
+kernel, is that of all n-1 families.
 
 The nullspace is linalg's one kernel: Gauss-Jordan modulo a prime, with
 the kernel proved over Q (rank mod p bounds the nullity from above, exactly
@@ -140,7 +147,9 @@ def _dsh_condition_rows(n, d):
     twisted = substituted_monomials(exponents, forms, n)
     identity = dict(zip(exponents, exponents))
     families = []
-    for i in range(1, n):
+    # the family of n - i is that of i with its targets permuted, so it
+    # gives no new row (module docstring)
+    for i in range(1, n // 2 + 1):
         # permuting the keys of {e: e} by sigma^-1 leaves at each exponent
         # tuple its image under sigma
         moves = [(c, permute_terms(identity, invert_perm(sigma)))

@@ -17,6 +17,18 @@ constant term is the value.  The surjection-weighted variant
 zeta_natural_F, the regularization.surjection_sum of zeta_F, matches the
 limit of the weakly-ordered weighted direct sums.
 
+Every one of these values, and every mod-p value below, obeys the reversal
+relation zeta(k_n, ..., k_1) = (-1)^wt(k) zeta(k_1, ..., k_n).  So only one
+member of each pair {k, reversed k} is computed, the smaller tuple (a
+palindrome is its own member), and the other is taken from its record by
+that sign (_member).  This is an identity, not a skipped check: term i of
+the splitting sum of reversed k is term n-i of the sum of k times
+(-1)^wt(k), so the whole T-polynomial of reversed k is (-1)^wt(k) times
+that of k.  The T-free check runs on every polynomial that is computed,
+and each polynomial that is not is the negative or the copy of a checked
+one.  The collapses of reversed k are the reversed collapses of k, with
+the same stabilizers, so zeta_natural_F is taken the same way.
+
 The mod-p values are literal finite sums in F_p: zeta_A_component over
 0 < m_1 < ... < m_n < p, and zeta_natural_A_component the weighted weak-chain
 sum over 0 < |m_i| < p/2 whose tie weights 1/r! require p > depth.  For
@@ -29,15 +41,20 @@ integer, reduced mod p once, here.  The weak total comes scaled by n! (the
 tie weights become binomials), so the natural value is that total times
 (n!)^-1, which p > depth makes exist.  At p = 2 the range is the one
 position m = 1, which the reflection does not halve; its values are
-taken literally.
+taken literally.  The map m -> p - m sends the chains of reversed k onto
+those of k, with the same tie runs and the sign (-1)^wt(k), so the residue
+of a non-member is taken from its member's too.  The member residues are
+kept in one bounded cache of the 4096 used last: a sweep of seven indices
+over the 166 primes from 5 to 1000 fits, and a sweep over many more
+primes holds no residue of every one.
 """
 
 import math
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import NamedTuple
 
-from .indices import check_index, format_index, weight
+from .indices import check_index, check_int, format_index, weight
 from .numeric import signed_chain_total
 from .regularization import MzvCombo, RegPoly, regularize, surjection_sum
 
@@ -56,7 +73,31 @@ def _constant_term_checked(poly, k, label):
     return poly.constant_term()
 
 
-@lru_cache(maxsize=None)
+def _member(k):
+    """(member, sign): the member of {k, reversed k} whose value is computed,
+    the smaller tuple, and the sign carrying the member's value to k's,
+    (-1)^wt(k) when the member is the reversal and 1 when it is k."""
+    reverse = k[::-1]
+    if reverse < k:
+        return reverse, (-1) ** weight(k)
+    return k, 1
+
+
+def _one_per_reversal_pair(compute):
+    """compute(k) cached over every index, called on members only: the
+    value of a non-member is its member's value times the sign of _member."""
+    @lru_cache(maxsize=None)
+    @wraps(compute)
+    def value(k):
+        member, sign = _member(k)
+        if member is k:
+            return compute(k)
+        x = value(member)
+        return -x if sign < 0 else x
+    return value
+
+
+@_one_per_reversal_pair
 def _zeta_F(k):
     return _constant_term_checked(_antipode_poly(k, partial(regularize, "stuffle")), k, "zeta_F")
 
@@ -66,7 +107,7 @@ def zeta_F(k):
     return _zeta_F(check_index(k))
 
 
-@lru_cache(maxsize=None)
+@_one_per_reversal_pair
 def _zeta_F_sharp(k):
     return _constant_term_checked(_antipode_poly(k, partial(regularize, "shuffle")), k,
                                   "zeta_F_sharp")
@@ -77,12 +118,17 @@ def zeta_F_sharp(k):
     return _zeta_F_sharp(check_index(k))
 
 
-def zeta_natural_F(k):
-    """Surjection-weighted finite value: sum of zeta_F over collapsed indices,
-    each divided by the order of the collapse's stabilizer."""
+@_one_per_reversal_pair
+def _zeta_natural_F(k):
     # the module attribute _zeta_F is read at each call, so a wrapper put
     # in its place sees this work too
     return surjection_sum(k, _zeta_F, MzvCombo.zero())
+
+
+def zeta_natural_F(k):
+    """Surjection-weighted finite value: sum of zeta_F over collapsed indices,
+    each divided by the order of the collapse's stabilizer."""
+    return _zeta_natural_F(check_index(k))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +158,10 @@ def is_prime(p):
 
 
 def primes_in_range(lo, hi):
-    """Primes p with lo <= p <= hi, ascending."""
+    """Primes p with lo <= p <= hi, ascending; lo and hi are ints
+    (`check_int`)."""
+    check_int(lo, None, "lo and hi must be integers")
+    check_int(hi, None, "lo and hi must be integers")
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
@@ -145,6 +194,19 @@ def _inverse_powers(p, exponents):
     return [powers[a - 1] for a in exponents]
 
 
+@lru_cache(maxsize=4096)
+def _member_residue(k, p, weak):
+    return signed_chain_total(k, _inverse_powers(p, k), weak=weak) % p
+
+
+def _chain_residue(k, p, weak):
+    """signed_chain_total of k over odd p, mod p, computed for the member
+    of {k, reversed k} only."""
+    member, sign = _member(k)
+    residue = _member_residue(member, p, weak)
+    return residue if sign > 0 else -residue % p
+
+
 def zeta_A_component(k, p):
     """Sum over 0 < m_1 < ... < m_n < p of the inverse power product in F_p."""
     k = check_index(k)
@@ -153,7 +215,7 @@ def zeta_A_component(k, p):
         # the one position m = 1: the empty chain and each chain of depth
         # one weigh 1, and no strict chain is longer
         return ModPValue(p, int(len(k) <= 1))
-    return ModPValue(p, signed_chain_total(k, _inverse_powers(p, k)) % p)
+    return ModPValue(p, _chain_residue(k, p, False))
 
 
 def zeta_natural_A_component(k, p):
@@ -173,5 +235,5 @@ def zeta_natural_A_component(k, p):
     if p == 2:
         return ModPValue(p, 0)  # the range 0 < |m| < 1 is empty
     # the weak total comes scaled by n!, which p > n makes invertible
-    total = signed_chain_total(k, _inverse_powers(p, k), weak=True)
-    return ModPValue(p, total % p * pow(math.factorial(n), -1, p) % p)
+    total = _chain_residue(k, p, True)
+    return ModPValue(p, total * pow(math.factorial(n), -1, p) % p)

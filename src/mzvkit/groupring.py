@@ -69,6 +69,13 @@ def cycle_perm(m):
 
 
 def transposition(m, a, b):
+    """The permutation of 1..m swapping a and b; m >= 1 and 1 <= a, b <= m
+    are ints (`check_int`), else ValueError."""
+    check_int(m, 1, "m must be a positive integer")
+    message = "need 1 <= a, b <= %d" % m
+    for x in (a, b):
+        if check_int(x, 1, message) > m:
+            raise ValueError("%s, got %r" % (message, x))
     out = list(range(1, m + 1))
     out[a - 1], out[b - 1] = b, a
     return tuple(out)

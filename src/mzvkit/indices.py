@@ -91,19 +91,27 @@ def parse_index(text):
     return check_index(int(p) for p in body.split(","))
 
 
+def _check_parts(parts):
+    return check_int(parts, 0, "parts must be >= 0")
+
+
 def compositions(total, parts):
     """All tuples of `parts` positive integers summing to `total`: the
     tuples of compositions_nonneg(total - parts, parts) with one added to
-    each part, in the same (lexicographic) order."""
-    for c in compositions_nonneg(total - parts, parts):
-        yield tuple([x + 1 for x in c])
+    each part, in the same (lexicographic) order.  `parts` goes through
+    `check_int` at the call."""
+    parts = _check_parts(parts)
+    return (tuple([x + 1 for x in c]) for c in _compositions_nonneg(total - parts, parts))
 
 
 def compositions_nonneg(total, parts):
     """All tuples of `parts` integers >= 0 summing to `total`, in
-    lexicographic order; none when `total` is negative."""
-    if parts < 0:
-        raise ValueError("parts must be >= 0, got %d" % parts)
+    lexicographic order; none when `total` is negative.  `parts` goes
+    through `check_int` at the call."""
+    return _compositions_nonneg(total, _check_parts(parts))
+
+
+def _compositions_nonneg(total, parts):
     if parts == 0:
         if total == 0:
             yield ()
@@ -113,20 +121,18 @@ def compositions_nonneg(total, parts):
             yield (total,)
         return
     for first in range(total + 1):
-        for rest in compositions_nonneg(total - first, parts - 1):
+        for rest in _compositions_nonneg(total - first, parts - 1):
             yield (first,) + rest
 
 
 def indices_of_weight(w, n=None):
-    """All indices of weight w, optionally restricted to depth n."""
+    """All indices of weight w, optionally restricted to depth n (checked
+    by `compositions` at the call)."""
     if n is not None:
-        yield from compositions(w, n)
-        return
+        return compositions(w, n)
     if w == 0:
-        yield ()
-        return
-    for d in range(1, w + 1):
-        yield from compositions(w, d)
+        return iter([()])
+    return (k for d in range(1, w + 1) for k in compositions(w, d))
 
 
 def admissible_indices(w, max_depth=None):

@@ -43,6 +43,7 @@ from .finite import zeta_F, zeta_natural_F
 from .indices import (
     admissible_indices,
     check_index,
+    check_int,
     compositions_nonneg,
     format_index,
     indices_of_weight,
@@ -516,7 +517,10 @@ def sharp_product_defect(k, kprime, digits=DEFAULT_DIGITS, cache=None):
 
 def opposite_parity_indices(max_weight, max_depth):
     """All indices with weight+depth odd, weight at most max_weight but not
-    2, depth at most max_depth; the domain of the main congruence."""
+    2, depth at most max_depth; the domain of the main congruence.  Both
+    bounds are ints (`check_int`)."""
+    check_int(max_weight, None, "max_weight and max_depth must be integers")
+    check_int(max_depth, None, "max_weight and max_depth must be integers")
     out = []
     for w in range(1, max_weight + 1):
         if w == 2:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzvkit import finite
 from mzvkit.finite import primes_in_range, zeta_A_component, zeta_natural_A_component
 from mzvkit.indices import compositions
 from mzvkit.numeric import direct_sum_F, direct_sum_natural
@@ -70,6 +71,31 @@ def test_residues_match_literal_loops(p):
         if p > len(k):
             expected = _literal_mod_p(k, _signed(p // 2), True, p)
             assert zeta_natural_A_component(k, p).residue == expected, k
+
+
+def _residues(k, p):
+    """zeta_A and, when p > depth, zeta^natural_A of k at p."""
+    natural = zeta_natural_A_component(k, p).residue if p > len(k) else None
+    return zeta_A_component(k, p).residue, natural
+
+
+def _literal_residues(k, p):
+    natural = _literal_mod_p(k, _signed(p // 2), True, p) if p > len(k) else None
+    return _literal_mod_p(k, range(1, p), False, p), natural
+
+
+@pytest.mark.parametrize("p", primes_in_range(2, 31))
+def test_reversed_pairs_match_literal_loops_in_either_order(p):
+    # only one member of a reversal pair is summed; from an empty residue
+    # cache, whichever of the pair comes first, both read the literal loops
+    pairs = [k for k in INDICES if k < k[::-1]]
+    assert len(pairs) == 13
+    for first_reversed in (True, False):
+        finite._member_residue.cache_clear()
+        for k in pairs:
+            order = (k[::-1], k) if first_reversed else (k, k[::-1])
+            for x in order:
+                assert _residues(x, p) == _literal_residues(x, p), (x, order)
 
 
 @pytest.mark.parametrize("M", [1, 2, 5])

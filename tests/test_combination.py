@@ -82,6 +82,27 @@ def test_algebra_laws(name):
             a + 1
 
 
+def _coefficient_types(x):
+    """Each key's coefficient type, and for a nested coefficient its own
+    coefficient types."""
+    return {key: (type(c), _coefficient_types(c) if isinstance(c, Combination) else None)
+            for key, c in x.terms.items()}
+
+
+def test_negation_equals_scaling_by_minus_one():
+    rng = random.Random("negation")
+    makes = [make for make, _, _ in TYPES.values()]
+    makes.append(lambda rng: SeriesTrunc(1, 3, {(2,): _combo(rng), (3,): _combo(rng)}))
+    for make in makes:
+        for _ in range(12):
+            a = make(rng)
+            negated, scaled = -a, a.scaled(-1)
+            assert negated == scaled and hash(negated) == hash(scaled)
+            assert list(negated.terms) == list(scaled.terms)
+            assert _coefficient_types(negated) == _coefficient_types(scaled)
+            assert negated._space() == a._space() and (a + negated).is_zero()
+
+
 def test_operands_of_another_type_raise_type_error():
     rng = random.Random(7)
     elements = [make(rng) for make, _, _ in TYPES.values()]

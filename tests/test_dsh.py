@@ -35,7 +35,7 @@ from mzvkit.matrices import (
     mat_inverse_unimodular,
     upper_ones,
 )
-from mzvkit.polynomials import MultiPoly, monomial_exponents
+from mzvkit.polynomials import MultiPoly, monomial_exponents, substituted_monomials
 
 DEPTH2_DIMS = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1,
                7: 0, 8: 1, 9: 0, 10: 1, 11: 0, 12: 2}
@@ -226,6 +226,41 @@ class TestConditionRows:
                     assert all(type(c) is int for c in image.values()), (n, d, e)
                     value = sum(c * prod(map(pow, x, k)) for k, c in image.items())
                     assert value == prod(map(pow, y, e)), (n, d, e)
+
+    @staticmethod
+    def every_family_row_set(n, d):
+        """The set of nonzero condition rows {column: coefficient} of the
+        plain and twisted families of every i = 1..n-1, in integers."""
+        exponents = monomial_exponents(n, d)
+        unit = [tuple(int(r == j) for r in range(n)) for j in range(n)]
+        forms = [{unit[i]: 1 for i in range(j + 1)} for j in range(n)]  # x_1 + ... + x_j
+        families = ([{e: 1} for e in exponents], substituted_monomials(exponents, forms, n))
+        # the permutation action of MultiPoly.permute_variables, read off
+        # where it moves a polynomial that labels each monomial by its column
+        labels = MultiPoly(n, {e: col + 1 for col, e in enumerate(exponents)})
+        rows = set()
+        for i in range(1, n):
+            moves = [(c, {exponents[int(col) - 1]: e
+                          for e, col in labels.permute_variables(sigma).terms.items()})
+                     for sigma, c in shuffle_operator(n, i).terms.items()]
+            for family in families:
+                by_target = {}
+                for col, image in enumerate(family):
+                    for c, moved in moves:
+                        for e, x in image.items():
+                            row = by_target.setdefault(moved[e], {})
+                            row[col] = row.get(col, 0) + c * x
+                rows.update(frozenset((col, x) for col, x in row.items() if x)
+                            for row in by_target.values())
+        rows.discard(frozenset())
+        return rows
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mirror_families_add_no_row(self, n):
+        # the families of i <= n/2 give every row of the families of all i
+        for d in range(0, 9 if n < 6 else 6):
+            _, rows = dsh._dsh_condition_rows(n, d)
+            assert {frozenset(row.items()) for row in rows} == self.every_family_row_set(n, d), d
 
     def test_half_the_rows_were_duplicates(self):
         for n, d, before, after in [(3, 10, 264, 132), (4, 6, 504, 256)]:

@@ -8,6 +8,7 @@ frozen combinations.
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from mpmath import mp, mpf
@@ -23,14 +24,14 @@ from mzvkit.finite import (
     zeta_natural_A_component,
     zeta_natural_F,
 )
-from mzvkit.indices import cone_weight, indices_of_weight, is_admissible, stuffle
+from mzvkit.indices import cone_weight, indices_of_weight, is_admissible, stuffle, weight
 from mzvkit.numeric import (
     direct_sum_F,
     direct_sum_natural,
     eval_combo,
     richardson_extrapolate,
 )
-from mzvkit.regularization import MzvCombo, RegPoly, stuffle_regularize
+from mzvkit.regularization import MzvCombo, RegPoly, regularize, stuffle_regularize
 
 
 def z(*k):
@@ -87,6 +88,35 @@ def test_t_dependent_splitting_sum_raises_under_tail():
             finite._constant_term_checked(poly, k, "zeta_F")
         honest = finite._antipode_poly(k, stuffle_regularize)
         assert finite._constant_term_checked(honest, k, "zeta_F") == zeta_F(k)
+
+
+# the non-palindromic indices of weight <= 8, one of each reversal pair
+REVERSAL_PAIRS = [k for w in range(1, 9) for k in indices_of_weight(w) if k < k[::-1]]
+
+
+@pytest.mark.parametrize("scheme", ["stuffle", "shuffle"])
+def test_reversed_splitting_polynomial_is_signed_copy(scheme):
+    # the whole T-polynomial of the reversed index, T-terms included, is
+    # (-1)^wt times that of the index, both computed by the splitting sum
+    reg = partial(regularize, scheme)
+    unsigned_differs = set()
+    for k in REVERSAL_PAIRS:
+        poly, reversed_poly = finite._antipode_poly(k, reg), finite._antipode_poly(k[::-1], reg)
+        assert reversed_poly == poly.scaled((-1) ** weight(k)), k
+        if reversed_poly != poly:
+            unsigned_differs.add(weight(k))
+    assert len(REVERSAL_PAIRS) == 105  # so 210 non-palindromic indices
+    # without the sign the identity fails at every odd weight
+    assert unsigned_differs == {3, 5, 7}
+
+
+def test_reversed_values_are_signed_copies():
+    for k in REVERSAL_PAIRS:
+        sign = (-1) ** weight(k)
+        assert finite._member(k) == (k, 1) and finite._member(k[::-1]) == (k, sign)
+        for value in (zeta_F, zeta_F_sharp, zeta_natural_F):
+            assert value(k[::-1]) == value(k).scaled(sign), (value.__name__, k)
+    assert finite._member((2, 1, 2)) == ((2, 1, 2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +257,10 @@ def test_inverse_tables_are_bounded():
     for p in sweep:
         zeta_A_component((1,), p)
     assert finite._inverses.cache_info().currsize <= bound
+
+
+def test_member_residues_are_bounded():
+    assert finite._member_residue.cache_info().maxsize is not None
 
 
 def test_zeta_A_rejects_composite():

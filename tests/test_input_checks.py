@@ -7,13 +7,20 @@ import pytest
 from mpmath import mpf
 
 from mzvkit import dsh, matrices
-from mzvkit.groupring import GroupRingElem, compose, embed_elem, shuffle_operator
-from mzvkit.indices import cone_weight, enumerate_surjections
+from mzvkit.finite import primes_in_range
+from mzvkit.groupring import GroupRingElem, compose, embed_elem, shuffle_operator, transposition
+from mzvkit.indices import (
+    compositions,
+    compositions_nonneg,
+    cone_weight,
+    enumerate_surjections,
+    indices_of_weight,
+)
 from mzvkit.linalg import nullspace, reduce_rows
 from mzvkit.numeric import BigReal, direct_sum_F, direct_sum_natural
 from mzvkit.polynomials import MultiPoly
 from mzvkit.regularization import MzvCombo, RegPoly
-from mzvkit.relations import _pslq
+from mzvkit.relations import _pslq, opposite_parity_indices
 from mzvkit.series import SeriesTrunc, block_product, build_series
 
 X1 = MultiPoly.variable(1, 2)
@@ -132,6 +139,32 @@ CHECKS.update({
     "nullspace float coefficient": (lambda: nullspace([{0: 0.1, 1: 1}], 2), TypeError),
     "nullspace bool coefficient": (lambda: nullspace([{0: True, 1: 1}], 2), TypeError),
     "nullspace str coefficient": (lambda: nullspace([{0: "1", 1: 1}], 2), TypeError),
+})
+
+# The part counts of the compositions, checked once at the call rather than
+# on each level of the recursion, and the integer arguments of the prime
+# range, the congruence domain and transposition
+CHECKS.update({
+    "compositions_nonneg bool part count": (lambda: compositions_nonneg(3, True), ValueError),
+    "compositions_nonneg negative part count": (lambda: compositions_nonneg(3, -1), ValueError),
+    "compositions float part count": (lambda: compositions(3, 2.0), ValueError),
+    "compositions bool part count": (lambda: compositions(3, True), ValueError),
+    "indices_of_weight bool depth": (lambda: indices_of_weight(3, True), ValueError),
+    "indices_of_weight float depth": (lambda: indices_of_weight(3, 2.0), ValueError),
+    "primes_in_range bool lower end": (lambda: primes_in_range(True, 7), ValueError),
+    "primes_in_range float lower end": (lambda: primes_in_range(2.0, 7), ValueError),
+    "primes_in_range float upper end": (lambda: primes_in_range(2, 7.0), ValueError),
+    "opposite_parity_indices bool weight": (lambda: opposite_parity_indices(True, 4),
+                                            ValueError),
+    "opposite_parity_indices float weight": (lambda: opposite_parity_indices(5.0, 4),
+                                             ValueError),
+    "opposite_parity_indices bool depth": (lambda: opposite_parity_indices(5, True),
+                                           ValueError),
+    "transposition bool size": (lambda: transposition(True, 1, 1), ValueError),
+    "transposition on no letters": (lambda: transposition(0, 1, 1), ValueError),
+    "transposition letter 0": (lambda: transposition(3, 0, 2), ValueError),
+    "transposition letter above the size": (lambda: transposition(3, 1, 4), ValueError),
+    "transposition float letter": (lambda: transposition(3, 1.0, 2), ValueError),
 })
 
 
