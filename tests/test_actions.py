@@ -313,7 +313,7 @@ def rref_nullspace(rows, ncols):
 
 class TestNullspace:
     """The kernel contract, on the modular nullspace here and on the
-    exact fallback in TestBareissNullspace.  The tests write dense rows,
+    exact fallback in TestExactNullspace.  The tests write dense rows,
     which `kernel` passes on as {column: coefficient} rows."""
 
     raw_kernel = staticmethod(nullspace)
@@ -400,7 +400,7 @@ class TestNullspace:
             self.raw_kernel([], -1)
 
 
-class TestBareissNullspace(TestNullspace):
+class TestExactNullspace(TestNullspace):
     """The kernel contract on _exact_nullspace, the elimination over Q."""
 
     raw_kernel = staticmethod(_exact_nullspace)

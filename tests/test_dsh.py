@@ -132,7 +132,7 @@ class TestDoubleShuffleSpace:
         assert vector_space_dimension(3, 4) == 15
 
 
-class TestModularKernelMatchesBareiss:
+class TestModularKernelMatchesExactNullspace:
     """Every solver gives the same output with the exact kernel over Q in
     place of dsh.nullspace, and no system of the grid needs that fallback."""
 
