@@ -11,14 +11,15 @@ are defined: a subclass says how two keys multiply.
 
 Every sum and every product go through one accumulator, private to this
 module: combined(pairs, products) sums many terms, x + y and x - y are
-combined calls of one term, and every other module sums through combined,
-a term dict entering as an operand built by _like.  The accumulator keeps
-integer numerators in one dict per denominator, so adding a term
-multiplies and adds integers and builds no Fraction.  A coefficient that
-is a combination itself (the MzvCombo of a RegPoly or a SeriesTrunc) is
-summed under its outer key, as one more level of the same dicts.  At the
-end the denominators are brought to their lcm, and each key of the result
-gets one coefficient, built once (keys with equal numerators share it).
+combined calls of one term and x * y one of one product, and every other
+module sums through combined, a term dict entering as an operand built by
+_like.  The accumulator keeps integer numerators in one dict per
+denominator, so adding a term multiplies and adds integers and builds no
+Fraction.  A coefficient that is a combination itself (the MzvCombo of a
+RegPoly or a SeriesTrunc) is summed under its outer key, as one more
+level of the same dicts.  At the end the denominators are brought to
+their lcm, and each key of the result gets one coefficient, built once
+(keys with equal numerators share it).
 
 A subclass states its space, what must agree between operands (a
 variable count, a group size or a series shape), as its own __slots__
@@ -267,14 +268,12 @@ class Combination:
 
     def __mul__(self, other):
         """Scalar multiple for an int or Fraction, else the bilinear
-        extension of _key_product."""
+        extension of _key_product: a combined call of one product."""
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not self._same(other):
             return NotImplemented
-        acc = self._sum()
-        acc.add_product(self.terms, other.terms, 1, 1)
-        return self._like(acc.total())
+        return self._like({}).combined(products=((1, self, other),))
 
     # reached only for a left operand of another type: a scalar
     __rmul__ = __mul__

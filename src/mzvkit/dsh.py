@@ -51,7 +51,7 @@ from fractions import Fraction
 from .groupring import GroupRingElem, cycle_perm, invert_perm, shuffle_operator
 from .indices import check_int
 from .linalg import PIVOT_ORDERS, nullspace, span_equal
-from .matrices import upper_ones
+from .matrices import column_forms, upper_ones
 from .polynomials import (
     MultiPoly,
     diagonal_translation_invariant,
@@ -140,11 +140,8 @@ def _dsh_condition_rows(n, d):
     # f|_{P^{-1}} substitutes x P: x_j becomes column j of P, the form
     # x_1 + ... + x_j, the same for every monomial; the forms have integer
     # coefficients, so the twisted monomials do too
-    p = upper_ones(n)
-    forms = [{tuple(int(r == i) for r in range(n)): p[i][j] for i in range(n) if p[i][j]}
-             for j in range(n)]
     plain = [{e: 1} for e in exponents]
-    twisted = substituted_monomials(exponents, forms, n)
+    twisted = substituted_monomials(exponents, column_forms(upper_ones(n)), n)
     identity = dict(zip(exponents, exponents))
     families = []
     # the family of n - i is that of i with its targets permuted, so it
@@ -200,10 +197,7 @@ def divided_difference(f):
     if not isinstance(f, MultiPoly):
         raise TypeError("expected MultiPoly")
     shifted, dropped_first, _ = _shift_vars(f.nvars)
-    num = f.substitute(shifted) - f.substitute(dropped_first)
-    if num.is_zero():
-        return MultiPoly.zero(f.nvars + 1)
-    return num.divide_by_variable(1)
+    return (f.substitute(shifted) - f.substitute(dropped_first)).divide_by_variable(1)
 
 
 def _cyclic_condition_rows(n, d):
@@ -242,12 +236,14 @@ def symmetric_dti_solutions(n, d):
 
     Solves, over the symmetric slice, the condition that d/dx_1 (x_1 f) has
     partial derivatives summing to zero.  Only constants should survive.
+    The images are those of second_order_divergence, which weighs x_n: the
+    transposition of x_1 and x_n fixes a symmetric f and commutes with the
+    sum of the partials, so it carries each x_1 image to the x_n image and
+    only permutes the targets, giving the same condition rows.
     """
     _require_degree(n, d)
     basis = symmetric_slice_basis(n, d)
-    x1 = MultiPoly.variable(1, n)
-    images = [(x1 * f).partial(1).diagonal_derivative().terms for f in basis]
-    return _kernel(basis, _rows_from_images(images))
+    return _kernel(basis, _rows_from_images([second_order_divergence(f).terms for f in basis]))
 
 
 def functional_equation_space(n, d):

@@ -39,14 +39,17 @@ column multiplication reduced mod p from the half table of inverses, and
 the halves are joined by the antipode split.  The total is an exact
 integer, reduced mod p once, here.  The weak total comes scaled by n! (the
 tie weights become binomials), so the natural value is that total times
-(n!)^-1, which p > depth makes exist.  At p = 2 the range is the one
-position m = 1, which the reflection does not halve; its values are
-taken literally.  The map m -> p - m sends the chains of reversed k onto
-those of k, with the same tie runs and the sign (-1)^wt(k), so the residue
-of a non-member is taken from its member's too.  The member residues are
-kept in one bounded cache of the 4096 used last: a sweep of seven indices
-over the 166 primes from 5 to 1000 fits, and a sweep over many more
-primes holds no residue of every one.
+(n!)^-1, which p > depth makes exist.  The empty index takes the same
+path: its chain total is 1, the empty chain, and 0! = 1.  At p = 2 the
+range is the one position m = 1, which the reflection does not halve; its
+values are taken literally: zeta_A is 1 up to depth one and 0 beyond, and
+the natural range 0 < |m| < 1 is empty, so only the empty index has the
+natural value 1 there.  The map m -> p - m sends the chains of reversed
+k onto those of k, with the same tie runs and the sign (-1)^wt(k), so the
+residue of a non-member is taken from its member's too.  The member
+residues are kept in one bounded cache of the 4096 used last: a sweep of
+seven indices over the 166 primes from 5 to 1000 fits, and a sweep over
+many more primes holds no residue of every one.
 """
 
 import math
@@ -54,15 +57,15 @@ from array import array
 from functools import lru_cache, partial, wraps
 from typing import NamedTuple
 
-from .indices import check_index, check_int, format_index, weight
+from .indices import check_index, check_int, format_index, index_splittings, weight
 from .numeric import signed_chain_total
 from .regularization import MzvCombo, RegPoly, regularize, surjection_sum
 
 
 def _antipode_poly(k, reg_of_index):
     return RegPoly.zero().combined(
-        products=(((-1) ** weight(k[i:]), reg_of_index(k[:i]), reg_of_index(k[i:][::-1]))
-                  for i in range(len(k) + 1)))
+        products=(((-1) ** weight(tail), reg_of_index(head), reg_of_index(tail))
+                  for head, tail in index_splittings(k)))
 
 
 def _constant_term_checked(poly, k, label):
@@ -227,13 +230,12 @@ def zeta_natural_A_component(k, p):
     k = check_index(k)
     _check_prime(p)
     n = len(k)
-    if n == 0:
-        return ModPValue(p, 1 % p)
     if p <= n:
         raise ValueError("need p > depth for invertible tie weights, got "
                          "p=%d depth=%d" % (p, n))
     if p == 2:
-        return ModPValue(p, 0)  # the range 0 < |m| < 1 is empty
+        # the range 0 < |m| < 1 is empty: only the empty chain, weighing 1
+        return ModPValue(p, int(n == 0))
     # the weak total comes scaled by n!, which p > n makes invertible
     total = _chain_residue(k, p, True)
     return ModPValue(p, total * pow(math.factorial(n), -1, p) % p)

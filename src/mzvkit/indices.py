@@ -98,16 +98,18 @@ def _check_parts(parts):
 def compositions(total, parts):
     """All tuples of `parts` positive integers summing to `total`: the
     tuples of compositions_nonneg(total - parts, parts) with one added to
-    each part, in the same (lexicographic) order.  `parts` goes through
-    `check_int` at the call."""
+    each part, in the same (lexicographic) order.  `total` and `parts` go
+    through `check_int` at the call."""
     parts = _check_parts(parts)
+    total = check_int(total, None, "the total must be an integer")
     return (tuple([x + 1 for x in c]) for c in _compositions_nonneg(total - parts, parts))
 
 
 def compositions_nonneg(total, parts):
     """All tuples of `parts` integers >= 0 summing to `total`, in
-    lexicographic order; none when `total` is negative.  `parts` goes
-    through `check_int` at the call."""
+    lexicographic order; none when `total` is negative.  `total` and
+    `parts` go through `check_int` at the call."""
+    check_int(total, None, "the total must be an integer")
     return _compositions_nonneg(total, _check_parts(parts))
 
 
@@ -126,17 +128,17 @@ def _compositions_nonneg(total, parts):
 
 
 def indices_of_weight(w, n=None):
-    """All indices of weight w, optionally restricted to depth n (checked
-    by `compositions` at the call)."""
+    """All indices of weight w, by depth, optionally restricted to depth n;
+    none when w is negative.  w and n go through `check_int` at the call."""
     if n is not None:
         return compositions(w, n)
-    if w == 0:
-        return iter([()])
-    return (k for d in range(1, w + 1) for k in compositions(w, d))
+    check_int(w, None, "the weight must be an integer")
+    return (k for d in range(w + 1) for k in compositions(w, d))
 
 
 def admissible_indices(w, max_depth=None):
-    """All admissible indices of weight w (last part >= 2), depth-bounded."""
+    """All admissible indices of weight w (last part >= 2), depth-bounded;
+    w goes through `check_int` at the call."""
     out = []
     for k in indices_of_weight(w):
         if not is_admissible(k):
@@ -264,13 +266,11 @@ def word_of_index(k):
 
 
 def index_of_word(w):
-    check_word(w)
-    if w == "":
-        return ()
-    if not w.endswith("B"):
+    # the runs of A before each B, and after the last B an empty one
+    *runs, rest = check_word(w).split("B")
+    if rest:
         raise ValueError("index words must end with B, got %r" % (w,))
-    parts = [len(run) + 1 for run in w.split("B")[:-1]]
-    return tuple(reversed(parts))
+    return tuple(len(run) + 1 for run in reversed(runs))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ __all__ = [
     "cyclic_action_matrix",
     "iota_matrix",
     "build_iota",
+    "column_forms",
     "substitution_forms",
     "act_matrix",
 ]
@@ -157,16 +158,22 @@ def build_iota(n):
             for sigma in permutations(range(1, n + 2))}
 
 
+def column_forms(m):
+    """The linear forms of x m, as term dicts: form j is sum_i m[i][j] x_i,
+    its exponent tuples the unit vectors, its zero coefficients left out."""
+    n = len(m)
+    return [{tuple(int(r == i) for r in range(n)): m[i][j] for i in range(n) if m[i][j]}
+            for j in range(n)]
+
+
 def substitution_forms(gamma):
     """The linear forms of x gamma^{-1}: entry j replaces x_j in f|_gamma.
 
-    Form j is sum_i delta[i][j] x_i with delta = gamma^{-1}, so one inversion
+    Form j is column j of gamma^{-1} (`column_forms`), so one inversion
     serves every polynomial or monomial acted on.
     """
-    delta = mat_inverse_unimodular(gamma)
-    n = len(delta)
-    return [MultiPoly(n, {tuple(int(r == i) for r in range(n)): delta[i][j] for i in range(n)})
-            for j in range(n)]
+    return [MultiPoly(len(gamma), form)
+            for form in column_forms(mat_inverse_unimodular(gamma))]
 
 
 def act_matrix(f, gamma):

@@ -130,7 +130,6 @@ from operator import add, floordiv, mul, rshift
 from mpmath import mp
 from mpmath.libmp import (
     dps_to_prec,
-    fone,
     from_int,
     from_man_exp,
     from_rational,
@@ -681,8 +680,6 @@ def _evaluate(ks, workdigits):
     the working precision: the convolution sum of each index over the
     prefix values of all their words and dual words at once."""
     length = sum(ks[0])
-    if not length:
-        return [to_str(fone, workdigits)] * len(ks)
     nterms = int(math.ceil(3.33 * workdigits)) + 64 + 8 * length
     workprec = dps_to_prec(workdigits)
     prec = workprec + _GUARD_BITS

@@ -369,39 +369,38 @@ def verify_congruence(lhs, rhs, span, denom_bound=10 ** 4, target="", notes=()):
                          % (digits, lhs.digits, rhs.digits))
     notes = list(notes)
     diff = lhs - rhs
-    absdiff = abs(diff).to_decimal(20)
+    # without a relation the report has no coefficients and shows |lhs - rhs|
+    verdict, coeffs, residual = "inconclusive", (), abs(diff).to_decimal(20)
     if diff.is_zero():
+        verdict = "confirmed"
         notes.append("difference below detection tolerance, no span needed")
-        return RelationReport(target, "confirmed", digits, denom_bound,
-                              (), absdiff, tuple(notes))
-    kept, dropped = span.reduced
-    if dropped:
-        notes.append("dependent span values dropped: " + ", ".join(dropped))
-    if not kept:
-        notes.append("empty span and nonzero difference")
-        return RelationReport(target, "inconclusive", digits, denom_bound,
-                              (), absdiff, tuple(notes))
-    rel = _pslq([diff.value] + [v.value for _, v in kept], digits)
-    if rel is None or rel[0] == 0:
-        notes.append("no integer relation found at this precision")
-        return RelationReport(target, "inconclusive", digits, denom_bound,
-                              (), absdiff, tuple(notes))
-    coeffs = tuple((label, Fraction(-rel[j + 1], rel[0]))
-                   for j, (label, _) in enumerate(kept) if rel[j + 1] != 0)
-    residual = abs(linear_combination(
-        [(1, lhs), (-1, rhs)] + [(Fraction(rel[j + 1], rel[0]), v)
-                                 for j, (_, v) in enumerate(kept)], digits))
-    bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
-    height = _height(coeffs)
-    verdict = "confirmed"
-    if not residual.value < bound.value:
-        verdict = "inconclusive"
-        notes.append("residual above threshold")
-    if height >= denom_bound:
-        verdict = "inconclusive"
-        notes.append("coefficient height %d exceeds bound" % height)
+    else:
+        kept, dropped = span.reduced
+        if dropped:
+            notes.append("dependent span values dropped: " + ", ".join(dropped))
+        rel = _pslq([diff.value] + [v.value for _, v in kept], digits) if kept else None
+        if not kept:
+            notes.append("empty span and nonzero difference")
+        elif rel is None or rel[0] == 0:
+            notes.append("no integer relation found at this precision")
+        else:
+            coeffs = tuple((label, Fraction(-rel[j + 1], rel[0]))
+                           for j, (label, _) in enumerate(kept) if rel[j + 1] != 0)
+            remainder = abs(linear_combination(
+                [(1, lhs), (-1, rhs)] + [(Fraction(rel[j + 1], rel[0]), v)
+                                         for j, (_, v) in enumerate(kept)], digits))
+            residual = remainder.to_decimal(20)
+            bound = BigReal.from_rational(Fraction(1, 10 ** (digits // 2)), digits)
+            height = _height(coeffs)
+            verdict = "confirmed"
+            if not remainder.value < bound.value:
+                verdict = "inconclusive"
+                notes.append("residual above threshold")
+            if height >= denom_bound:
+                verdict = "inconclusive"
+                notes.append("coefficient height %d exceeds bound" % height)
     return RelationReport(target, verdict, digits, denom_bound,
-                          coeffs, residual.to_decimal(20), tuple(notes))
+                          coeffs, residual, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

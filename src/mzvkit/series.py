@@ -31,7 +31,7 @@ same map that permutes the variables of a MultiPoly.
 from .combination import Combination
 from .groupring import _check_perm, shuffle_operator
 from .indices import check_index, check_int, indices_of_weight, is_admissible
-from .matrices import substitution_forms
+from .matrices import column_forms, mat_inverse_unimodular
 from .numeric import BigReal, DEFAULT_DIGITS, eval_combo
 from .polynomials import permute_terms, substituted_monomials
 from .regularization import SCHEMES, MzvCombo, normalize_scheme, regularize
@@ -99,13 +99,14 @@ class SeriesTrunc(Combination):
 
         The source monomials x^(k-1) of every index expand exactly in one
         call of polynomials.substituted_monomials, sharing its memo, through
-        the linear forms of matrices.substitution_forms; total degree is
-        preserved, so no mass leaves the truncation.
+        the linear forms of the columns of gamma^{-1}
+        (matrices.column_forms); total degree is preserved, so no mass
+        leaves the truncation.
         """
         if len(gamma) != self.n:
             raise ValueError("matrix size %d does not match depth %d" % (len(gamma), self.n))
         images = substituted_monomials([tuple(e - 1 for e in k) for k in self.terms],
-                                       [f.terms for f in substitution_forms(gamma)], self.n)
+                                       column_forms(mat_inverse_unimodular(gamma)), self.n)
         return self._like({}).combined(
             (q, self._like({tuple(x + 1 for x in expo): v}))
             for v, image in zip(self.terms.values(), images) for expo, q in image.items())

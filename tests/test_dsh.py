@@ -287,6 +287,9 @@ class TestDividedDifference:
 
     def test_constant_gives_zero(self):
         assert divided_difference(MultiPoly.one(2)).is_zero()
+        # the zero numerator is divided like any other: zero in n+1 variables
+        for n in (1, 2, 3):
+            assert divided_difference(MultiPoly.constant(n, 5)) == MultiPoly.zero(n + 1)
 
 
 class TestCyclicInvarianceKernel:
@@ -343,6 +346,17 @@ class TestTranslationInvariance:
             assert len(sols) == 1 and sols[0] == MultiPoly.one(n)
             for d in range(1, 5):
                 assert symmetric_dti_solutions(n, d) == []
+
+    def test_symmetric_dti_matches_the_x1_images(self):
+        # the solver reads the x_n images of second_order_divergence; on a
+        # symmetric basis the kernel of the x_1 images is the same
+        for n in range(1, 5):
+            for d in range(0, 7):
+                basis = symmetric_slice_basis(n, d)
+                x1 = MultiPoly.variable(1, n)
+                images = [(x1 * f).partial(1).diagonal_derivative().terms for f in basis]
+                expected = dsh._kernel(basis, dsh._rows_from_images(images))
+                assert symmetric_dti_solutions(n, d) == expected, (n, d)
 
     @pytest.mark.parametrize("solve", [symmetric_dti_solutions, functional_equation_space],
                              ids=["symmetric_dti_solutions", "functional_equation_space"])

@@ -10,6 +10,7 @@ from mzvkit import dsh, matrices
 from mzvkit.finite import primes_in_range
 from mzvkit.groupring import GroupRingElem, compose, embed_elem, shuffle_operator, transposition
 from mzvkit.indices import (
+    admissible_indices,
     compositions,
     compositions_nonneg,
     cone_weight,
@@ -165,6 +166,20 @@ CHECKS.update({
     "transposition letter 0": (lambda: transposition(3, 0, 2), ValueError),
     "transposition letter above the size": (lambda: transposition(3, 1, 4), ValueError),
     "transposition float letter": (lambda: transposition(3, 1.0, 2), ValueError),
+})
+
+# The weight or total of the compositions and index lists, checked at the
+# call: a bool is not taken as 0 or 1, and a float fails there rather than
+# in range() or as a non-integer part
+CHECKS.update({
+    "compositions bool total": (lambda: compositions(True, 1), ValueError),
+    "compositions float total": (lambda: compositions(2.5, 1), ValueError),
+    "compositions_nonneg bool total": (lambda: compositions_nonneg(True, 1), ValueError),
+    "compositions_nonneg float total": (lambda: compositions_nonneg(2.5, 1), ValueError),
+    "indices_of_weight bool weight": (lambda: indices_of_weight(True), ValueError),
+    "indices_of_weight float weight": (lambda: indices_of_weight(3.0), ValueError),
+    "admissible_indices bool weight": (lambda: admissible_indices(True), ValueError),
+    "admissible_indices float weight": (lambda: admissible_indices(3.0), ValueError),
 })
 
 

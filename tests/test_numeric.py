@@ -78,6 +78,12 @@ def _naive_partial(k, M):
 def test_empty_index_is_one():
     v = eval_admissible((), 60)
     assert _close(v.value, mpf(1), 55)
+    # the empty word goes through the trie pass like any other, whose
+    # product of the two empty prefix values is exactly 1
+    for digits in (1, 20, 60, 400):
+        cache = ValueCache()
+        eval_admissible((), digits, cache)
+        assert cache.get("()", digits) == "1.0", digits
 
 
 def test_rejects_bad_input():

@@ -81,3 +81,13 @@ def test_one_integer_rule():
         found += ["%s:%d %s" % (path.name, line, scope) for scope, line in _bool_tests(tree)
                   if "%s.%s" % (path.stem, scope) not in allowed]
     assert found == []
+
+
+def test_one_relation_report_site():
+    # verify_congruence builds every report at one site, so a field added
+    # to RelationReport is filled in one place
+    tree = ast.parse((SRC / "relations.py").read_text())
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "RelationReport"]
+    assert len(sites) == 1, sites
